@@ -29,11 +29,10 @@ from .numerics import (
     concat,
     logsumexp,
     mean,
-    mul,
     no_grad,
     sub,
     take_rows,
-    tensor_sum,
+    time_major_dot,
     uniform_init,
 )
 from .seeding import derive_seed
@@ -104,7 +103,8 @@ class Batch:
 @dataclass
 class Prediction:
     """Per-example outcome: candidate-renormalized probabilities, the
-    argmax candidate (first on ties), and per-position attention."""
+    argmax candidate (first on ties), and the attention on each of the
+    row's real positions."""
 
     candidate_ids: np.ndarray
     probabilities: np.ndarray
@@ -116,12 +116,11 @@ class Prediction:
         return int(self.candidate_ids[self.predicted_index])
 
 
-def _step_masks(lengths: np.ndarray, steps: int) -> list[np.ndarray] | None:
-    """Per-step (B, 1) keep-masks; None when every row spans all steps."""
+def _step_masks(lengths: np.ndarray, steps: int) -> np.ndarray | None:
+    """(T, B, 1) boolean keep-mask; None when every row spans all steps."""
     if lengths.min() == steps:
         return None
-    positions = np.arange(steps)[None, :] < lengths[:, None]
-    return [positions[:, t].astype(float)[:, None] for t in range(steps)]
+    return (np.arange(steps)[:, None] < lengths[None, :])[:, :, None]
 
 
 class Model:
@@ -184,27 +183,23 @@ class Model:
         final_fwd, final_bwd = finals[-1]
         return concat([final_fwd, final_bwd], axis=1)
 
-    def document_states(self, batch: Batch) -> list[Tensor]:
-        """Per-position (B, 2H) contextual embeddings of the context."""
+    def document_states(self, batch: Batch) -> Tensor:
+        """Time-major (T*B, 2H) contextual embeddings of the context: row
+        t*B + b is position t of batch row b."""
         init_states = None
         if self.config.query_init:
             _, init_states = self._run_encoder(
                 self.doc_encoder, batch.question, batch.question_lengths
             )
-        per_step, _ = self._run_encoder(
+        block, _ = self._run_encoder(
             self.doc_encoder, batch.context, batch.context_lengths, init_states
         )
-        return per_step
+        return block
 
     def forward_scores(self, batch: Batch) -> Tensor:
         """(B, T) dot-product scores between every document position and
         the question vector.  Padding positions are NOT yet masked."""
-        per_step = self.document_states(batch)
-        g = self.question_vector(batch)
-        columns = [
-            tensor_sum(mul(f, g), axis=1, keepdims=True) for f in per_step
-        ]
-        return concat(columns, axis=1)
+        return time_major_dot(self.document_states(batch), self.question_vector(batch))
 
     def loss(self, batch: Batch, scores: Tensor | None = None) -> Tensor:
         """Mean negative log of the answer's aggregated attention mass.
@@ -261,17 +256,17 @@ def predictions_from_scores(
         totals > 0, masses / safe, np.full_like(masses, 1.0 / masses.shape[1])
     )
 
-    out = []
-    for i in range(b):
-        out.append(
-            Prediction(
-                candidate_ids=candidates[i].copy(),
-                probabilities=probabilities[i],
-                predicted_index=int(np.argmax(probabilities[i])),
-                attention=attention[i],
-            )
+    # Copies trimmed to each row's length: a prediction neither pins the
+    # batch arrays nor carries the batch's padding.
+    return [
+        Prediction(
+            candidate_ids=candidates[i].copy(),
+            probabilities=probabilities[i].copy(),
+            predicted_index=int(np.argmax(probabilities[i])),
+            attention=attention[i, : context_lengths[i]].copy(),
         )
-    return out
+        for i in range(b)
+    ]
 
 
 # --------------------------------------------------------------- example ops
@@ -308,11 +303,10 @@ def encode_document(
             for _ in model.doc_encoder.layers
         ]
     with no_grad():
-        emb = model._embed_flat(batch.context)
-        per_step, _ = model.doc_encoder.run(
-            emb, batch.context.shape[1], 1, None, init_states
+        block, _ = model._run_encoder(
+            model.doc_encoder, batch.context, batch.context_lengths, init_states
         )
-        return np.concatenate([f.data for f in per_step], axis=0)
+    return block.data
 
 
 def encode_question(question_ids: list[int], model: Model) -> np.ndarray:
@@ -341,11 +335,10 @@ def query_initiated_encoding(
         _, init_states = model._run_encoder(
             model.doc_encoder, batch.question, batch.question_lengths
         )
-        emb = model._embed_flat(batch.context)
-        per_step, _ = model.doc_encoder.run(
-            emb, batch.context.shape[1], 1, None, init_states
+        block, _ = model._run_encoder(
+            model.doc_encoder, batch.context, batch.context_lengths, init_states
         )
-        return np.concatenate([f.data for f in per_step], axis=0)
+    return block.data
 
 
 def attention_and_answer(

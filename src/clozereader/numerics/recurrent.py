@@ -8,11 +8,23 @@ One step of the cell, for input x and state h:
     h' = (1 - z) * h + z * h~
 
 The three input projections are stored fused as one (in, 3H) matrix so a
-whole sequence can be projected with a single matrix product up front.
-Sequences are processed as flattened (T*B, D) blocks in time-major order;
-a per-step 0/1 mask freezes the state of finished rows, which keeps both
-the per-position outputs and the final states of shorter rows correct
-under right-padding.
+whole sequence is projected with a single matrix product up front.
+Sequences are flattened (T*B, D) blocks in time-major order.
+
+Each layer and direction is a single tape node, ``run_direction``.  Its
+forward pass is a plain numpy loop over the T steps that writes states
+and gate activations into preallocated (T, B, .) buffers, applying U_r
+and U_z together as one (H, 2H) product.  Its backward pass walks the
+steps in reverse carrying only the state gradient dh, and stores each
+step's pre-activation gradient in a (T, B, 3H) buffer, which is also the
+gradient of the projected input.  The recurrent weight gradients stay out
+of the loop: dU_r|dU_z and dU_c are each one product over all T*B rows
+once the loop is done (Appleyard et al., arXiv:1604.01946).
+
+A (T, B, 1) keep-mask freezes the state of finished rows.  Under
+right-padding every row's per-position states are therefore those of the
+row run alone, and the state at its last real token is carried to the
+end of the loop.
 """
 
 from __future__ import annotations
@@ -26,15 +38,14 @@ from .tensor import (
     Parameter,
     ShapeMismatchError,
     Tensor,
+    _accumulate,
+    _make,
     add,
     concat,
+    logistic,
     matmul,
-    mul,
     reshape,
-    sigmoid,
-    slice_cols,
     slice_rows,
-    tanh,
 )
 
 
@@ -74,62 +85,95 @@ def init_gru_weights(in_dim: int, hidden: int, rng_seed: int, name: str) -> GruW
     )
 
 
-def _step(xw: Tensor, h: Tensor, weights: GruWeights) -> Tensor:
-    """One cell step given the precomputed input projection xw = x W + b."""
-    hidden = weights.hidden
-    r = sigmoid(add(slice_cols(xw, 0, hidden), matmul(h, weights.u_r)))
-    z = sigmoid(add(slice_cols(xw, hidden, 2 * hidden), matmul(h, weights.u_z)))
-    candidate = tanh(
-        add(slice_cols(xw, 2 * hidden, 3 * hidden), matmul(mul(r, h), weights.u_c))
-    )
-    return add(mul(1.0 - z, h), mul(z, candidate))
-
-
-def gru_cell(x: Tensor, h: Tensor, weights: GruWeights) -> Tensor:
-    """Single step for a single input: x (in,) or (B, in), h likewise."""
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
-        h = reshape(h, (1, -1))
-    xw = add(matmul(x, weights.w), weights.b)
-    out = _step(xw, h, weights)
-    if squeeze:
-        out = reshape(out, (-1,))
-    return out
-
-
 def run_direction(
-    xw_all: Tensor,
-    steps: int,
-    batch: int,
+    xw: Tensor,
     weights: GruWeights,
+    steps: int,
+    keep: np.ndarray | None = None,
     h0: Tensor | None = None,
-    step_masks: list[np.ndarray] | None = None,
     reverse: bool = False,
-) -> tuple[list[Tensor], Tensor]:
-    """Run one direction over a time-major (T*B, 3H) projected block.
+) -> Tensor:
+    """Run one direction over a time-major (T*B, 3H) block of projected
+    inputs xw = x W + b.
 
-    Returns per-step states in natural time order plus the loop-end state
-    (the state at the last real token of every row, thanks to masking).
+    ``keep`` is the (T, B, 1) boolean keep-mask, None when every row spans
+    all steps; ``h0`` is the (B, H) initial state, zeros when None.
+    Returns the (T*B, H) states in natural time order.  The loop-end state
+    (each row's state at its last real token) is step T-1 of the result
+    for a forward pass and step 0 for a reverse one.
     """
     if steps == 0:
         raise ShapeMismatchError("empty sequence")
-    h = h0 if h0 is not None else Tensor(np.zeros((batch, weights.hidden)))
-    outputs: list[Tensor | None] = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    hidden = weights.hidden
+    rows = xw.data.shape[0]
+    batch = rows // steps
+    if h0 is not None and h0.data.shape != (batch, hidden):
+        raise ShapeMismatchError(f"initial state {h0.data.shape}, expected {(batch, hidden)}")
+    u_rz = np.concatenate([weights.u_r.data, weights.u_z.data], axis=1)
+    u_c = weights.u_c.data
+    pre = xw.data.reshape(steps, batch, 3 * hidden)
+
+    # Step t reads prev[t] and writes out[t]; both are views of one buffer,
+    # so each step's output is the next step's input without a copy.
+    states = np.empty((steps + 1, batch, hidden))
+    if reverse:
+        order = range(steps - 1, -1, -1)
+        prev, out = states[1:], states[:-1]
+    else:
+        order = range(steps)
+        prev, out = states[:-1], states[1:]
+    prev[order[0]] = 0.0 if h0 is None else h0.data
+    rz = np.empty((steps, batch, 2 * hidden))
+    rh = np.empty((steps, batch, hidden))
+    cand = np.empty((steps, batch, hidden))
+    # Masking work is spent only on steps where some row has finished.
+    stopped = np.zeros((steps, batch, 1), dtype=bool) if keep is None else ~keep
+    ragged = stopped.any(axis=(1, 2))
     for t in order:
-        xw = slice_rows(xw_all, t * batch, (t + 1) * batch)
-        h_new = _step(xw, h, weights)
-        if step_masks is not None:
-            mask = step_masks[t]
-            if mask.all():
-                h = h_new
-            else:
-                h = add(mul(h_new, Tensor(mask)), mul(h, Tensor(1.0 - mask)))
-        else:
-            h = h_new
-        outputs[t] = h
-    return outputs, h  # type: ignore[return-value]
+        h = prev[t]
+        rz[t] = logistic(pre[t, :, : 2 * hidden] + h @ u_rz)
+        np.multiply(rz[t, :, :hidden], h, out=rh[t])
+        cand[t] = np.tanh(pre[t, :, 2 * hidden :] + rh[t] @ u_c)
+        z = rz[t, :, hidden:]
+        out[t] = (1.0 - z) * h + z * cand[t]
+        if ragged[t]:
+            np.copyto(out[t], h, where=stopped[t])
+
+    def backward(g):
+        d_out = g.reshape(steps, batch, hidden)
+        d_pre = np.empty((steps, batch, 3 * hidden))
+        dh = np.zeros((batch, hidden))
+        for t in reversed(order):
+            dh = dh + d_out[t]
+            if ragged[t]:
+                carried = np.where(stopped[t], dh, 0.0)
+                dh = np.where(stopped[t], 0.0, dh)
+            h = prev[t]
+            z = rz[t, :, hidden:]
+            c = cand[t]
+            d_rz = d_pre[t, :, : 2 * hidden]
+            d_c = d_pre[t, :, 2 * hidden :]
+            np.multiply(dh * z, 1.0 - c * c, out=d_c)
+            d_rh = d_c @ u_c.T
+            np.multiply(d_rh, h, out=d_rz[:, :hidden])
+            np.multiply(dh, c - h, out=d_rz[:, hidden:])
+            d_rz *= rz[t] * (1.0 - rz[t])
+            dh = dh * (1.0 - z) + d_rh * rz[t, :, :hidden] + d_rz @ u_rz.T
+            if ragged[t]:
+                dh += carried
+        d_flat = d_pre.reshape(rows, 3 * hidden)
+        d_u_rz = prev.reshape(rows, hidden).T @ d_flat[:, : 2 * hidden]
+        _accumulate(xw, d_flat)
+        _accumulate(weights.u_r, d_u_rz[:, :hidden])
+        _accumulate(weights.u_z, d_u_rz[:, hidden:])
+        _accumulate(weights.u_c, rh.reshape(rows, hidden).T @ d_flat[:, 2 * hidden :])
+        if h0 is not None:
+            _accumulate(h0, dh)
+
+    parents = (xw, weights.u_r, weights.u_z, weights.u_c)
+    if h0 is not None:
+        parents += (h0,)
+    return _make(out.reshape(rows, hidden), parents, backward)
 
 
 class BiGru:
@@ -163,36 +207,33 @@ class BiGru:
         flat: Tensor,
         steps: int,
         batch: int,
-        step_masks: list[np.ndarray] | None = None,
+        keep: np.ndarray | None = None,
         init_states: list[tuple[Tensor, Tensor]] | None = None,
-    ) -> tuple[list[Tensor], list[tuple[Tensor, Tensor]]]:
-        """Encode a time-major (T*B, D) block.
+    ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+        """Encode a time-major (T*B, D) block under a (T, B, 1) keep-mask.
 
-        Returns the last layer's per-step (B, 2H) outputs and, per layer,
-        the final forward and backward states.
+        Returns the last layer's time-major (T*B, 2H) block of forward and
+        backward states side by side and, per layer, the final forward and
+        backward (B, H) states.
         """
         if steps == 0:
             raise ShapeMismatchError("empty sequence")
         finals: list[tuple[Tensor, Tensor]] = []
-        per_step: list[Tensor] = []
         for k, (fwd, bwd) in enumerate(self.layers):
             h0_fwd = init_states[k][0] if init_states is not None else None
             h0_bwd = init_states[k][1] if init_states is not None else None
-            xw_fwd = add(matmul(flat, fwd.w), fwd.b)
-            xw_bwd = add(matmul(flat, bwd.w), bwd.b)
-            outs_fwd, final_fwd = run_direction(
-                xw_fwd, steps, batch, fwd, h0_fwd, step_masks, reverse=False
+            out_fwd = run_direction(
+                add(matmul(flat, fwd.w), fwd.b), fwd, steps, keep, h0_fwd
             )
-            outs_bwd, final_bwd = run_direction(
-                xw_bwd, steps, batch, bwd, h0_bwd, step_masks, reverse=True
+            out_bwd = run_direction(
+                add(matmul(flat, bwd.w), bwd.b), bwd, steps, keep, h0_bwd, reverse=True
             )
-            per_step = [
-                concat([f, b], axis=1) for f, b in zip(outs_fwd, outs_bwd)
-            ]
-            finals.append((final_fwd, final_bwd))
-            if k + 1 < len(self.layers):
-                flat = concat(per_step, axis=0)
-        return per_step, finals
+            finals.append((
+                slice_rows(out_fwd, (steps - 1) * batch, steps * batch),
+                slice_rows(out_bwd, 0, batch),
+            ))
+            flat = concat([out_fwd, out_bwd], axis=1)
+        return flat, finals
 
 
 def bidirectional_gru(
@@ -221,7 +262,6 @@ def bidirectional_gru(
             (reshape(init_state_fwd, (1, -1)), reshape(init_state_bwd, (1, -1)))
             for _ in encoder.layers
         ]
-    per_step, finals = encoder.run(sequence, steps, 1, None, init)
-    stacked = concat(per_step, axis=0)
+    block, finals = encoder.run(sequence, steps, 1, None, init)
     final_fwd, final_bwd = finals[-1]
-    return stacked, reshape(final_fwd, (-1,)), reshape(final_bwd, (-1,))
+    return block, reshape(final_fwd, (-1,)), reshape(final_bwd, (-1,))

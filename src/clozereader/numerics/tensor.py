@@ -41,7 +41,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -242,13 +242,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) without overflow: exp only ever sees
+    -|x|, and the numerator picks 1 or that exponential by the sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.empty_like(x)
-    positive = x >= 0
-    data[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    ex = np.exp(x[~positive])
-    data[~positive] = ex / (1.0 + ex)
+    data = logistic(a.data)
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -381,3 +383,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accumulate(a, data * (g - inner))
 
     return _make(data, (a,), backward)
+
+
+def time_major_dot(states: Tensor, query: Tensor) -> Tensor:
+    """(B, T) dot products of a time-major (T*B, D) block with the (B, D)
+    query row of each batch row: out[b, t] = states[t*B + b] . query[b]."""
+    seq = states.data.reshape(-1, *query.data.shape)
+    data = np.einsum("tbd,bd->bt", seq, query.data)
+
+    def backward(g):
+        _accumulate(states, np.einsum("bt,bd->tbd", g, query.data).reshape(states.data.shape))
+        _accumulate(query, np.einsum("bt,tbd->bd", g, seq))
+
+    return _make(data, (states, query), backward)

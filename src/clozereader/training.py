@@ -38,7 +38,7 @@ DEFAULT_PREFETCH = 10
 
 
 class TrainingDivergedError(ClozereaderError):
-    """Raised when the loss becomes NaN or infinite."""
+    """Raised when the loss or the gradient norm becomes NaN or infinite."""
 
 
 class CheckpointError(ClozereaderError):
@@ -199,8 +199,9 @@ def train(
 
     Evaluations run every ``eval_every`` consumed training examples (when
     set) and at the end of every epoch; each one appends a log line.  A
-    NaN or infinite loss saves a diagnostic checkpoint (when a path is
-    given) and raises TrainingDivergedError.
+    NaN or infinite loss or gradient norm saves a diagnostic checkpoint
+    (when a path is given) and raises TrainingDivergedError before the
+    parameters are updated.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -242,6 +243,12 @@ def train(
         emit(step, loss_value)
         return stop
 
+    def diverged(what: str, step: int, extra: dict):
+        if checkpoint_path is not None:
+            save_checkpoint(model, checkpoint_path + ".diverged",
+                            extra={"step": step, **extra})
+        raise TrainingDivergedError(f"{what} at step {step}")
+
     step = 0
     examples_seen = 0
     eval_marks = 0
@@ -254,21 +261,19 @@ def train(
             loss = model.loss(batch)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
-                if checkpoint_path is not None:
-                    save_checkpoint(
-                        model,
-                        checkpoint_path + ".diverged",
-                        extra={"step": step, "loss": loss_value},
-                    )
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss_value!r} at step {step}"
-                )
+                diverged(f"non-finite loss {loss_value!r}", step,
+                         {"loss": loss_value})
             loss.backward()
-            clip_gradients(
+            grad_norm = clip_gradients(
                 [p.grad for p in params if p.grad is not None],
                 config.clip_threshold,
             )
+            if not np.isfinite(grad_norm):
+                diverged(f"non-finite gradient norm {grad_norm!r}", step,
+                         {"loss": loss_value, "grad_norm": grad_norm})
             optimizer.step()
+            # Free this step's graph before the next forward pass builds one.
+            del loss
             step += 1
             examples_seen += batch.size
             result.steps = step

@@ -6,6 +6,7 @@ passes are held against plain numpy expressions computed independently.
 
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from clozereader.numerics import (
     concat,
     finite_difference_check,
     global_norm,
-    gru_cell,
     init_gru_weights,
     logsumexp,
     matmul,
@@ -45,6 +45,7 @@ from clozereader.numerics import (
     take_rows,
     tanh,
     tensor_sum,
+    time_major_dot,
     uniform_init,
     write_tensor,
     zero_grads,
@@ -179,13 +180,40 @@ def case_softmax(rng):
     return lambda: mean(mul(softmax(a, axis=-1), c)), [a]
 
 
+def case_time_major_dot(rng):
+    states, query = params_from(rng, (4 * 3, 5), (3, 5))
+    c = Tensor(rng.normal(size=(3, 4)))
+    return lambda: tensor_sum(mul(time_major_dot(states, query), c)), [states, query]
+
+
+def gru_direction_case(rng, reverse):
+    # Rows of length 4, 2 and 1 under a keep-mask, from a given h0.
+    steps, batch, hidden = 4, 3, 3
+    weights = random_gru_weights(rng, in_dim=1, hidden=hidden)
+    xw = Parameter(rng.normal(size=(steps * batch, 3 * hidden)))
+    h0 = Parameter(rng.normal(size=(batch, hidden)) * 0.5)
+    keep = (np.arange(steps)[:, None] < np.array([4, 2, 1])[None, :])[:, :, None]
+    c = Tensor(rng.normal(size=(steps * batch, hidden)))
+    fn = lambda: tensor_sum(mul(run_direction(xw, weights, steps, keep, h0, reverse), c))
+    return fn, [xw, weights.u_r, weights.u_z, weights.u_c, h0]
+
+
+def case_gru_forward(rng):
+    return gru_direction_case(rng, reverse=False)
+
+
+def case_gru_reverse(rng):
+    return gru_direction_case(rng, reverse=True)
+
+
 OP_CASES = [
     case_add, case_add_broadcast, case_sub, case_neg, case_mul,
     case_mul_broadcast_scalar, case_matmul, case_matmul_vector,
     case_sigmoid, case_tanh, case_concat_axis0, case_concat_axis1,
     case_slice_rows, case_slice_cols, case_take_rows_repeated,
     case_reshape, case_sum_all, case_sum_axis_keepdims, case_mean,
-    case_logsumexp, case_softmax,
+    case_logsumexp, case_softmax, case_time_major_dot,
+    case_gru_forward, case_gru_reverse,
 ]
 
 
@@ -241,6 +269,12 @@ def test_forward_values_match_numpy(rng):
     np.testing.assert_array_equal(take_rows(Tensor(a), [2, 0]).data, a[[2, 0]])
     np.testing.assert_allclose(sigmoid(Tensor(a)).data, 1 / (1 + np.exp(-a)))
     np.testing.assert_allclose(tanh(Tensor(a)).data, np.tanh(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extreme = sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
+    assert np.all(np.isfinite(extreme))
+    assert np.all((extreme >= 0.0) & (extreme <= 1.0))
+    np.testing.assert_array_equal(extreme, [0.0, 1.0])
 
 
 def test_matmul_shape_mismatch_raises(rng):
@@ -392,12 +426,18 @@ def manual_gru_step(x, h, weights):
     return (1 - z) * h + z * candidate
 
 
+def one_step(x, h, weights):
+    """The fused op over a single step of a single row."""
+    xw = add(matmul(Tensor(x[None, :]), weights.w), weights.b)
+    return run_direction(xw, weights, 1, h0=Tensor(h[None, :])).data[0]
+
+
 def test_gru_cell_matches_manual_formula(rng):
     weights = random_gru_weights(rng, in_dim=3, hidden=4)
     x = rng.normal(size=(3,))
     h = rng.normal(size=(4,))
-    out = gru_cell(Tensor(x), Tensor(h), weights)
-    np.testing.assert_allclose(out.data, manual_gru_step(x, h, weights), atol=1e-12)
+    out = one_step(x, h, weights)
+    np.testing.assert_allclose(out, manual_gru_step(x, h, weights), atol=1e-12)
 
 
 def test_gru_cell_zero_weights_halve_the_state():
@@ -409,8 +449,8 @@ def test_gru_cell_zero_weights_halve_the_state():
         b=Parameter(np.zeros(12)),
     )
     h = np.array([1.0, -2.0, 4.0, 0.5])
-    out = gru_cell(Tensor(np.ones(2)), Tensor(h), weights)
-    np.testing.assert_allclose(out.data, h / 2, atol=1e-15)
+    out = one_step(np.ones(2), h, weights)
+    np.testing.assert_allclose(out, h / 2, atol=1e-15)
 
 
 def test_run_direction_reverse_matches_manual_loop(rng):
@@ -418,7 +458,7 @@ def test_run_direction_reverse_matches_manual_loop(rng):
     steps = 5
     x = rng.normal(size=(steps, 3))
     xw = add(matmul(Tensor(x), weights.w), weights.b)
-    outputs, final = run_direction(xw, steps, 1, weights, reverse=True)
+    outputs = run_direction(xw, weights, steps, reverse=True).data
 
     h = np.zeros(4)
     expected = [None] * steps
@@ -426,8 +466,7 @@ def test_run_direction_reverse_matches_manual_loop(rng):
         h = manual_gru_step(x[t], h, weights)
         expected[t] = h
     for t in range(steps):
-        np.testing.assert_allclose(outputs[t].data[0], expected[t], atol=1e-12)
-    np.testing.assert_allclose(final.data[0], expected[0], atol=1e-12)
+        np.testing.assert_allclose(outputs[t], expected[t], atol=1e-12)
 
 
 def test_bigru_stacks_and_returns_finals(rng):
@@ -452,18 +491,16 @@ def test_masked_batch_matches_individual_runs(rng):
     padded = np.zeros((steps, batch, 3))
     for b, row in enumerate(rows):
         padded[: lengths[b], b] = row
-    masks = [
-        (np.array(lengths) > t).astype(float).reshape(batch, 1)
-        for t in range(steps)
-    ]
+    keep = (np.arange(steps)[:, None] < np.array(lengths)[None, :])[:, :, None]
     flat = Tensor(padded.reshape(steps * batch, 3))
-    per_step, finals = encoder.run(flat, steps, batch, step_masks=masks)
+    block, finals = encoder.run(flat, steps, batch, keep)
+    per_step = block.data.reshape(steps, batch, 8)
 
     for b, row in enumerate(rows):
         solo_steps, solo_fwd, solo_bwd = bidirectional_gru(Tensor(row), encoder)
         for t in range(lengths[b]):
             np.testing.assert_allclose(
-                per_step[t].data[b], solo_steps.data[t], atol=1e-10
+                per_step[t, b], solo_steps.data[t], atol=1e-10
             )
         np.testing.assert_allclose(finals[-1][0].data[b], solo_fwd.data, atol=1e-10)
         np.testing.assert_allclose(finals[-1][1].data[b], solo_bwd.data, atol=1e-10)

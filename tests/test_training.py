@@ -3,11 +3,14 @@
 import json
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from clozereader.asreader import Batch, Model, ModelConfig
+from clozereader.ensemble import average_predictions
+from clozereader.numerics import Tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
@@ -155,6 +158,21 @@ def test_evaluate_restores_input_order():
     assert result.accuracy == pytest.approx(manual)
 
 
+def test_evaluate_attention_does_not_depend_on_batch_size():
+    model, enc_train, _ = toy_setup(n_train=40)
+    for i, ex in enumerate(enc_train):
+        ex.context_ids = ex.context_ids[: len(ex.context_ids) - (i % 5)]
+    alone = evaluate(model, enc_train, batch_size=1).predictions
+    padded = evaluate(model, enc_train, batch_size=32).predictions
+    for ex, one, many in zip(enc_train, alone, padded):
+        assert many.attention.shape == (len(ex.context_ids),)
+        assert many.attention.base is None and many.probabilities.base is None
+        np.testing.assert_allclose(many.attention, one.attention, rtol=0, atol=1e-12)
+    averaged = average_predictions([alone, padded])
+    for one, mean in zip(alone, averaged):
+        np.testing.assert_allclose(mean.attention, one.attention, rtol=0, atol=1e-12)
+
+
 def test_evaluate_rejects_empty():
     model, _, _ = toy_setup(n_train=2)
     with pytest.raises(ValueError):
@@ -267,6 +285,50 @@ def test_train_diverges_loudly(tmp_path):
     with pytest.raises(TrainingDivergedError, match="step 0"):
         train(model, enc_train, enc_valid, config, checkpoint_path=path)
     assert (tmp_path / "model.ckpt.diverged").exists()
+
+
+def test_train_refuses_a_non_finite_gradient_norm(tmp_path, monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=4)
+    real_backward = Tensor.backward
+
+    def poisoned_backward(self):
+        real_backward(self)
+        model.embedding.grad[model.vocabulary.word_start] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    path = str(tmp_path / "model.ckpt")
+    config = TrainConfig(
+        learning_rate=0.001, batch_size=4, prefetch_batches=1,
+        max_epochs=1, patience=1, rng_seed=0,
+    )
+    with pytest.raises(TrainingDivergedError, match="gradient norm nan at step 0"):
+        train(model, enc_train, enc_valid, config, checkpoint_path=path)
+    for name, param in model.named_parameters().items():
+        assert np.array_equal(param.data, before[name]), name
+    assert (tmp_path / "model.ckpt.diverged").exists()
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
+    real_loss = Model.loss
+    losses = []
+    alive_at_entry = []
+
+    def tracked_loss(self, batch, scores=None):
+        if losses:
+            alive_at_entry.append(losses[-1]() is not None)
+        loss = real_loss(self, batch, scores)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(Model, "loss", tracked_loss)
+    config = TrainConfig(
+        learning_rate=0.001, batch_size=4, prefetch_batches=1,
+        max_epochs=1, patience=1, rng_seed=0,
+    )
+    train(model, enc_train, enc_valid, config)
+    assert alive_at_entry == [False, False, False]
 
 
 def test_train_rejects_empty_training_set():
