@@ -26,6 +26,7 @@ from .numerics import (
     BiGru,
     Parameter,
     Tensor,
+    add,
     concat,
     logsumexp,
     mean,
@@ -218,9 +219,9 @@ class Model:
             raise AnswerNotInDocumentError(
                 f"answer id absent from document for example(s) {where}"
             )
-        all_masked = scores + Tensor((real.astype(float) - 1.0) * MASK_OFFSET)
-        answer_masked = scores + Tensor(
-            (answer_positions.astype(float) - 1.0) * MASK_OFFSET
+        all_masked = add(scores, Tensor((real.astype(float) - 1.0) * MASK_OFFSET))
+        answer_masked = add(
+            scores, Tensor((answer_positions.astype(float) - 1.0) * MASK_OFFSET)
         )
         per_example = sub(logsumexp(all_masked, axis=1),
                           logsumexp(answer_masked, axis=1))
@@ -286,25 +287,14 @@ def _single_batch(context_ids: list[int], question_ids: list[int]) -> Batch:
     return Batch.from_examples([ex])
 
 
-def encode_document(
-    context_ids: list[int],
-    model: Model,
-    initial_state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def encode_document(context_ids: list[int], model: Model) -> np.ndarray:
     """(T, 2H) contextual embeddings for one document."""
     if not context_ids:
         raise ValueError("empty document")
     batch = _single_batch(context_ids, [])
-    init_states = None
-    if initial_state is not None:
-        fwd, bwd = initial_state
-        init_states = [
-            (Tensor(np.asarray(fwd)[None, :]), Tensor(np.asarray(bwd)[None, :]))
-            for _ in model.doc_encoder.layers
-        ]
     with no_grad():
         block, _ = model._run_encoder(
-            model.doc_encoder, batch.context, batch.context_lengths, init_states
+            model.doc_encoder, batch.context, batch.context_lengths
         )
     return block.data
 

@@ -49,9 +49,10 @@ from .training import (
     TrainingDivergedError,
     evaluate as evaluate_model,
     load_checkpoint,
+    most_frequent_candidate_accuracy,
     train as run_training,
 )
-from .vocab import build_vocab, encode_dataset
+from .vocab import EncodedExample, build_vocab, encode_dataset
 
 _WORD_TYPES = {"ne": WordType.NAMED_ENTITY, "cn": WordType.COMMON_NOUN}
 
@@ -184,7 +185,7 @@ def _coerce(key: str, raw: str):
         if lowered in ("0", "false", "no"):
             return False
         raise CliError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in ("learning_rate", "beta1", "beta2", "eps", "clip_threshold"):
+    if key == "learning_rate":
         return float(raw)
     return int(raw)
 
@@ -229,6 +230,12 @@ def cmd_train(args) -> int:
     if args.resume:
         model, _ = load_checkpoint(args.resume)
         vocabulary = model.vocabulary
+        saved = {k: getattr(model.config, k) for k in _MODEL_KEYS}
+        saved.update(vocab_cap=vocabulary.cap, anon_count=vocabulary.anon_count)
+        for key in sorted(saved.keys() & settings.keys()):
+            if settings[key] != saved[key]:
+                raise CliError(f"config key {key} = {settings[key]!r} conflicts "
+                               f"with {saved[key]!r} in {args.resume}")
     else:
         vocabulary = build_vocab(
             train_raw,
@@ -288,40 +295,31 @@ def _positional(predictions: list[Prediction]) -> list[Prediction]:
 
 def _predict_with_checkpoint(
     path: str, raw: list[ClozeExample], seed: int
-) -> list[Prediction]:
+) -> tuple[list[Prediction], list[EncodedExample]]:
+    """Positional predictions plus the examples as this model encodes them."""
     model, _ = load_checkpoint(path)
     encoded = encode_dataset(raw, model.vocabulary, derive_seed(seed, "eval"))
     result = evaluate_model(model, encoded)
-    return _positional(result.predictions)
+    return _positional(result.predictions), encoded
 
 
-def _frequency_baseline(examples: list[ClozeExample]) -> float:
-    hits = 0
-    for ex in examples:
-        counts: dict[str, int] = {}
-        for sentence in ex.context:
-            for token in sentence:
-                counts[token] = counts.get(token, 0) + 1
-        pick = max(ex.candidates, key=lambda c: counts.get(c, 0))
-        hits += pick == ex.answer
-    return hits / len(examples)
-
-
-def _load_predictions_models(args, raw: list[ClozeExample]) -> list[Prediction]:
+def _load_predictions_models(
+    args, raw: list[ClozeExample]
+) -> tuple[list[Prediction], list[EncodedExample]]:
+    """Predictions of the model or the averaged ensemble, plus the
+    examples as encoded for the (first) model."""
     if args.model:
         return _predict_with_checkpoint(args.model, raw, args.seed)
     member_paths, _ = read_ensemble_spec(args.ensemble)
-    member_predictions = [
-        _predict_with_checkpoint(path, raw, args.seed) for path in member_paths
-    ]
-    return average_predictions(member_predictions)
+    runs = [_predict_with_checkpoint(path, raw, args.seed) for path in member_paths]
+    return average_predictions([predictions for predictions, _ in runs]), runs[0][1]
 
 
 def cmd_evaluate(args) -> int:
     raw = read_examples(args.data, word_type=_WORD_TYPES.get(args.type or ""))
     if not raw:
         raise CliError(f"{args.data}: no examples")
-    predictions = _load_predictions_models(args, raw)
+    predictions, encoded = _load_predictions_models(args, raw)
     answers = _answer_positions(raw)
     flags = [
         int(p.predicted_index == a) for p, a in zip(predictions, answers)
@@ -347,7 +345,10 @@ def cmd_evaluate(args) -> int:
         ("baseline_random",
          _format_float(sum(1 / len(ex.candidates) for ex in raw) / len(raw)))
     )
-    rows.append(("baseline_frequency", _format_float(_frequency_baseline(raw))))
+    # Counting ids counts surface forms: encoding maps distinct forms to
+    # distinct ids within an example.
+    baseline = most_frequent_candidate_accuracy(encoded)
+    rows.append(("baseline_frequency", _format_float(baseline)))
     print_report(rows, args.tsv)
 
     if args.predictions_out:
@@ -368,10 +369,8 @@ def cmd_select_ensemble(args) -> int:
     answers = _answer_positions(raw)
     members = []
     for path in args.models:
-        predictions = _predict_with_checkpoint(path, raw, args.seed)
-        accuracy = sum(
-            p.predicted_index == a for p, a in zip(predictions, answers)
-        ) / len(raw)
+        predictions, _ = _predict_with_checkpoint(path, raw, args.seed)
+        accuracy = prediction_accuracy(predictions, answers)
         members.append(EnsembleMember(path, accuracy, predictions))
     # prediction_accuracy compares ids; positional ids make answer ids the
     # candidate positions.

@@ -88,7 +88,6 @@ class GenerationReport:
 
 def select_candidates(
     context: list[list[str]],
-    question: list[str],
     answer: str,
     target_type: WordType,
     labels: list[list[WordType]],
@@ -163,7 +162,6 @@ def generate_from_book(
 
         candidates = select_candidates(
             context,
-            question,
             answer,
             target_type,
             context_labels,
@@ -220,13 +218,12 @@ def dedup_editions(
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Book-level split configuration: fractions, seed, title blocklist."""
+    """Book-level split configuration: fractions and seed."""
 
     train: float = 0.8
     valid: float = 0.1
     test: float = 0.1
     rng_seed: int = 0
-    blocklist: frozenset[str] = frozenset()
 
     def fractions(self) -> tuple[float, float, float]:
         return (self.train, self.valid, self.test)

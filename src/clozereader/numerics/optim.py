@@ -29,36 +29,6 @@ class AdamState:
         return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data))
 
 
-def adam_step(
-    param: Parameter,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float = DEFAULT_LEARNING_RATE,
-    beta1: float = DEFAULT_BETA1,
-    beta2: float = DEFAULT_BETA2,
-    eps: float = DEFAULT_EPS,
-) -> None:
-    """One bias-corrected moment update, in place.
-
-    Non-trainable parameters are left untouched.  Gradient rows listed in
-    ``param.frozen_rows`` are discarded, so those rows and their moment
-    state stay bit-identical forever.
-    """
-    if not param.trainable:
-        return
-    if param.frozen_rows is not None:
-        grad = grad.copy()
-        grad[param.frozen_rows] = 0.0
-    state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 @dataclass
 class Adam:
     """Keeps one AdamState per parameter and steps them together."""
@@ -71,6 +41,12 @@ class Adam:
     states: dict[int, AdamState] = field(default_factory=dict)
 
     def step(self) -> None:
+        """One bias-corrected moment update per parameter, in place.
+
+        Parameters without a gradient or not trainable are left untouched.
+        Gradient rows listed in ``param.frozen_rows`` are discarded, so
+        those rows and their moment state stay bit-identical forever.
+        """
         for param in self.params:
             if param.grad is None or not param.trainable:
                 continue
@@ -78,7 +54,18 @@ class Adam:
             if state is None:
                 state = AdamState.for_param(param)
                 self.states[id(param)] = state
-            adam_step(param, param.grad, state, self.lr, self.beta1, self.beta2, self.eps)
+            grad = param.grad
+            if param.frozen_rows is not None:
+                grad = grad.copy()
+                grad[param.frozen_rows] = 0.0
+            state.t += 1
+            state.m *= self.beta1
+            state.m += (1.0 - self.beta1) * grad
+            state.v *= self.beta2
+            state.v += (1.0 - self.beta2) * grad * grad
+            m_hat = state.m / (1.0 - self.beta1 ** state.t)
+            v_hat = state.v / (1.0 - self.beta2 ** state.t)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

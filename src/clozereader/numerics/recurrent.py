@@ -44,7 +44,6 @@ from .tensor import (
     concat,
     logistic,
     matmul,
-    reshape,
     slice_rows,
 )
 
@@ -235,33 +234,3 @@ class BiGru:
             flat = concat([out_fwd, out_bwd], axis=1)
         return flat, finals
 
-
-def bidirectional_gru(
-    sequence: Tensor,
-    encoder: BiGru,
-    init_state_fwd: Tensor | None = None,
-    init_state_bwd: Tensor | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode a single (T, D) sequence.
-
-    Returns per-step concatenated states (T, 2H) from the last layer plus
-    that layer's final forward and backward states as (H,) vectors.  When
-    initial states are given they seed every layer.  Empty sequences are
-    an error.
-    """
-    if sequence.data.ndim != 2:
-        raise ShapeMismatchError(f"expected (T, D) sequence, got {sequence.data.shape}")
-    steps = sequence.data.shape[0]
-    if steps == 0:
-        raise ShapeMismatchError("empty sequence")
-    init = None
-    if init_state_fwd is not None or init_state_bwd is not None:
-        if init_state_fwd is None or init_state_bwd is None:
-            raise ShapeMismatchError("provide both or neither initial state")
-        init = [
-            (reshape(init_state_fwd, (1, -1)), reshape(init_state_bwd, (1, -1)))
-            for _ in encoder.layers
-        ]
-    block, finals = encoder.run(sequence, steps, 1, None, init)
-    final_fwd, final_bwd = finals[-1]
-    return block, reshape(final_fwd, (-1,)), reshape(final_bwd, (-1,))

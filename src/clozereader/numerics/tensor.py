@@ -86,29 +86,6 @@ class Tensor:
             if node is not self:
                 node.grad = None
 
-    # operator sugar; scalars and arrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
 
 class Parameter(Tensor):
     """A persistent leaf tensor updated by the optimizer.

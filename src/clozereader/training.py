@@ -16,6 +16,7 @@ fixed seed.
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
 import time
@@ -24,8 +25,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ClozereaderError
-from .asreader import Batch, Model, ModelConfig, Prediction
+from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Prediction
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
+from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError
 from .seeding import derive_seed
 from .vocab import EncodedExample, Vocabulary
@@ -47,17 +49,13 @@ class CheckpointError(ClozereaderError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.0005
+    learning_rate: float = DEFAULT_LEARNING_RATE
     batch_size: int = DEFAULT_BATCH_SIZE
     prefetch_batches: int = DEFAULT_PREFETCH
     eval_every: int | None = None  # examples between evaluations; epoch ends always evaluate
     max_epochs: int = 2
     patience: int = 1
     rng_seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_threshold: float = 10.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -201,18 +199,22 @@ def train(
     set) and at the end of every epoch; each one appends a log line.  A
     NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
-    parameters are updated.
+    parameters are updated.  Empty example lists and training examples
+    whose answer never occurs in the document are rejected before the
+    first step.
     """
     if not train_examples:
         raise ValueError("no training examples")
+    if not valid_examples:
+        raise ValueError("no validation examples")
+    for index, ex in enumerate(train_examples):
+        if ex.answer_id not in ex.context_ids:
+            raise AnswerNotInDocumentError(
+                f"training example {index} (source {ex.source}): "
+                f"answer id {ex.answer_id} absent from its document"
+            )
     params = model.parameters()
-    optimizer = Adam(
-        params,
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-    )
+    optimizer = Adam(params, lr=config.learning_rate)
     stopper = EarlyStopper(config.patience)
     result = TrainResult(best_accuracy=0.0, best_step=0, steps=0, epochs=0)
     started = time.monotonic()
@@ -264,10 +266,7 @@ def train(
                 diverged(f"non-finite loss {loss_value!r}", step,
                          {"loss": loss_value})
             loss.backward()
-            grad_norm = clip_gradients(
-                [p.grad for p in params if p.grad is not None],
-                config.clip_threshold,
-            )
+            grad_norm = clip_gradients([p.grad for p in params if p.grad is not None])
             if not np.isfinite(grad_norm):
                 diverged(f"non-finite gradient norm {grad_norm!r}", step,
                          {"loss": loss_value, "grad_norm": grad_norm})
@@ -313,16 +312,28 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     named = model.named_parameters()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sH", CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(named)))
-        for name in sorted(named):
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            write_tensor(fh, named[name].data)
+    # Write a sibling temporary file and rename it over ``path`` only once
+    # it is complete and on disk, so an interrupted save leaves the
+    # previous checkpoint intact.
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, "wb")
+    try:
+        with fh:
+            fh.write(struct.pack("<4sH", CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(named)))
+            for name in sorted(named):
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                write_tensor(fh, named[name].data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict]:

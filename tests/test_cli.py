@@ -12,7 +12,7 @@ from clozereader.cli import (
     parse_config_file,
     read_predictions_file,
 )
-from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec
+from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
 from clozereader.synthdata import associative_recall_examples, write_fixture_library
 from clozereader.training import TrainingDivergedError
 
@@ -106,6 +106,30 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
 
 
+def test_train_resume_rejects_a_conflicting_model_key(cli_workspace, tmp_path, capsys):
+    _, train_path, valid_path, config_path, checkpoints = cli_workspace
+    config = tmp_path / "resume.cfg"
+    config.write_text("hidden_units = 8\nanon_count = 60\n", encoding="utf-8")
+    out = tmp_path / "resumed.ckpt"
+    rc = main([
+        "train", "--train", str(train_path), "--valid", str(valid_path),
+        "--config", str(config), "--resume", str(checkpoints["a"]),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "hidden_units" in err and "8" in err and "16" in err
+    assert not out.exists()
+    # Equal values are accepted, so the training config can be reused.
+    rc = main([
+        "train", "--train", str(train_path), "--valid", str(valid_path),
+        "--config", str(config_path), "--resume", str(checkpoints["a"]),
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.exists()
+
+
 def test_diverged_training_exits_2(cli_workspace, tmp_path, monkeypatch, capsys):
     _, train_path, valid_path, _, _ = cli_workspace
 
@@ -149,6 +173,30 @@ def test_evaluate_reports_accuracy_and_baselines(cli_workspace, tmp_path, capsys
     assert set(parsed) == set(range(1, n_valid + 1))
     flags = [flag for _, flag in parsed.values()]
     assert sum(flags) / n_valid == pytest.approx(float(report["accuracy"]), abs=1e-6)
+
+
+def frequency_oracle(examples):
+    """Share of examples whose answer is the candidate that occurs most
+    often in the context, the first one listed winning ties."""
+    hits = 0
+    for ex in examples:
+        tokens = [token for sentence in ex.context for token in sentence]
+        counts = [tokens.count(candidate) for candidate in ex.candidates]
+        hits += ex.candidates[counts.index(max(counts))] == ex.answer
+    return hits / len(examples)
+
+
+def test_evaluate_baseline_frequency_counts_surface_forms(cli_workspace, tmp_path):
+    _, _, valid_path, _, checkpoints = cli_workspace
+    expected = frequency_oracle(read_examples(valid_path))
+    assert expected > 0.0
+    spec_path = tmp_path / "ensemble.txt"
+    write_ensemble_spec(str(spec_path), [str(checkpoints["b"]), str(checkpoints["a"])], 0.0)
+    for source in (["--model", str(checkpoints["a"])], ["--ensemble", str(spec_path)]):
+        tsv = tmp_path / "eval.tsv"
+        rc = main(["evaluate", *source, "--data", str(valid_path), "--tsv", str(tsv)])
+        assert rc == 0
+        assert report_dict(tsv)["baseline_frequency"] == f"{expected:.6f}"
 
 
 def test_evaluate_is_deterministic(cli_workspace, tmp_path):
@@ -465,6 +513,9 @@ def test_parse_config_file_rejects_garbage(tmp_path):
         parse_config_file(str(path))
     path.write_text("batch_size=abc\n", encoding="utf-8")
     with pytest.raises(CliError, match="c.cfg:1"):
+        parse_config_file(str(path))
+    path.write_text("beta1=0.9\n", encoding="utf-8")
+    with pytest.raises(CliError, match="unknown config key 'beta1'"):
         parse_config_file(str(path))
     assert parse_config_file(None) == {}
 

@@ -74,7 +74,7 @@ def big_context():
 
 def test_select_candidates_contains_answer_and_ten_forms():
     context, labels = big_context()
-    candidates = select_candidates(context, ["q"], "lamp", CN, labels, rng_seed=5)
+    candidates = select_candidates(context, "lamp", CN, labels, rng_seed=5)
     assert candidates is not None
     assert len(candidates) == 10
     assert len(set(candidates)) == 10
@@ -86,7 +86,7 @@ def test_select_candidates_draws_only_matching_type():
     labels[0][1] = NE  # "crow" is no longer a common noun
     seen = set()
     for seed in range(30):
-        candidates = select_candidates(context, ["q"], "lamp", CN, labels, seed)
+        candidates = select_candidates(context, "lamp", CN, labels, seed)
         assert candidates is not None
         seen.update(candidates)
     assert "crow" not in seen
@@ -95,13 +95,13 @@ def test_select_candidates_draws_only_matching_type():
 def test_select_candidates_small_pool_returns_none():
     context = [["lamp", "crow"], ["door", "lamp"]]
     labels = [[CN, CN], [CN, CN]]
-    assert select_candidates(context, ["q"], "lamp", CN, labels, 0) is None
+    assert select_candidates(context, "lamp", CN, labels, 0) is None
 
 
 def test_select_candidates_is_seeded():
     context, labels = big_context()
-    first = select_candidates(context, ["q"], "lamp", CN, labels, rng_seed=9)
-    second = select_candidates(context, ["q"], "lamp", CN, labels, rng_seed=9)
+    first = select_candidates(context, "lamp", CN, labels, rng_seed=9)
+    second = select_candidates(context, "lamp", CN, labels, rng_seed=9)
     assert first == second
 
 

@@ -22,7 +22,6 @@ from clozereader.numerics import (
     Tensor,
     TensorFormatError,
     add,
-    bidirectional_gru,
     clip_gradients,
     concat,
     finite_difference_check,
@@ -472,14 +471,16 @@ def test_run_direction_reverse_matches_manual_loop(rng):
 def test_bigru_stacks_and_returns_finals(rng):
     encoder = BiGru(in_dim=3, hidden=4, n_layers=2, rng_seed=0, name="enc")
     sequence = Tensor(rng.normal(size=(6, 3)))
-    per_step, final_fwd, final_bwd = bidirectional_gru(sequence, encoder)
+    per_step, finals = encoder.run(sequence, 6, 1, None, None)
+    final_fwd, final_bwd = finals[-1]
+    assert len(finals) == 2
     assert per_step.shape == (6, 8)
-    assert final_fwd.shape == (4,)
-    assert final_bwd.shape == (4,)
+    assert final_fwd.shape == (1, 4)
+    assert final_bwd.shape == (1, 4)
     # The forward final is the last per-step forward half; the backward
     # final is the first per-step backward half.
-    np.testing.assert_array_equal(per_step.data[-1, :4], final_fwd.data)
-    np.testing.assert_array_equal(per_step.data[0, 4:], final_bwd.data)
+    np.testing.assert_array_equal(per_step.data[-1, :4], final_fwd.data[0])
+    np.testing.assert_array_equal(per_step.data[0, 4:], final_bwd.data[0])
 
 
 def test_masked_batch_matches_individual_runs(rng):
@@ -497,13 +498,14 @@ def test_masked_batch_matches_individual_runs(rng):
     per_step = block.data.reshape(steps, batch, 8)
 
     for b, row in enumerate(rows):
-        solo_steps, solo_fwd, solo_bwd = bidirectional_gru(Tensor(row), encoder)
+        solo_steps, solo_finals = encoder.run(Tensor(row), lengths[b], 1, None, None)
+        solo_fwd, solo_bwd = solo_finals[-1]
         for t in range(lengths[b]):
             np.testing.assert_allclose(
                 per_step[t, b], solo_steps.data[t], atol=1e-10
             )
-        np.testing.assert_allclose(finals[-1][0].data[b], solo_fwd.data, atol=1e-10)
-        np.testing.assert_allclose(finals[-1][1].data[b], solo_bwd.data, atol=1e-10)
+        np.testing.assert_allclose(finals[-1][0].data[b], solo_fwd.data[0], atol=1e-10)
+        np.testing.assert_allclose(finals[-1][1].data[b], solo_bwd.data[0], atol=1e-10)
 
 
 def test_bigru_seeding_is_reproducible():
@@ -516,22 +518,20 @@ def test_bigru_seeding_is_reproducible():
 def test_bigru_rejects_empty_sequence():
     encoder = BiGru(2, 3, 1, rng_seed=0, name="enc")
     with pytest.raises(ShapeMismatchError):
-        bidirectional_gru(Tensor(np.zeros((0, 2))), encoder)
+        encoder.run(Tensor(np.zeros((0, 2))), 0, 1, None, None)
 
 
 def test_bigru_end_to_end_gradients(rng):
     encoder = BiGru(in_dim=2, hidden=3, n_layers=1, rng_seed=2, name="enc")
     x = Parameter(rng.normal(size=(3, 2)))
-    h0f = Parameter(rng.normal(size=(3,)) * 0.5)
-    h0b = Parameter(rng.normal(size=(3,)) * 0.5)
+    h0f = Parameter(rng.normal(size=(1, 3)) * 0.5)
+    h0b = Parameter(rng.normal(size=(1, 3)) * 0.5)
     c_steps = Tensor(rng.normal(size=(3, 6)))
     c_final = Tensor(rng.normal(size=(1, 6)))
 
     def fn():
-        per_step, final_fwd, final_bwd = bidirectional_gru(x, encoder, h0f, h0b)
-        finals = concat(
-            [reshape(final_fwd, (1, -1)), reshape(final_bwd, (1, -1))], axis=1
-        )
+        per_step, layer_finals = encoder.run(x, 3, 1, None, [(h0f, h0b)])
+        finals = concat(list(layer_finals[-1]), axis=1)
         return add(
             tensor_sum(mul(per_step, c_steps)), tensor_sum(mul(finals, c_final))
         )

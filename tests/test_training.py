@@ -8,9 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
-from clozereader.asreader import Batch, Model, ModelConfig
+from clozereader.asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig
 from clozereader.ensemble import average_predictions
-from clozereader.numerics import Tensor
+from clozereader.numerics import Tensor, write_tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
@@ -335,6 +335,30 @@ def test_train_rejects_empty_training_set():
     model, _, enc_valid = toy_setup(n_train=2, n_valid=2)
     with pytest.raises(ValueError, match="no training examples"):
         train(model, [], enc_valid, TrainConfig())
+    with pytest.raises(ValueError, match="no validation examples"):
+        train(model, enc_valid, [], TrainConfig())
+
+
+def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=2)
+    bad = enc_train[5]
+    absent = max(bad.context_ids) + 1
+    enc_train[5] = EncodedExample(
+        context_ids=bad.context_ids,
+        question_ids=bad.question_ids,
+        answer_id=absent,
+        candidate_ids=bad.candidate_ids,
+        oov_map=bad.oov_map,
+        source=("book-x", 42),
+    )
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran before the check")
+
+    monkeypatch.setattr(Model, "loss", no_step)
+    with pytest.raises(AnswerNotInDocumentError,
+                       match=r"example 5 \(source \('book-x', 42\)\)"):
+        train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
 
 
 # -------------------------------------------------------------- checkpoints
@@ -358,6 +382,36 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     restored_params = restored.named_parameters()
     for name, param in model.named_parameters().items():
         assert np.array_equal(restored_params[name].data, param.data), name
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path), extra={"step": 1})
+    before = path.read_bytes()
+
+    for param in model.parameters():
+        param.data = param.data + 1.0
+    written = []
+
+    def failing_write(fh, array):
+        if written:
+            raise OSError("disk full")
+        written.append(array)
+        write_tensor(fh, array)
+
+    monkeypatch.setattr("clozereader.training.write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, str(path), extra={"step": 2})
+    assert written  # the failure came after a tensor had been written
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    restored, extra = load_checkpoint(str(path))
+    assert extra == {"step": 1}
+    original = toy_setup(n_train=2, n_valid=2)[0].named_parameters()
+    for name, param in restored.named_parameters().items():
+        assert np.array_equal(param.data, original[name].data), name
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
