@@ -7,19 +7,26 @@ One step of the cell, for input x and state h:
     h~ = tanh(x W + (r * h) U + b)
     h' = (1 - z) * h + z * h~
 
-The three input projections are stored fused as one (in, 3H) matrix so a
-whole sequence is projected with a single matrix product up front.
+with sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, the form ``tensor.logistic``
+also uses: it cannot overflow, and the halving is exact in binary.  The
+three input projections are stored fused as one (in, 3H) matrix.
 Sequences are flattened (T*B, D) blocks in time-major order.
 
-Each layer and direction is a single tape node, ``run_direction``.  Its
-forward pass is a plain numpy loop over the T steps that writes states
-and gate activations into preallocated (T, B, .) buffers, applying U_r
-and U_z together as one (H, 2H) product.  Its backward pass walks the
-steps in reverse carrying only the state gradient dh, and stores each
-step's pre-activation gradient in a (T, B, 3H) buffer, which is also the
-gradient of the projected input.  The recurrent weight gradients stay out
-of the loop: dU_r|dU_z and dU_c are each one product over all T*B rows
-once the loop is done (Appleyard et al., arXiv:1604.01946).
+Each layer and direction is a single tape node, ``run_direction``, that
+owns its input projection.  Its forward pass computes x W + b for the
+whole sequence with one matrix product into a buffer of its own, halves
+the r|z columns there, and then runs a plain numpy loop over the T steps
+that applies U_r and U_z together as one (H, 2H) product and computes
+every gate in place into preallocated buffers.  Only while a graph is
+being recorded does it keep each step's gates in (T, B, .) buffers for
+the backward pass; under ``no_grad`` one (B, .) slot is reused.
+
+The backward pass walks the steps in reverse carrying only the state
+gradient dh, and writes each step's pre-activation gradient over the
+projection buffer, which it never reads.  All weight gradients stay out
+of the loop: dW, db, dU_r|dU_z, dU_c and the input gradient dx are each
+one product or sum over all T*B rows once the loop is done (Appleyard et
+al., arXiv:1604.01946).
 
 A (T, B, 1) keep-mask freezes the state of finished rows.  Under
 right-padding every row's per-position states are therefore those of the
@@ -40,10 +47,8 @@ from .tensor import (
     Tensor,
     _accumulate,
     _make,
-    add,
     concat,
-    logistic,
-    matmul,
+    recording,
     slice_rows,
 )
 
@@ -85,15 +90,14 @@ def init_gru_weights(in_dim: int, hidden: int, rng_seed: int, name: str) -> GruW
 
 
 def run_direction(
-    xw: Tensor,
+    x: Tensor,
     weights: GruWeights,
     steps: int,
     keep: np.ndarray | None = None,
     h0: Tensor | None = None,
     reverse: bool = False,
 ) -> Tensor:
-    """Run one direction over a time-major (T*B, 3H) block of projected
-    inputs xw = x W + b.
+    """Run one direction over a time-major (T*B, D) block of inputs.
 
     ``keep`` is the (T, B, 1) boolean keep-mask, None when every row spans
     all steps; ``h0`` is the (B, H) initial state, zeros when None.
@@ -104,13 +108,28 @@ def run_direction(
     if steps == 0:
         raise ShapeMismatchError("empty sequence")
     hidden = weights.hidden
-    rows = xw.data.shape[0]
+    h2 = 2 * hidden
+    rows = x.data.shape[0]
     batch = rows // steps
+    if x.data.shape[1] != weights.in_dim:
+        raise ShapeMismatchError(f"input width {x.data.shape[1]}, expected {weights.in_dim}")
     if h0 is not None and h0.data.shape != (batch, hidden):
         raise ShapeMismatchError(f"initial state {h0.data.shape}, expected {(batch, hidden)}")
+    parents = (x, *weights.parameters())
+    if h0 is not None:
+        parents += (h0,)
+    record = recording(parents)
+
+    # The projection buffer is this node's own, so its r|z columns are
+    # halved in place; with a halved copy of U_r|U_z each step's r|z
+    # pre-activation comes out halved and its gate is 0.5 * tanh(.) + 0.5.
+    flat_pre = x.data @ weights.w.data
+    flat_pre += weights.b.data
+    flat_pre[:, :h2] *= 0.5
+    pre = flat_pre.reshape(steps, batch, 3 * hidden)
     u_rz = np.concatenate([weights.u_r.data, weights.u_z.data], axis=1)
+    half_u_rz = 0.5 * u_rz
     u_c = weights.u_c.data
-    pre = xw.data.reshape(steps, batch, 3 * hidden)
 
     # Step t reads prev[t] and writes out[t]; both are views of one buffer,
     # so each step's output is the next step's input without a copy.
@@ -122,56 +141,81 @@ def run_direction(
         order = range(steps)
         prev, out = states[:-1], states[1:]
     prev[order[0]] = 0.0 if h0 is None else h0.data
-    rz = np.empty((steps, batch, 2 * hidden))
-    rh = np.empty((steps, batch, hidden))
-    cand = np.empty((steps, batch, hidden))
+    # Gate history for the backward pass; one reused slot when there is none.
+    history = 1 if record else 0
+    slots = steps if record else 1
+    rz = np.empty((slots, batch, h2))
+    rh = np.empty((slots, batch, hidden))
+    cand = np.empty((slots, batch, hidden))
     # Masking work is spent only on steps where some row has finished.
     stopped = np.zeros((steps, batch, 1), dtype=bool) if keep is None else ~keep
     ragged = stopped.any(axis=(1, 2))
     for t in order:
-        h = prev[t]
-        rz[t] = logistic(pre[t, :, : 2 * hidden] + h @ u_rz)
-        np.multiply(rz[t, :, :hidden], h, out=rh[t])
-        cand[t] = np.tanh(pre[t, :, 2 * hidden :] + rh[t] @ u_c)
-        z = rz[t, :, hidden:]
-        out[t] = (1.0 - z) * h + z * cand[t]
+        i = t * history
+        h, g, c, o = prev[t], rz[i], cand[i], out[t]
+        np.matmul(h, half_u_rz, out=g)
+        g += pre[t, :, :h2]
+        np.tanh(g, out=g)
+        g *= 0.5
+        g += 0.5
+        np.multiply(g[:, :hidden], h, out=rh[i])
+        np.matmul(rh[i], u_c, out=c)
+        c += pre[t, :, h2:]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=o)
+        o *= g[:, hidden:]
+        o += h
         if ragged[t]:
-            np.copyto(out[t], h, where=stopped[t])
+            np.copyto(o, h, where=stopped[t])
 
-    def backward(g):
-        d_out = g.reshape(steps, batch, hidden)
-        d_pre = np.empty((steps, batch, 3 * hidden))
+    def backward(grad):
+        # Each step's pre-activation gradient overwrites the projection,
+        # which the backward pass never reads.
+        d_pre = pre
+        d_out = grad.reshape(steps, batch, hidden)
         dh = np.zeros((batch, hidden))
+        dh_z = np.empty((batch, hidden))
+        d_rh = np.empty((batch, hidden))
+        via_rz = np.empty((batch, hidden))
+        slope = np.empty((batch, h2))
         for t in reversed(order):
-            dh = dh + d_out[t]
+            dh += d_out[t]
             if ragged[t]:
                 carried = np.where(stopped[t], dh, 0.0)
-                dh = np.where(stopped[t], 0.0, dh)
-            h = prev[t]
-            z = rz[t, :, hidden:]
-            c = cand[t]
-            d_rz = d_pre[t, :, : 2 * hidden]
-            d_c = d_pre[t, :, 2 * hidden :]
-            np.multiply(dh * z, 1.0 - c * c, out=d_c)
-            d_rh = d_c @ u_c.T
+                np.copyto(dh, 0.0, where=stopped[t])
+            h, g, c = prev[t], rz[t], cand[t]
+            z = g[:, hidden:]
+            d_rz = d_pre[t, :, :h2]
+            d_c = d_pre[t, :, h2:]
+            np.multiply(dh, z, out=dh_z)
+            np.multiply(c, c, out=d_c)
+            np.subtract(1.0, d_c, out=d_c)
+            d_c *= dh_z
+            np.matmul(d_c, u_c.T, out=d_rh)
             np.multiply(d_rh, h, out=d_rz[:, :hidden])
-            np.multiply(dh, c - h, out=d_rz[:, hidden:])
-            d_rz *= rz[t] * (1.0 - rz[t])
-            dh = dh * (1.0 - z) + d_rh * rz[t, :, :hidden] + d_rz @ u_rz.T
+            np.subtract(c, h, out=d_rz[:, hidden:])
+            d_rz[:, hidden:] *= dh
+            np.subtract(1.0, g, out=slope)
+            slope *= g
+            d_rz *= slope
+            np.matmul(d_rz, u_rz.T, out=via_rz)
+            dh -= dh_z
+            d_rh *= g[:, :hidden]
+            dh += d_rh
+            dh += via_rz
             if ragged[t]:
                 dh += carried
         d_flat = d_pre.reshape(rows, 3 * hidden)
-        d_u_rz = prev.reshape(rows, hidden).T @ d_flat[:, : 2 * hidden]
-        _accumulate(xw, d_flat)
+        d_u_rz = prev.reshape(rows, hidden).T @ d_flat[:, :h2]
+        _accumulate(x, d_flat @ weights.w.data.T, fresh=True)
+        _accumulate(weights.w, x.data.T @ d_flat, fresh=True)
+        _accumulate(weights.b, d_flat.sum(axis=0), fresh=True)
         _accumulate(weights.u_r, d_u_rz[:, :hidden])
         _accumulate(weights.u_z, d_u_rz[:, hidden:])
-        _accumulate(weights.u_c, rh.reshape(rows, hidden).T @ d_flat[:, 2 * hidden :])
+        _accumulate(weights.u_c, rh.reshape(rows, hidden).T @ d_flat[:, h2:], fresh=True)
         if h0 is not None:
-            _accumulate(h0, dh)
+            _accumulate(h0, dh, fresh=True)
 
-    parents = (xw, weights.u_r, weights.u_z, weights.u_c)
-    if h0 is not None:
-        parents += (h0,)
     return _make(out.reshape(rows, hidden), parents, backward)
 
 
@@ -221,12 +265,8 @@ class BiGru:
         for k, (fwd, bwd) in enumerate(self.layers):
             h0_fwd = init_states[k][0] if init_states is not None else None
             h0_bwd = init_states[k][1] if init_states is not None else None
-            out_fwd = run_direction(
-                add(matmul(flat, fwd.w), fwd.b), fwd, steps, keep, h0_fwd
-            )
-            out_bwd = run_direction(
-                add(matmul(flat, bwd.w), bwd.b), bwd, steps, keep, h0_bwd, reverse=True
-            )
+            out_fwd = run_direction(flat, fwd, steps, keep, h0_fwd)
+            out_bwd = run_direction(flat, bwd, steps, keep, h0_bwd, reverse=True)
             finals.append((
                 slice_rows(out_fwd, (steps - 1) * batch, steps * batch),
                 slice_rows(out_bwd, 0, batch),

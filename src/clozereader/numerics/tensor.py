@@ -10,6 +10,9 @@ interior nodes are freed as soon as they have been consumed; leaf tensors
 
 Ops never mutate their inputs, which lets slices share memory with their
 parent array safely.
+
+The logistic sigmoid is computed as 0.5 * tanh(0.5 * x) + 0.5 here and
+in the recurrent kernel alike (``logistic``).
 """
 
 from __future__ import annotations
@@ -113,11 +116,17 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def recording(parents) -> bool:
+    """Whether an op over ``parents`` is put on the tape: a graph is being
+    recorded and some parent needs a gradient."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -128,10 +137,16 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
+def _accumulate(parent: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add ``grad`` into the parent's gradient.  A ``fresh`` array, of the
+    parent's shape, made for this call and referenced nowhere else,
+    becomes the first gradient itself instead of being added to zeros."""
     if not parent.requires_grad:
         return
     if parent.grad is None:
+        if fresh:
+            parent.grad = grad
+            return
         parent.grad = np.zeros_like(parent.data)
     parent.grad += grad
 
@@ -220,10 +235,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)) without overflow: exp only ever sees
-    -|x|, and the numerator picks 1 or that exponential by the sign."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Elementwise 1 / (1 + exp(-x)), computed as 0.5 * tanh(0.5 * x) + 0.5.
+    tanh cannot overflow, so extreme inputs give exactly 0 and 1, and
+    halving is exact in binary."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def sigmoid(a: Tensor) -> Tensor:

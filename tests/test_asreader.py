@@ -21,6 +21,7 @@ from clozereader.asreader import (
     predictions_from_scores,
     query_initiated_encoding,
 )
+from clozereader.numerics import no_grad
 from clozereader.vocab import GAP_ID, EncodedExample, Vocabulary
 
 
@@ -327,6 +328,43 @@ def test_query_init_feeds_question_state_into_document_pass():
         encode_document(ex.context_ids, plain) @ encode_question(ex.question_ids, plain),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("query_init", [False, True], ids=["plain", "query_init"])
+@pytest.mark.parametrize("layers", [1, 2], ids=["layers1", "layers2"])
+def test_unrecorded_forward_is_bit_identical_to_the_recorded_one(layers, query_init):
+    # Under no_grad the recurrent kernel keeps no gate history; the values
+    # it computes must be those of the recorded pass, bit for bit.
+    model = small_model(query_init=query_init, rng_seed=4, layers=layers)
+    v = model.vocabulary
+    examples = [
+        encoded(word_ids(v, 0, 1, 2, 1, 3), [v.word_start, GAP_ID],
+                word_ids(v, 1)[0], word_ids(v, 1, 2)),
+        encoded(word_ids(v, 4, 5), [GAP_ID],
+                word_ids(v, 5)[0], word_ids(v, 5, 4)),
+        encoded(word_ids(v, 6, 7, 6), [v.word_start + 7, v.word_start, GAP_ID],
+                word_ids(v, 6)[0], word_ids(v, 6, 7)),
+    ]
+    batch = Batch.from_examples(examples)
+    recorded = model.forward_scores(batch)
+    assert recorded.requires_grad
+    with no_grad():
+        assert model.forward_scores(batch).data.tobytes() == recorded.data.tobytes()
+    expected = predictions_from_scores(
+        recorded.data, batch.context, batch.context_lengths, batch.candidates
+    )
+    for got, want in zip(model.predict(batch), expected):
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.attention.tobytes() == want.attention.tobytes()
+
+    for ex in examples:
+        states = model.document_states(Batch.from_examples([ex]))
+        assert states.requires_grad
+        if query_init:
+            unrecorded = query_initiated_encoding(ex.context_ids, ex.question_ids, model)
+        else:
+            unrecorded = encode_document(ex.context_ids, model)
+        assert unrecorded.tobytes() == states.data.tobytes()
 
 
 # ---------------------------------------------------------------- gradients

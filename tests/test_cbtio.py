@@ -1,5 +1,7 @@
 """Question-file writing, parsing, and violation reporting."""
 
+import string
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from clozereader.cbtio import (
 from clozereader.clozegen import ClozeExample
 from clozereader.tagger import WordType
 
-TOKEN = st.from_regex(r"[A-Za-z0-9'.,!?-]{1,8}", fullmatch=True)
+TOKEN = st.text(string.ascii_letters + string.digits + "'.,!?-", min_size=1, max_size=8)
 
 
 @st.composite

@@ -188,13 +188,13 @@ def case_time_major_dot(rng):
 def gru_direction_case(rng, reverse):
     # Rows of length 4, 2 and 1 under a keep-mask, from a given h0.
     steps, batch, hidden = 4, 3, 3
-    weights = random_gru_weights(rng, in_dim=1, hidden=hidden)
-    xw = Parameter(rng.normal(size=(steps * batch, 3 * hidden)))
+    weights = random_gru_weights(rng, in_dim=2, hidden=hidden)
+    x = Parameter(rng.normal(size=(steps * batch, 2)))
     h0 = Parameter(rng.normal(size=(batch, hidden)) * 0.5)
     keep = (np.arange(steps)[:, None] < np.array([4, 2, 1])[None, :])[:, :, None]
     c = Tensor(rng.normal(size=(steps * batch, hidden)))
-    fn = lambda: tensor_sum(mul(run_direction(xw, weights, steps, keep, h0, reverse), c))
-    return fn, [xw, weights.u_r, weights.u_z, weights.u_c, h0]
+    fn = lambda: tensor_sum(mul(run_direction(x, weights, steps, keep, h0, reverse), c))
+    return fn, [x, *weights.parameters(), h0]
 
 
 def case_gru_forward(rng):
@@ -427,8 +427,7 @@ def manual_gru_step(x, h, weights):
 
 def one_step(x, h, weights):
     """The fused op over a single step of a single row."""
-    xw = add(matmul(Tensor(x[None, :]), weights.w), weights.b)
-    return run_direction(xw, weights, 1, h0=Tensor(h[None, :])).data[0]
+    return run_direction(Tensor(x[None, :]), weights, 1, h0=Tensor(h[None, :])).data[0]
 
 
 def test_gru_cell_matches_manual_formula(rng):
@@ -456,8 +455,7 @@ def test_run_direction_reverse_matches_manual_loop(rng):
     weights = random_gru_weights(rng, in_dim=3, hidden=4)
     steps = 5
     x = rng.normal(size=(steps, 3))
-    xw = add(matmul(Tensor(x), weights.w), weights.b)
-    outputs = run_direction(xw, weights, steps, reverse=True).data
+    outputs = run_direction(Tensor(x), weights, steps, reverse=True).data
 
     h = np.zeros(4)
     expected = [None] * steps
@@ -466,6 +464,28 @@ def test_run_direction_reverse_matches_manual_loop(rng):
         expected[t] = h
     for t in range(steps):
         np.testing.assert_allclose(outputs[t], expected[t], atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_run_direction_never_mutates_its_inputs(rng, reverse):
+    fn, inputs = gru_direction_case(rng, reverse)  # x, w, u_*, b, h0
+    before = [p.data.tobytes() for p in inputs]
+
+    with no_grad():
+        fn()
+    assert [p.data.tobytes() for p in inputs] == before
+
+    loss = fn()
+    loss.backward()
+    assert [p.data.tobytes() for p in inputs] == before
+    first = [p.grad.copy() for p in inputs]
+    # The backward pass overwrites the node's own projection buffer, never
+    # an input, so a second pass over the same graph adds the same
+    # gradients again.
+    loss.backward()
+    assert [p.data.tobytes() for p in inputs] == before
+    for p, grad in zip(inputs, first):
+        np.testing.assert_array_equal(p.grad, 2 * grad)
 
 
 def test_bigru_stacks_and_returns_finals(rng):
@@ -519,6 +539,12 @@ def test_bigru_rejects_empty_sequence():
     encoder = BiGru(2, 3, 1, rng_seed=0, name="enc")
     with pytest.raises(ShapeMismatchError):
         encoder.run(Tensor(np.zeros((0, 2))), 0, 1, None, None)
+
+
+def test_bigru_rejects_input_of_the_wrong_width():
+    encoder = BiGru(2, 3, 1, rng_seed=0, name="enc")
+    with pytest.raises(ShapeMismatchError, match="input width 4, expected 2"):
+        encoder.run(Tensor(np.zeros((3, 4))), 3, 1, None, None)
 
 
 def test_bigru_end_to_end_gradients(rng):
