@@ -13,10 +13,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import ClozereaderError
-from .clozegen import ClozeExample, N_CANDIDATES
+from .clozegen import DEFAULT_WINDOW as N_CONTEXT_LINES, N_CANDIDATES, ClozeExample
 from .tagger import WordType
 
-N_CONTEXT_LINES = 20
 CANDIDATE_SEP = "|"
 
 
@@ -46,68 +45,52 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
 
 def read_examples(path: str | Path, word_type: WordType | None = None) -> list[ClozeExample]:
     """Parse a question file, raising on the first violation."""
-    collected: list[ClozeExample] = []
-    for item in _parse(Path(path), strict=True):
-        if isinstance(item, ClozeExample):
-            item.word_type = word_type
-            collected.append(item)
-    return collected
+    path = Path(path)
+    examples = []
+    for ordinal, block in enumerate(_blocks(path)):
+        example = _parse_block(block, path, ordinal)
+        example.word_type = word_type
+        examples.append(example)
+    return examples
 
 
 def validate_file(path: str | Path) -> list[str]:
     """Collect every violation in the file instead of stopping at the
     first.  An empty list means the file is clean."""
+    path = Path(path)
     violations: list[str] = []
-    for item in _parse(Path(path), strict=False):
-        if isinstance(item, str):
-            violations.append(item)
+    for ordinal, block in enumerate(_blocks(path)):
+        try:
+            _parse_block(block, path, ordinal)
+        except CbtFormatError as exc:
+            violations.append(str(exc))
     return violations
 
 
-def _parse(path: Path, strict: bool):
-    """Yield ClozeExample objects and (when not strict) violation strings.
-
-    When strict, the first violation raises CbtFormatError instead.
-    """
-    stem = path.stem
-    text = path.read_text("utf-8")
-    lines = text.splitlines()
-
-    def problem(lineno: int, message: str):
-        full = f"{path.name}:{lineno}: {message}"
-        if strict:
-            raise CbtFormatError(full)
-        return full
-
+def _blocks(path: Path):
+    """Yield each run of non-blank lines as (line number, line) pairs,
+    trailing whitespace removed."""
     block: list[tuple[int, str]] = []
-    ordinal = 0
-
-    def flush():
-        nonlocal ordinal
-        if not block:
-            return None
-        result = _parse_block(block, stem, ordinal, problem)
-        block.clear()
-        ordinal += 1
-        return result
-
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
         line = raw.rstrip()
-        if not line:
-            item = flush()
-            if item is not None:
-                yield item
-            continue
-        block.append((lineno, line))
-    item = flush()
-    if item is not None:
-        yield item
+        if line:
+            block.append((lineno, line))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
-def _parse_block(block, stem, ordinal, problem):
+def _error(path: Path, lineno: int, message: str) -> CbtFormatError:
+    return CbtFormatError(f"{path.name}:{lineno}: {message}")
+
+
+def _parse_block(block: list[tuple[int, str]], path: Path, ordinal: int) -> ClozeExample:
+    """One example from one block, or CbtFormatError at its first violation."""
     if len(block) != N_CONTEXT_LINES + 1:
-        return problem(
-            block[0][0],
+        raise _error(
+            path, block[0][0],
             f"example has {len(block)} lines, expected {N_CONTEXT_LINES + 1}",
         )
 
@@ -115,38 +98,37 @@ def _parse_block(block, stem, ordinal, problem):
     for expected, (lineno, line) in zip(range(1, N_CONTEXT_LINES + 1), block):
         number, _, rest = line.partition(" ")
         if number != str(expected):
-            return problem(lineno, f"expected line number {expected}, got {number!r}")
+            raise _error(path, lineno, f"expected line number {expected}, got {number!r}")
         tokens = rest.split()
         if not tokens:
-            return problem(lineno, "empty context sentence")
+            raise _error(path, lineno, "empty context sentence")
         context.append(tokens)
 
     lineno, line = block[N_CONTEXT_LINES]
     number, _, rest = line.partition(" ")
     if number != str(N_CONTEXT_LINES + 1):
-        return problem(
-            lineno, f"expected line number {N_CONTEXT_LINES + 1}, got {number!r}"
-        )
+        raise _error(path, lineno,
+                     f"expected line number {N_CONTEXT_LINES + 1}, got {number!r}")
     fields = rest.split("\t")
     if len(fields) != 4 or fields[2] != "":
-        return problem(
-            lineno,
+        raise _error(
+            path, lineno,
             "question line must be question<TAB>answer<TAB><TAB>candidates",
         )
     question_text, answer, _, candidate_text = fields
     question = question_text.split()
     if not question:
-        return problem(lineno, "empty question")
+        raise _error(path, lineno, "empty question")
     if not answer or len(answer.split()) != 1:
-        return problem(lineno, f"answer must be a single token, got {answer!r}")
+        raise _error(path, lineno, f"answer must be a single token, got {answer!r}")
     candidates = candidate_text.split(CANDIDATE_SEP)
     if len(candidates) != N_CANDIDATES or any(not c for c in candidates):
-        return problem(
-            lineno,
+        raise _error(
+            path, lineno,
             f"expected {N_CANDIDATES} non-empty candidates, got {candidate_text!r}",
         )
     if answer not in candidates:
-        return problem(lineno, f"answer {answer!r} not among candidates")
+        raise _error(path, lineno, f"answer {answer!r} not among candidates")
 
     return ClozeExample(
         context=context,
@@ -154,5 +136,5 @@ def _parse_block(block, stem, ordinal, problem):
         answer=answer,
         candidates=candidates,
         word_type=None,
-        source=(stem, ordinal),
+        source=(path.stem, ordinal),
     )

@@ -52,7 +52,7 @@ from .training import (
     most_frequent_candidate_accuracy,
     train as run_training,
 )
-from .vocab import EncodedExample, build_vocab, encode_dataset
+from .vocab import DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedExample, build_vocab, encode_dataset
 
 _WORD_TYPES = {"ne": WordType.NAMED_ENTITY, "cn": WordType.COMMON_NOUN}
 
@@ -127,8 +127,7 @@ def cmd_generate(args) -> int:
         for book in split_books_list:
             labels = tag_book(book, tagger_config)
             book_examples, book_report = generate_from_book(
-                book, labels, target_type,
-                window=args.window, rng_seed=args.seed, stride=args.stride,
+                book, labels, target_type, rng_seed=args.seed, stride=args.stride,
             )
             examples.extend(book_examples)
             report.merge(book_report)
@@ -239,8 +238,8 @@ def cmd_train(args) -> int:
     else:
         vocabulary = build_vocab(
             train_raw,
-            cap=settings.get("vocab_cap", 200000),
-            anon_count=settings.get("anon_count", 1000),
+            cap=settings.get("vocab_cap", DEFAULT_CAP),
+            anon_count=settings.get("anon_count", DEFAULT_ANON_COUNT),
         )
         model_config = ModelConfig(
             **{k: v for k, v in settings.items() if k in _MODEL_KEYS}
@@ -484,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build cloze datasets from books")
     p.add_argument("--books", required=True, help="directory of .txt books")
     p.add_argument("--type", required=True, choices=("ne", "cn"))
-    p.add_argument("--window", type=int, default=20)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", default="0.8,0.1,0.1")

@@ -120,6 +120,8 @@ def generate_from_book(
     """Emit at most one example per question sentence, walking the book
     with the given stride.  A book shorter than window + 1 sentences
     yields no examples."""
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
     if len(labels) != len(book.sentences):
         raise ValueError(
             f"book {book.book_id!r}: {len(labels)} label rows for "

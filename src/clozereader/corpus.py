@@ -72,8 +72,8 @@ def _load_wordlist(name: str) -> frozenset[str]:
 DEFAULT_ABBREVIATIONS = _load_wordlist("abbreviations.txt")
 
 # Project Gutenberg-style section markers, matched per line.
-DEFAULT_START_MARKER = r"\*\*\*\s*START"
-DEFAULT_END_MARKER = r"\*\*\*\s*END"
+_START_MARKER = re.compile(r"\*\*\*\s*START", re.IGNORECASE)
+_END_MARKER = re.compile(r"\*\*\*\s*END", re.IGNORECASE)
 
 _TITLE_LINE = re.compile(r"^Title:\s*(.+?)\s*$", re.MULTILINE)
 _PARAGRAPH_BREAK = re.compile(r"\n\s*\n")
@@ -90,26 +90,20 @@ _CONTRACTION_SUFFIXES = ("n't", "'s", "'re", "'ve", "'ll", "'d", "'m")
 _CONTRACTION_RE = re.compile(r"(n't|'s|'re|'ve|'ll|'d|'m)$", re.IGNORECASE)
 
 
-def strip_boilerplate(
-    text: str,
-    start_marker: str = DEFAULT_START_MARKER,
-    end_marker: str = DEFAULT_END_MARKER,
-) -> str:
+def strip_boilerplate(text: str) -> str:
     """Return the body between the first start-marker line and the last
     end-marker line.  Missing markers leave that side of the text alone."""
     lines = text.splitlines()
-    start_re = re.compile(start_marker, re.IGNORECASE)
-    end_re = re.compile(end_marker, re.IGNORECASE)
 
     start_idx = None
     for i, line in enumerate(lines):
-        if start_re.search(line):
+        if _START_MARKER.search(line):
             start_idx = i
             break
     end_idx = None
     lo = 0 if start_idx is None else start_idx + 1
     for i in range(len(lines) - 1, lo - 1, -1):
-        if end_re.search(lines[i]):
+        if _END_MARKER.search(lines[i]):
             end_idx = i
             break
 
@@ -133,16 +127,16 @@ def extract_title(original_text: str, stripped_text: str, fallback: str) -> str:
     return fallback
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split text into sentences by the documented rule set."""
     sentences: list[str] = []
     for paragraph in _PARAGRAPH_BREAK.split(text):
         if paragraph.strip():
-            sentences.extend(_split_paragraph(paragraph, abbreviations))
+            sentences.extend(_split_paragraph(paragraph))
     return sentences
 
 
-def _split_paragraph(paragraph: str, abbreviations: frozenset[str]) -> list[str]:
+def _split_paragraph(paragraph: str) -> list[str]:
     bounds = []
     for m in _TERMINATOR_RUN.finditer(paragraph):
         rest = paragraph[m.end():]
@@ -156,7 +150,7 @@ def _split_paragraph(paragraph: str, abbreviations: frozenset[str]) -> list[str]
             before = _WORD_BEFORE.search(paragraph, max(0, m.start() - 40), m.start())
             if before is not None:
                 word = before.group()
-                if word + "." in abbreviations or (len(word) == 1 and word.isupper()):
+                if word + "." in DEFAULT_ABBREVIATIONS or (len(word) == 1 and word.isupper()):
                     continue
         bounds.append(m.end())
 
@@ -173,57 +167,51 @@ def _split_paragraph(paragraph: str, abbreviations: frozenset[str]) -> list[str]
     return pieces
 
 
-def tokenize(sentence: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def tokenize(sentence: str) -> list[str]:
     """Tokenize one sentence by the documented rule set."""
     tokens: list[str] = []
     for chunk in sentence.split():
         for part in _DASH_SPLIT.split(chunk):
             if part:
-                tokens.extend(_split_chunk(part, abbreviations))
+                tokens.extend(_split_chunk(part))
     return tokens
 
 
-def _split_chunk(chunk: str, abbreviations: frozenset[str]) -> list[str]:
-    if chunk in _CONTRACTION_SUFFIXES or chunk in abbreviations:
+def _split_chunk(chunk: str) -> list[str]:
+    if chunk in _CONTRACTION_SUFFIXES or chunk in DEFAULT_ABBREVIATIONS:
         return [chunk]
     if _ALL_PUNCT.fullmatch(chunk):
         return [chunk]
     if chunk.endswith("...") and chunk != "...":
-        return _split_chunk(chunk[:-3], abbreviations) + ["..."]
+        return _split_chunk(chunk[:-3]) + ["..."]
     last = chunk[-1]
     if last in _TRAIL_PUNCT:
         if last == ".":
             core = chunk.rstrip(".")
-            if chunk in abbreviations or (len(core) == 1 and core.isupper() and chunk == core + "."):
+            if chunk in DEFAULT_ABBREVIATIONS or (
+                    len(core) == 1 and core.isupper() and chunk == core + "."):
                 return [chunk]
-        return _split_chunk(chunk[:-1], abbreviations) + [last]
+        return _split_chunk(chunk[:-1]) + [last]
     if chunk[0] in _LEAD_PUNCT:
-        return [chunk[0]] + _split_chunk(chunk[1:], abbreviations)
+        return [chunk[0]] + _split_chunk(chunk[1:])
     m = _CONTRACTION_RE.search(chunk)
     if m is not None and m.start() > 0:
         return [chunk[: m.start()], chunk[m.start():]]
     return [chunk]
 
 
-def tokenize_book(
-    raw: RawBook,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> TokenizedBook:
+def tokenize_book(raw: RawBook) -> TokenizedBook:
     """Sentence-split and tokenize a stripped book.  Sentences that produce
     no tokens are dropped, so every kept sentence has at least one token."""
     sentences = []
-    for sentence in split_sentences(raw.text, abbreviations):
-        toks = tokenize(sentence, abbreviations)
+    for sentence in split_sentences(raw.text):
+        toks = tokenize(sentence)
         if toks:
             sentences.append(toks)
     return TokenizedBook(book_id=raw.book_id, title=raw.title, sentences=sentences)
 
 
-def ingest_books(
-    directory: str | Path,
-    start_marker: str = DEFAULT_START_MARKER,
-    end_marker: str = DEFAULT_END_MARKER,
-) -> tuple[list[RawBook], list[IngestError]]:
+def ingest_books(directory: str | Path) -> tuple[list[RawBook], list[IngestError]]:
     """Read every ``*.txt`` file under a directory as one book.
 
     The book id is the file stem.  Per-file failures (undecodable bytes,
@@ -246,7 +234,7 @@ def ingest_books(
         except OSError as exc:
             errors.append(IngestError(path=str(path), reason=f"unreadable: {exc}"))
             continue
-        stripped = strip_boilerplate(original, start_marker, end_marker)
+        stripped = strip_boilerplate(original)
         if not stripped.strip():
             errors.append(IngestError(path=str(path), reason="empty after boilerplate stripping"))
             continue

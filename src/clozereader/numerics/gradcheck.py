@@ -1,8 +1,8 @@
 """Central-difference gradient verification.
 
 The analytic gradient of every op, and of whole forward passes, is
-compared against (f(x+h) - f(x-h)) / 2h coordinate by coordinate.  The
-reported figure is the worst relative error
+compared against (f(x+h) - f(x-h)) / 2h, h = ``STEP``, coordinate by
+coordinate.  The reported figure is the worst relative error
 
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
 
@@ -17,11 +17,12 @@ import numpy as np
 
 from .tensor import Parameter, Tensor, no_grad, zero_grads
 
+STEP = 1e-5
+
 
 def finite_difference_check(
     fn: Callable[[], Tensor],
     params: Sequence[Parameter],
-    step: float = 1e-5,
 ) -> float:
     """Worst relative error between backprop and central differences.
 
@@ -44,12 +45,12 @@ def finite_difference_check(
         for i in range(flat_value.size):
             original = flat_value[i]
             with no_grad():
-                flat_value[i] = original + step
+                flat_value[i] = original + STEP
                 f_plus = float(fn().data)
-                flat_value[i] = original - step
+                flat_value[i] = original - STEP
                 f_minus = float(fn().data)
             flat_value[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * STEP)
             a = float(flat_grad[i])
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)

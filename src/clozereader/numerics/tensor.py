@@ -277,45 +277,32 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(data, tensors, backward)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[start:stop]
+def _select(a: Tensor, index) -> Tensor:
+    """``a.data[index]``; the gradient scatter-adds back, so repeated
+    rows each contribute."""
+    data = a.data[index]
 
     def backward(g):
         if not a.requires_grad:
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += g
+        np.add.at(a.grad, index, g)
 
     return _make(data, (a,), backward)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    return _select(a, slice(start, stop))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[:, start:stop]
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
-
-    return _make(data, (a,), backward)
+    return _select(a, (slice(None), slice(start, stop)))
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Row gather (embedding lookup); gradients scatter-add back."""
-    indices = np.asarray(indices)
-    data = a.data[indices]
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, indices, g)
-
-    return _make(data, (a,), backward)
+    """Row gather (embedding lookup)."""
+    return _select(a, np.asarray(indices))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -331,10 +318,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 

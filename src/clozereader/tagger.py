@@ -34,10 +34,6 @@ class WordType(enum.Enum):
     COMMON_NOUN = "CN"
     OTHER = "O"
 
-    @property
-    def code(self) -> str:
-        return self.value
-
 
 class TagAlignmentError(ClozereaderError):
     """Pre-tagged input does not line up with the tokenized book."""

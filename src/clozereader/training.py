@@ -26,6 +26,7 @@ import numpy as np
 
 from . import ClozereaderError
 from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Prediction
+from .ensemble import prediction_accuracy
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError
@@ -68,6 +69,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError("eval_every must be positive")
 
 
 def make_batches(
@@ -145,16 +148,13 @@ def evaluate(
         raise ValueError("nothing to evaluate")
     order = sorted(range(len(examples)), key=lambda i: len(examples[i].context_ids))
     predictions: list[Prediction | None] = [None] * len(examples)
-    correct = 0
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
         batch = Batch.from_examples([examples[i] for i in chunk], chunk)
         for row, prediction in zip(chunk, model.predict(batch)):
             predictions[row] = prediction
-            if prediction.predicted_id == examples[row].answer_id:
-                correct += 1
     return EvalResult(
-        accuracy=correct / len(examples),
+        accuracy=prediction_accuracy(predictions, [ex.answer_id for ex in examples]),
         n_examples=len(examples),
         predictions=predictions,  # type: ignore[arg-type]
     )
@@ -338,6 +338,12 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
 
 def load_checkpoint(path: str) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
+    def read(fh, n: int, what: str) -> bytes:
+        raw = fh.read(n)
+        if len(raw) < n:
+            raise CheckpointError(f"{path}: truncated {what}")
+        return raw
+
     with open(path, "rb") as fh:
         head = fh.read(6)
         if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
@@ -347,13 +353,8 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}"
             )
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise CheckpointError(f"{path}: truncated header")
-        (blob_len,) = struct.unpack("<Q", raw)
-        blob = fh.read(blob_len)
-        if len(blob) < blob_len:
-            raise CheckpointError(f"{path}: truncated header")
+        (blob_len,) = struct.unpack("<Q", read(fh, 8, "header"))
+        blob = read(fh, blob_len, "header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -369,18 +370,16 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc}") from exc
         model = Model(vocabulary, config, header.get("rng_seed", 0))
-        raw = fh.read(4)
-        if len(raw) < 4:
-            raise CheckpointError(f"{path}: truncated tensor table")
-        (count,) = struct.unpack("<I", raw)
+        (count,) = struct.unpack("<I", read(fh, 4, "tensor table"))
         named = model.named_parameters()
         seen = set()
         for _ in range(count):
-            raw = fh.read(2)
-            if len(raw) < 2:
-                raise CheckpointError(f"{path}: truncated tensor name")
-            (name_len,) = struct.unpack("<H", raw)
-            name = fh.read(name_len).decode("utf-8")
+            (name_len,) = struct.unpack("<H", read(fh, 2, "tensor name"))
+            raw_name = read(fh, name_len, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: bad tensor name: {exc}") from exc
             try:
                 data = read_tensor(fh)
             except TensorFormatError as exc:

@@ -145,6 +145,9 @@ def test_validate_collects_all_violations(tmp_path):
     assert len(violations) == 2
     assert "expected line number 1" in violations[0]
     assert "not among candidates" in violations[1]
+    with pytest.raises(CbtFormatError) as excinfo:
+        read_examples(path)
+    assert str(excinfo.value) == violations[0]
 
 
 def test_validate_clean_file_returns_empty(tmp_path):

@@ -412,8 +412,7 @@ def test_generate_is_deterministic_per_seed(fixture_library, tmp_path, capsys):
         out_dir = tmp_path / name
         rc = main([
             "generate", "--books", str(fixture_library), "--type", "cn",
-            "--out", str(out_dir), "--seed", seed,
-            "--window", "6", "--stride", "3",
+            "--out", str(out_dir), "--seed", seed, "--stride", "3",
         ])
         assert rc == 0
         datasets.append((out_dir / "cn_train.txt").read_bytes())
@@ -433,7 +432,7 @@ def test_generate_blocklist_drops_editions(tmp_path, capsys):
         "generate", "--books", str(books_dir), "--type", "ne",
         "--out", str(tmp_path / "data"), "--seed", "0",
         "--splits", "0.5,0.25,0.25", "--blocklist", str(blocklist),
-        "--window", "6", "--stride", "4",
+        "--stride", "4",
     ])
     captured = capsys.readouterr()
     assert rc == 0
@@ -462,6 +461,16 @@ def test_generate_rejects_bad_splits(fixture_library, tmp_path, capsys):
     ])
     assert rc == 1
     assert "three comma-separated fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stride", ["-1", "0"])
+def test_generate_rejects_stride_below_1(fixture_library, tmp_path, capsys, stride):
+    rc = main([
+        "generate", "--books", str(fixture_library), "--type", "ne",
+        "--out", str(tmp_path / "data"), "--stride", stride,
+    ])
+    assert rc == 1
+    assert f"stride must be positive, got {stride}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- stats

@@ -188,6 +188,13 @@ def test_generate_respects_stride():
     assert report.examined == 2  # question indices 2 and 4
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_generate_rejects_stride_below_1(stride):
+    book, labels = pointing_book()
+    with pytest.raises(ValueError, match=f"stride must be positive, got {stride}"):
+        generate_from_book(book, labels, CN, window=2, stride=stride)
+
+
 def test_generate_is_deterministic():
     book, labels = pointing_book()
     first, _ = generate_from_book(book, labels, CN, window=2, rng_seed=3)

@@ -54,6 +54,13 @@ def toy_setup(n_train=48, n_valid=16, rng_seed=3):
 # ----------------------------------------------------------------- batching
 
 
+@pytest.mark.parametrize("eval_every", [0, -8])
+def test_train_config_rejects_eval_every_below_1(eval_every):
+    with pytest.raises(ValueError, match="eval_every must be positive"):
+        TrainConfig(eval_every=eval_every)
+    assert TrainConfig(eval_every=None).eval_every is None
+
+
 def test_make_batches_is_a_permutation():
     examples = [example_of_length(3 + i % 7, i) for i in range(50)]
     config = TrainConfig(batch_size=8, prefetch_batches=2)
@@ -442,6 +449,19 @@ def test_checkpoint_rejects_truncation_everywhere(tmp_path):
         clipped.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(clipped))
+
+
+def test_checkpoint_rejects_undecodable_tensor_name(tmp_path):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    target = struct.pack("<H", 9) + b"embedding"
+    patched = raw.replace(target, struct.pack("<H", 9) + b"\xffmbedding", 1)
+    assert patched != raw
+    path.write_bytes(patched)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ": bad tensor name"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_unknown_tensor_name(tmp_path):
