@@ -37,9 +37,12 @@ from .corpus import ingest_books, tokenize_book
 from .ensemble import (
     EnsembleMember,
     average_predictions,
+    correct_flags,
     greedy_select,
+    hit_rate,
     prediction_accuracy,
     read_ensemble_spec,
+    union_accuracy,
     write_ensemble_spec,
 )
 from .seeding import derive_seed
@@ -319,27 +322,20 @@ def cmd_evaluate(args) -> int:
     if not raw:
         raise CliError(f"{args.data}: no examples")
     predictions, encoded = _load_predictions_models(args, raw)
-    answers = _answer_positions(raw)
-    flags = [
-        int(p.predicted_index == a) for p, a in zip(predictions, answers)
-    ]
-    accuracy = sum(flags) / len(flags)
+    flags = correct_flags(predictions, _answer_positions(raw))
 
     rows: list[tuple[str, object]] = [
         ("dataset", Path(args.data).name),
         ("n_examples", len(raw)),
-        ("accuracy", _format_float(accuracy)),
+        ("accuracy", _format_float(hit_rate(flags))),
     ]
     by_type: dict[str, list[int]] = {}
     for ex, flag in zip(raw, flags):
         if ex.word_type is not None:
             by_type.setdefault(ex.word_type.value, []).append(flag)
     for type_name in sorted(by_type):
-        type_flags = by_type[type_name]
-        rows.append(
-            (f"accuracy[{type_name.lower()}]",
-             _format_float(sum(type_flags) / len(type_flags)))
-        )
+        rows.append((f"accuracy[{type_name.lower()}]",
+                     _format_float(hit_rate(by_type[type_name]))))
     rows.append(
         ("baseline_random",
          _format_float(sum(1 / len(ex.candidates) for ex in raw) / len(raw)))
@@ -391,8 +387,9 @@ def cmd_select_ensemble(args) -> int:
 # ------------------------------------------------------------ predictions IO
 
 
-def read_predictions_file(path: str) -> dict[int, tuple[str, int]]:
-    """id -> (predicted token, correct flag)."""
+def read_predictions_file(path: str) -> list[tuple[str, int]]:
+    """(predicted token, correct flag) per example, in id order; the ids
+    must run 1..n."""
     out: dict[int, tuple[str, int]] = {}
     for lineno, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -412,20 +409,25 @@ def read_predictions_file(path: str) -> dict[int, tuple[str, int]]:
         if example_id in out:
             raise CliError(f"{path}:{lineno}: duplicate example id {example_id}")
         out[example_id] = (parts[1], flag)
-    return out
+    if not out:
+        raise CliError(f"{path}: no predictions")
+    if set(out) != set(range(1, len(out) + 1)):
+        raise CliError(f"{path}: example ids are not 1..{len(out)}")
+    return [out[i] for i in range(1, len(out) + 1)]
 
 
 # ------------------------------------------------------------- export-errors
 
 
 def cmd_export_errors(args) -> int:
+    if args.n < 0:
+        raise CliError(f"--n must be at least 0, got {args.n}")
     predictions = read_predictions_file(args.predictions)
     raw = read_examples(args.data)
-    if len(predictions) != len(raw) or set(predictions) != set(range(1, len(raw) + 1)):
+    if len(predictions) != len(raw):
         raise CliError("predictions file does not align with the dataset")
-    wrong_ids = sorted(i for i, (_, flag) in predictions.items() if flag == 0)
-    n = args.n
-    if len(wrong_ids) < n:
+    wrong_ids = [i for i, (_, flag) in enumerate(predictions, start=1) if flag == 0]
+    if len(wrong_ids) < args.n:
         print(
             f"warning: only {len(wrong_ids)} incorrect examples available, "
             f"exporting all of them",
@@ -433,7 +435,7 @@ def cmd_export_errors(args) -> int:
         )
         chosen = wrong_ids
     else:
-        chosen = sorted(random.Random(args.seed).sample(wrong_ids, n))
+        chosen = sorted(random.Random(args.seed).sample(wrong_ids, args.n))
     study_path = Path(args.out)
     key_path = study_path.with_suffix(study_path.suffix + ".key")
     # The study file blanks the answer field; the key file restores it.
@@ -459,14 +461,12 @@ def cmd_export_errors(args) -> int:
 def cmd_union_accuracy(args) -> int:
     a = read_predictions_file(args.predictions_a)
     b = read_predictions_file(args.predictions_b)
-    if set(a) != set(b):
+    if len(a) != len(b):
         raise CliError("prediction files cover different example ids")
-    if args.data:
-        n = len(read_examples(args.data))
-        if set(a) != set(range(1, n + 1)):
-            raise CliError("prediction files do not align with the dataset")
-    hits = sum(1 for i in a if a[i][1] == 1 or b[i][1] == 1)
-    print_report([("union_accuracy", _format_float(hits / len(a)))], args.tsv)
+    if args.data and len(a) != len(read_examples(args.data)):
+        raise CliError("prediction files do not align with the dataset")
+    accuracy = union_accuracy([[flag for _, flag in rows] for rows in (a, b)])
+    print_report([("union_accuracy", _format_float(accuracy))], args.tsv)
     return 0
 
 

@@ -64,30 +64,30 @@ def average_predictions(
     return out
 
 
-def prediction_accuracy(predictions: list[Prediction], answer_ids: list[int]) -> float:
+def correct_flags(predictions: list[Prediction], answer_ids: list[int]) -> list[int]:
+    """1 where a prediction names its answer id, else 0."""
     if len(predictions) != len(answer_ids):
         raise EnsembleError("predictions and answers differ in length")
-    if not predictions:
+    return [int(p.predicted_id == a) for p, a in zip(predictions, answer_ids)]
+
+
+def hit_rate(flags: list[int]) -> float:
+    """Share of examples flagged correct."""
+    if not flags:
         raise EnsembleError("nothing to score")
-    hits = sum(
-        p.predicted_id == a for p, a in zip(predictions, answer_ids)
-    )
-    return hits / len(predictions)
+    return sum(flags) / len(flags)
 
 
-def union_accuracy(
-    member_predictions: list[list[Prediction]],
-    answer_ids: list[int],
-) -> float:
-    """Fraction of examples at least one member answers correctly: an
+def prediction_accuracy(predictions: list[Prediction], answer_ids: list[int]) -> float:
+    return hit_rate(correct_flags(predictions, answer_ids))
+
+
+def union_accuracy(member_flags: list[list[int]]) -> float:
+    """Fraction of examples at least one member's flags mark correct: an
     upper bound on what any combination of these members could reach."""
-    if not member_predictions:
-        raise EnsembleError("no members")
-    hits = 0
-    for i, answer in enumerate(answer_ids):
-        if any(preds[i].predicted_id == answer for preds in member_predictions):
-            hits += 1
-    return hits / len(answer_ids)
+    if len({len(flags) for flags in member_flags}) > 1:
+        raise EnsembleError("members disagree on example count")
+    return hit_rate([int(any(hits)) for hits in zip(*member_flags)])
 
 
 def greedy_select(
@@ -151,7 +151,10 @@ def read_ensemble_spec(path: str) -> tuple[list[str], float]:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("validation_accuracy="):
-                accuracy = float(body.partition("=")[2])
+                try:
+                    accuracy = float(body.partition("=")[2])
+                except ValueError as exc:
+                    raise EnsembleError(f"{path}: bad validation_accuracy: {exc}") from exc
             continue
         members.append(line)
     if not members:

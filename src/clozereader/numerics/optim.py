@@ -43,12 +43,12 @@ class Adam:
     def step(self) -> None:
         """One bias-corrected moment update per parameter, in place.
 
-        Parameters without a gradient or not trainable are left untouched.
+        Parameters without a gradient are left untouched.
         Gradient rows listed in ``param.frozen_rows`` are discarded, so
         those rows and their moment state stay bit-identical forever.
         """
         for param in self.params:
-            if param.grad is None or not param.trainable:
+            if param.grad is None:
                 continue
             state = self.states.get(id(param))
             if state is None:

@@ -97,13 +97,11 @@ class Parameter(Tensor):
     update, for row blocks that must stay at their initialization.
     """
 
-    __slots__ = ("name", "trainable", "frozen_rows")
+    __slots__ = ("name", "frozen_rows")
 
-    def __init__(self, data, name: str = "", trainable: bool = True,
-                 frozen_rows=None):
+    def __init__(self, data, name: str = "", frozen_rows=None):
         super().__init__(np.array(data, dtype=DTYPE), requires_grad=True)
         self.name = name
-        self.trainable = trainable
         self.frozen_rows = frozen_rows
 
 

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import ClozereaderError
 from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Prediction
-from .ensemble import prediction_accuracy
+from .ensemble import hit_rate, prediction_accuracy
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError
 from .seeding import derive_seed
-from .vocab import EncodedExample, Vocabulary
+from .vocab import EncodedExample, Vocabulary, VocabularyError
 
 CHECKPOINT_MAGIC = b"CLZR"
 CHECKPOINT_VERSION = 1
@@ -134,7 +134,6 @@ class EarlyStopper:
 @dataclass
 class EvalResult:
     accuracy: float
-    n_examples: int
     predictions: list[Prediction]
 
 
@@ -155,7 +154,6 @@ def evaluate(
             predictions[row] = prediction
     return EvalResult(
         accuracy=prediction_accuracy(predictions, [ex.answer_id for ex in examples]),
-        n_examples=len(examples),
         predictions=predictions,  # type: ignore[arg-type]
     )
 
@@ -163,15 +161,12 @@ def evaluate(
 def most_frequent_candidate_accuracy(examples: list[EncodedExample]) -> float:
     """Baseline: always pick the candidate occurring most often in the
     document (ties go to the earlier candidate in the list)."""
-    if not examples:
-        raise ValueError("nothing to evaluate")
-    correct = 0
+    flags = []
     for ex in examples:
         context = np.asarray(ex.context_ids)
         counts = [int((context == c).sum()) for c in ex.candidate_ids]
-        pick = ex.candidate_ids[int(np.argmax(counts))]
-        correct += pick == ex.answer_id
-    return correct / len(examples)
+        flags.append(int(ex.candidate_ids[int(np.argmax(counts))] == ex.answer_id))
+    return hit_rate(flags)
 
 
 @dataclass
@@ -367,7 +362,7 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
                 anon_count=vocab_info["anon_count"],
             )
             config = ModelConfig(**header["config"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, VocabularyError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc}") from exc
         model = Model(vocabulary, config, header.get("rng_seed", 0))
         (count,) = struct.unpack("<I", read(fh, 4, "tensor table"))

@@ -47,6 +47,9 @@ class Vocabulary:
     _word_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name, value in (("cap", self.cap), ("anon_count", self.anon_count)):
+            if value < 0:
+                raise VocabularyError(f"vocabulary {name} must be at least 0, got {value}")
         start = self.word_start
         self._word_to_id = {w: start + i for i, w in enumerate(self.words)}
         if len(self._word_to_id) != len(self.words):

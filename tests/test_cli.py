@@ -106,6 +106,20 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys):
+    _, train_path, valid_path, _, _ = cli_workspace
+    config = tmp_path / "bad.cfg"
+    config.write_text("vocab_cap = -1\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    rc = main([
+        "train", "--train", str(train_path), "--valid", str(valid_path),
+        "--config", str(config), "--out", str(out),
+    ])
+    assert rc == 1
+    assert "cap must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_resume_rejects_a_conflicting_model_key(cli_workspace, tmp_path, capsys):
     _, train_path, valid_path, config_path, checkpoints = cli_workspace
     config = tmp_path / "resume.cfg"
@@ -170,8 +184,8 @@ def test_evaluate_reports_accuracy_and_baselines(cli_workspace, tmp_path, capsys
     for line in lines:
         assert PREDICTION_LINE.match(line), line
     parsed = read_predictions_file(predictions_path)
-    assert set(parsed) == set(range(1, n_valid + 1))
-    flags = [flag for _, flag in parsed.values()]
+    assert len(parsed) == n_valid
+    flags = [flag for _, flag in parsed]
     assert sum(flags) / n_valid == pytest.approx(float(report["accuracy"]), abs=1e-6)
 
 
@@ -316,7 +330,7 @@ def test_export_errors_warns_when_short(cli_workspace, tmp_path, capsys):
         "--predictions-out", str(predictions_path),
     ]) == 0
     n_wrong = sum(
-        flag == 0 for _, flag in read_predictions_file(predictions_path).values()
+        flag == 0 for _, flag in read_predictions_file(predictions_path)
     )
     capsys.readouterr()
     rc = main([
@@ -340,6 +354,20 @@ def test_export_errors_rejects_misaligned_predictions(cli_workspace, tmp_path, c
     ])
     assert rc == 1
     assert "does not align" in capsys.readouterr().err
+
+
+def test_export_errors_rejects_negative_n(cli_workspace, tmp_path, capsys):
+    _, _, valid_path, _, _ = cli_workspace
+    predictions_path = tmp_path / "preds.txt"
+    write_prediction_file(predictions_path, [0] * len(read_examples(valid_path)))
+    rc = main([
+        "export-errors", "--predictions", str(predictions_path),
+        "--data", str(valid_path), "--n", "-1", "--out", str(tmp_path / "study.txt"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--n" in err and "-1" in err
+    assert not (tmp_path / "study.txt").exists()
 
 
 # ----------------------------------------------------------- union-accuracy
@@ -380,6 +408,18 @@ def test_union_accuracy_rejects_id_mismatch(tmp_path, capsys):
                "--predictions-b", str(b)])
     assert rc == 1
     assert "different example ids" in capsys.readouterr().err
+
+
+def test_union_accuracy_rejects_empty_files(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    write_prediction_file(a, [])
+    write_prediction_file(b, [])
+    rc = main(["union-accuracy", "--predictions-a", str(a),
+               "--predictions-b", str(b)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(a) in err
 
 
 # ---------------------------------------------------------------- generate
@@ -539,4 +579,7 @@ def test_read_predictions_file_rejects_malformed(tmp_path):
         read_predictions_file(str(path))
     path.write_text("1\ttoken\t1\n1\tother\t0\n", encoding="utf-8")
     with pytest.raises(CliError, match="duplicate example id"):
+        read_predictions_file(str(path))
+    path.write_text("1\ttoken\t1\n3\tother\t0\n", encoding="utf-8")
+    with pytest.raises(CliError, match=r"p\.txt: example ids are not 1\.\.2"):
         read_predictions_file(str(path))

@@ -8,6 +8,7 @@ from clozereader.ensemble import (
     EnsembleError,
     EnsembleMember,
     average_predictions,
+    correct_flags,
     greedy_select,
     prediction_accuracy,
     read_ensemble_spec,
@@ -99,8 +100,9 @@ def test_prediction_accuracy_counts_hits():
 def test_union_accuracy_with_itself_is_identity():
     predictions = [prediction(0.9), prediction(0.2)]
     answers = [10, 10]
+    flags = correct_flags(predictions, answers)
     single = prediction_accuracy(predictions, answers)
-    assert union_accuracy([predictions, predictions], answers) == single
+    assert union_accuracy([flags, flags]) == single
 
 
 def test_union_accuracy_disjoint_correct_sets_add():
@@ -110,7 +112,16 @@ def test_union_accuracy_disjoint_correct_sets_add():
     answers = [10] * 10
     assert prediction_accuracy(first, answers) == pytest.approx(0.4)
     assert prediction_accuracy(second, answers) == pytest.approx(0.3)
-    assert union_accuracy([first, second], answers) == pytest.approx(0.7)
+    flags = [correct_flags(preds, answers) for preds in (first, second)]
+    assert union_accuracy(flags) == pytest.approx(0.7)
+
+
+def test_union_accuracy_rejects_unequal_members():
+    with pytest.raises(EnsembleError, match="example count"):
+        union_accuracy([[1, 0, 1], [1, 0]])
+    for nothing in ([], [[], []]):
+        with pytest.raises(EnsembleError, match="nothing to score"):
+            union_accuracy(nothing)
 
 
 # ---------------------------------------------------------------- selection
@@ -184,4 +195,12 @@ def test_spec_file_requires_members(tmp_path):
     path = tmp_path / "hollow.txt"
     path.write_text("# ensemble spec v1\n# validation_accuracy=0.5\n", encoding="utf-8")
     with pytest.raises(EnsembleError, match="no members"):
+        read_ensemble_spec(str(path))
+
+
+def test_spec_file_rejects_unparsable_accuracy(tmp_path):
+    path = tmp_path / "garbled.txt"
+    path.write_text("# ensemble spec v1\n# validation_accuracy=abc\na.ckpt\n",
+                    encoding="utf-8")
+    with pytest.raises(EnsembleError, match=r"garbled\.txt: bad validation_accuracy"):
         read_ensemble_spec(str(path))

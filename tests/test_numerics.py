@@ -341,7 +341,7 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_adam_skips_non_trainable_and_gradless_params(rng):
-    frozen = Parameter(rng.normal(size=(3,)), trainable=False)
+    frozen = Parameter(rng.normal(size=(3,)), frozen_rows=slice(None))
     frozen.grad = np.ones(3)
     idle = Parameter(rng.normal(size=(3,)))
     snapshot = (frozen.data.copy(), idle.data.copy())

@@ -150,7 +150,6 @@ def test_evaluate_restores_input_order():
     for i, ex in enumerate(enc_train):
         ex.context_ids = ex.context_ids[: len(ex.context_ids) - (i % 4)]
     result = evaluate(model, enc_train, batch_size=2)
-    assert result.n_examples == 9
     assert len(result.predictions) == 9
     for ex, prediction in zip(enc_train, result.predictions):
         (single,) = model.predict(Batch.from_examples([ex]))
@@ -491,6 +490,23 @@ def test_checkpoint_names_shape_mismatched_tensor(tmp_path):
         raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + blob_len :]
     )
     with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_names_a_negative_vocabulary_size(tmp_path):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    header = json.loads(raw[14 : 14 + blob_len].decode("utf-8"))
+    header["vocab"]["anon_count"] = -1
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(
+        raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + blob_len :]
+    )
+    with pytest.raises(CheckpointError,
+                       match=re.escape(str(path)) + ": bad header: .*anon_count"):
         load_checkpoint(str(path))
 
 

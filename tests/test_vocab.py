@@ -64,6 +64,15 @@ def test_duplicate_words_rejected():
         Vocabulary(words=["a", "a"], cap=10, anon_count=1)
 
 
+@pytest.mark.parametrize("field", ["cap", "anon_count"])
+def test_negative_sizes_rejected(field):
+    with pytest.raises(VocabularyError, match=f"{field} must be at least 0, got -5"):
+        Vocabulary(words=["a"], **{field: -5})
+    with pytest.raises(VocabularyError, match=f"{field} must be at least 0, got -1"):
+        build_vocab([make_example([["a", "b"]], ["a", GAP_TOKEN], "a", ["a", "b"])],
+                    **{field: -1})
+
+
 # ------------------------------------------------------------ construction
 
 
