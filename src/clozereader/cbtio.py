@@ -36,7 +36,18 @@ def example_lines(example: ClozeExample) -> list[str]:
 
 
 def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
+    """Write a question file.  Every context must be N_CONTEXT_LINES
+    non-empty sentences, or no file is written: the reader splits examples
+    by that layout."""
     path = Path(path)
+    for index, example in enumerate(examples):
+        empty = sum(not sentence for sentence in example.context)
+        if len(example.context) != N_CONTEXT_LINES or empty:
+            raise CbtFormatError(
+                f"example {index} (source {example.source}): context has "
+                f"{len(example.context)} sentences ({empty} empty), expected "
+                f"{N_CONTEXT_LINES} non-empty"
+            )
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for example in examples:
             fh.write("\n".join(example_lines(example)))
@@ -44,11 +55,13 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
 
 
 def read_examples(path: str | Path, word_type: WordType | None = None) -> list[ClozeExample]:
-    """Parse a question file, raising on the first violation."""
+    """Parse a question file, raising on the first violation.  Equal
+    tokens within the file share one string object."""
     path = Path(path)
+    forms: dict[str, str] = {}
     examples = []
     for ordinal, block in enumerate(_blocks(path)):
-        example = _parse_block(block, path, ordinal)
+        example = _parse_block(block, path, ordinal, forms)
         example.word_type = word_type
         examples.append(example)
     return examples
@@ -58,55 +71,63 @@ def validate_file(path: str | Path) -> list[str]:
     """Collect every violation in the file instead of stopping at the
     first.  An empty list means the file is clean."""
     path = Path(path)
+    forms: dict[str, str] = {}
     violations: list[str] = []
     for ordinal, block in enumerate(_blocks(path)):
         try:
-            _parse_block(block, path, ordinal)
+            _parse_block(block, path, ordinal, forms)
         except CbtFormatError as exc:
             violations.append(str(exc))
     return violations
 
 
 def _blocks(path: Path):
-    """Yield each run of non-blank lines as (line number, line) pairs,
-    trailing whitespace removed."""
-    block: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    """Yield each run of non-blank lines as (number of its first line,
+    lines), trailing whitespace removed."""
+    lines: list[str] = []
+    for lineno, raw in enumerate(path.read_text("utf-8").splitlines() + [""], start=1):
         line = raw.rstrip()
         if line:
-            block.append((lineno, line))
-        elif block:
-            yield block
-            block = []
-    if block:
-        yield block
+            lines.append(line)
+        elif lines:
+            yield lineno - len(lines), lines
+            lines = []
 
 
 def _error(path: Path, lineno: int, message: str) -> CbtFormatError:
     return CbtFormatError(f"{path.name}:{lineno}: {message}")
 
 
-def _parse_block(block: list[tuple[int, str]], path: Path, ordinal: int) -> ClozeExample:
-    """One example from one block, or CbtFormatError at its first violation."""
-    if len(block) != N_CONTEXT_LINES + 1:
+_LINE_NUMBERS = [str(n) for n in range(1, N_CONTEXT_LINES + 2)]
+
+
+def _parse_block(
+    block: tuple[int, list[str]], path: Path, ordinal: int, forms: dict[str, str]
+) -> ClozeExample:
+    """One example from one block, or CbtFormatError at its first violation.
+    Each token passes through ``forms``, so equal tokens share one string."""
+    first, lines = block
+    if len(lines) != N_CONTEXT_LINES + 1:
         raise _error(
-            path, block[0][0],
-            f"example has {len(block)} lines, expected {N_CONTEXT_LINES + 1}",
+            path, first,
+            f"example has {len(lines)} lines, expected {N_CONTEXT_LINES + 1}",
         )
+    share = forms.setdefault
 
     context: list[list[str]] = []
-    for expected, (lineno, line) in zip(range(1, N_CONTEXT_LINES + 1), block):
+    for lineno, expected, line in zip(range(first, first + N_CONTEXT_LINES),
+                                      _LINE_NUMBERS, lines):
         number, _, rest = line.partition(" ")
-        if number != str(expected):
+        if number != expected:
             raise _error(path, lineno, f"expected line number {expected}, got {number!r}")
         tokens = rest.split()
         if not tokens:
             raise _error(path, lineno, "empty context sentence")
-        context.append(tokens)
+        context.append(list(map(share, tokens, tokens)))
 
-    lineno, line = block[N_CONTEXT_LINES]
+    lineno, line = first + N_CONTEXT_LINES, lines[N_CONTEXT_LINES]
     number, _, rest = line.partition(" ")
-    if number != str(N_CONTEXT_LINES + 1):
+    if number != _LINE_NUMBERS[N_CONTEXT_LINES]:
         raise _error(path, lineno,
                      f"expected line number {N_CONTEXT_LINES + 1}, got {number!r}")
     fields = rest.split("\t")
@@ -132,9 +153,9 @@ def _parse_block(block: list[tuple[int, str]], path: Path, ordinal: int) -> Cloz
 
     return ClozeExample(
         context=context,
-        question=question,
-        answer=answer,
-        candidates=candidates,
+        question=list(map(share, question, question)),
+        answer=share(answer, answer),
+        candidates=list(map(share, candidates, candidates)),
         word_type=None,
         source=(path.stem, ordinal),
     )

@@ -251,6 +251,7 @@ def cmd_train(args) -> int:
 
     train_examples = encode_dataset(train_raw, vocabulary, derive_seed(args.seed, "train"))
     valid_examples = encode_dataset(valid_raw, vocabulary, derive_seed(args.seed, "valid"))
+    del train_raw, valid_raw  # nothing reads the raw examples once they are encoded
 
     log_fh = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,16 +45,16 @@ class Vocabulary:
     words: list[str]
     cap: int = DEFAULT_CAP
     anon_count: int = DEFAULT_ANON_COUNT
-    _word_to_id: dict[str, int] = field(init=False, repr=False)
+    _lookup: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, value in (("cap", self.cap), ("anon_count", self.anon_count)):
             if value < 0:
                 raise VocabularyError(f"vocabulary {name} must be at least 0, got {value}")
-        start = self.word_start
-        self._word_to_id = {w: start + i for i, w in enumerate(self.words)}
-        if len(self._word_to_id) != len(self.words):
+        self._lookup = dict(zip(self.words, range(self.word_start, self.size)))
+        if len(self._lookup) != len(self.words):
             raise VocabularyError("duplicate words in vocabulary")
+        self._lookup[GAP_TOKEN] = GAP_ID  # the gap tag wins over a word
 
     @property
     def word_start(self) -> int:
@@ -66,9 +67,7 @@ class Vocabulary:
 
     def token_id(self, token: str) -> int | None:
         """Id for a token, or None when out of vocabulary."""
-        if token == GAP_TOKEN:
-            return GAP_ID
-        return self._word_to_id.get(token)
+        return self._lookup.get(token)
 
     def is_anonymous(self, token_id: int) -> bool:
         return ANON_START <= token_id < self.word_start
@@ -97,9 +96,7 @@ def build_vocab(
         else:
             examples = [source]
         for ex in examples:
-            for sentence in ex.context:
-                counts.update(sentence)
-            counts.update(ex.question)
+            counts.update(chain(chain.from_iterable(ex.context), ex.question))
     counts.pop(GAP_TOKEN, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     words = [w for w, _ in ranked[:cap]]
@@ -125,41 +122,30 @@ def encode_example(
 ) -> EncodedExample:
     """Encode one example; every distinct out-of-vocabulary form gets its
     own seeded anonymous slot, consistent within the example."""
-    oov_forms: list[str] = []
-    seen: set[str] = set()
+    forms = list(chain(chain.from_iterable(example.context), example.question,
+                       example.candidates, (example.answer,)))
+    ids = list(map(vocabulary._lookup.get, forms))
+    oov_map: dict[str, int] = {}
+    if None in ids:
+        unknown = [p for p, i in enumerate(ids) if i is None]
+        oov_forms = list(dict.fromkeys([forms[p] for p in unknown]))
+        if len(oov_forms) > vocabulary.anon_count:
+            raise AnonymousSlotsExhausted(
+                f"{len(oov_forms)} unknown forms exceed {vocabulary.anon_count} "
+                f"anonymous slots (source {example.source})"
+            )
+        slots = random.Random(rng_seed).sample(range(vocabulary.anon_count), len(oov_forms))
+        oov_map = {form: ANON_START + slot for form, slot in zip(oov_forms, slots)}
+        for p in unknown:
+            ids[p] = oov_map[forms[p]]
 
-    def collect(token: str) -> None:
-        if vocabulary.token_id(token) is None and token not in seen:
-            seen.add(token)
-            oov_forms.append(token)
-
-    for sentence in example.context:
-        for token in sentence:
-            collect(token)
-    for token in example.question:
-        collect(token)
-    for token in example.candidates:
-        collect(token)
-
-    if len(oov_forms) > vocabulary.anon_count:
-        raise AnonymousSlotsExhausted(
-            f"{len(oov_forms)} unknown forms exceed {vocabulary.anon_count} "
-            f"anonymous slots (source {example.source})"
-        )
-    rng = random.Random(rng_seed)
-    slots = rng.sample(range(vocabulary.anon_count), len(oov_forms))
-    oov_map = {form: ANON_START + slot for form, slot in zip(oov_forms, slots)}
-
-    def encode(token: str) -> int:
-        known = vocabulary.token_id(token)
-        return known if known is not None else oov_map[token]
-
-    context_ids = [encode(t) for s in example.context for t in s]
+    question_start = len(ids) - len(example.question) - len(example.candidates) - 1
+    candidate_start = question_start + len(example.question)
     return EncodedExample(
-        context_ids=context_ids,
-        question_ids=[encode(t) for t in example.question],
-        answer_id=encode(example.answer),
-        candidate_ids=[encode(t) for t in example.candidates],
+        context_ids=ids[:question_start],
+        question_ids=ids[question_start:candidate_start],
+        answer_id=ids[-1],
+        candidate_ids=ids[candidate_start:-1],
         oov_map=oov_map,
         source=example.source,
     )

@@ -1,5 +1,6 @@
 """Question-file writing, parsing, and violation reporting."""
 
+import re
 import string
 
 import pytest
@@ -55,6 +56,33 @@ def sample_block(number_from=1):
     lines.append("21 the XXXXX spoke\tcrow\t\tcrow|a|b|c|d|e|f|g|h|i")
     lines.append("")
     return lines
+
+
+@pytest.mark.parametrize(
+    "context,found",
+    [([["a"]] * 11, "11 sentences (0 empty)"), ([["a"]] * 19 + [[]], "20 sentences (1 empty)")],
+)
+def test_write_refuses_a_context_the_reader_cannot_split(tmp_path, context, found):
+    good = ClozeExample(context=[["a"]] * 20, question=["q"], answer="a",
+                        candidates=list("abcdefghij"))
+    bad = ClozeExample(context=context, question=["q"], answer="a",
+                       candidates=list("abcdefghij"), source=("recall", 4))
+    path = tmp_path / "data.txt"
+    with pytest.raises(CbtFormatError,
+                       match=r"example 1 \(source \('recall', 4\)\): context has " + re.escape(found)):
+        write_examples([good, bad], path)
+    assert not path.exists()
+
+
+def test_read_examples_shares_one_string_per_form(tmp_path):
+    path = write_text(tmp_path, "\n".join(sample_block() + sample_block()))
+    tokens = [
+        token
+        for example in read_examples(path)
+        for token in [*(t for s in example.context for t in s), *example.question,
+                      example.answer, *example.candidates]
+    ]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
 
 
 def test_exact_serialization_bytes():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from clozereader.cbtio import read_examples, write_examples
+from clozereader.cbtio import read_examples
 from clozereader.cli import (
     CliError,
     main,
@@ -13,7 +13,7 @@ from clozereader.cli import (
     read_predictions_file,
 )
 from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
-from clozereader.synthdata import associative_recall_examples, write_fixture_library
+from clozereader.synthdata import write_fixture_library
 from clozereader.training import TrainingDivergedError
 
 LOG_LINE = re.compile(r"^\d+\t[^\t]+\t\d\.\d{6}\t\d+\.\d{3}$")
@@ -93,13 +93,12 @@ def test_train_writes_checkpoint_log_and_report(cli_workspace):
     assert int(report["epochs"]) == 2
 
 
-def test_train_rejects_unknown_config_key(tmp_path, capsys):
+def test_train_rejects_unknown_config_key(cli_workspace, tmp_path, capsys):
+    _, train_path, valid_path, _, _ = cli_workspace
     config = tmp_path / "bad.cfg"
     config.write_text("bogus_knob=3\n", encoding="utf-8")
-    data = tmp_path / "d.txt"
-    write_examples(associative_recall_examples(2, rng_seed=0), data)
     rc = main([
-        "train", "--train", str(data), "--valid", str(data),
+        "train", "--train", str(train_path), "--valid", str(valid_path),
         "--config", str(config), "--out", str(tmp_path / "m.ckpt"),
     ])
     assert rc == 1

@@ -1,16 +1,19 @@
 """Vocabulary construction, anonymous-slot encoding, save/load."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clozereader.clozegen import GAP_TOKEN, ClozeExample
+from clozereader.seeding import derive_seed
 from clozereader.vocab import (
     ANON_START,
     GAP_ID,
     PAD_ID,
     AnonymousSlotsExhausted,
+    EncodedExample,
     Vocabulary,
     VocabularyError,
     build_vocab,
@@ -224,6 +227,93 @@ def test_encode_decode_round_trip(seed):
     context, question = decode_example(encoded, vocab)
     assert context == ["the", "wren", "sang", "crow"]
     assert question == ["the", GAP_TOKEN, "sang"]
+
+
+# ------------------------------------------------- per-token reference
+
+
+def reference_words(examples, cap):
+    counts = Counter()
+    for example in examples:
+        for token in [t for s in example.context for t in s] + example.question:
+            counts[token] += 1
+    counts.pop(GAP_TOKEN, None)
+    return [w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))][:cap]
+
+
+def reference_encode(example, vocab, rng_seed):
+    """One id lookup per token: the gap tag first, then the word list."""
+    word_ids = {w: vocab.word_start + i for i, w in enumerate(vocab.words)}
+
+    def token_id(token):
+        return GAP_ID if token == GAP_TOKEN else word_ids.get(token)
+
+    oov_forms = []
+    for token in [t for s in example.context for t in s] + example.question + example.candidates:
+        if token_id(token) is None and token not in oov_forms:
+            oov_forms.append(token)
+    if len(oov_forms) > vocab.anon_count:
+        raise AnonymousSlotsExhausted(f"{len(oov_forms)} forms")
+    slots = random.Random(rng_seed).sample(range(vocab.anon_count), len(oov_forms))
+    oov_map = {form: ANON_START + slot for form, slot in zip(oov_forms, slots)}
+
+    def encode(token):
+        known = token_id(token)
+        return known if known is not None else oov_map[token]
+
+    return EncodedExample(
+        context_ids=[encode(t) for s in example.context for t in s],
+        question_ids=[encode(t) for t in example.question],
+        answer_id=encode(example.answer),
+        candidate_ids=[encode(t) for t in example.candidates],
+        oov_map=oov_map,
+        source=example.source,
+    )
+
+
+# Two-letter forms, copied on each draw, so equal tokens are distinct objects.
+FORM = st.sampled_from(["ab", "cd", "ef", "gh", "ij", "kl", GAP_TOKEN]).map(lambda f: f[:1] + f[1:])
+
+
+@st.composite
+def cloze_examples(draw):
+    tokens = st.lists(FORM, min_size=1, max_size=6)
+    candidates = draw(st.lists(FORM, min_size=1, max_size=4, unique=True))
+    return make_example(
+        context=draw(st.lists(tokens, min_size=1, max_size=3)),
+        question=draw(tokens),
+        answer=draw(st.sampled_from(candidates)),
+        candidates=candidates,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    examples=st.lists(cloze_examples(), min_size=1, max_size=4),
+    cap=st.sampled_from([0, 1, 5, 200_000]),
+    anon_count=st.integers(min_value=0, max_value=8),
+    gap_at=st.none() | st.integers(min_value=0, max_value=6),
+    rng_seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_encoding_matches_a_per_token_reference(examples, cap, anon_count, gap_at, rng_seed):
+    words = build_vocab(examples, cap=cap).words
+    assert words == reference_words(examples, cap)
+    if gap_at is not None:
+        words.insert(gap_at, GAP_TOKEN)
+    vocab = Vocabulary(words=words, cap=cap, anon_count=anon_count)
+    expected = []
+    for index, example in enumerate(examples):
+        seed = derive_seed(rng_seed, "anon", index)
+        try:
+            expected.append(reference_encode(example, vocab, seed))
+        except AnonymousSlotsExhausted:
+            with pytest.raises(AnonymousSlotsExhausted):
+                encode_example(example, vocab, seed)
+            with pytest.raises(AnonymousSlotsExhausted):
+                encode_dataset(examples, vocab, rng_seed)
+            return
+        assert encode_example(example, vocab, seed) == expected[-1]
+    assert encode_dataset(examples, vocab, rng_seed) == expected
 
 
 # -------------------------------------------------------------------- file
