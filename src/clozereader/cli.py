@@ -532,7 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="study file path")
+    p.add_argument(
+        "--out", required=True,
+        help="study file path: for human review, not a question file, since its "
+             "answer field is blank; the answers go to OUT.key",
+    )
     p.add_argument("--tsv", default=None)
     p.set_defaults(func=cmd_export_errors)
 

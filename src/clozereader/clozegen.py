@@ -8,13 +8,25 @@ forms drawn from the context make up the candidate set.
 
 All sampling is seeded per (seed, book, sentence), so regeneration is
 reproducible file-for-file.
+
+Each book is indexed once: the offset of each sentence in the book's flat
+token stream, the ascending flat positions of every form, and each
+sentence's target-type forms.  A question token's most recent context
+occurrence is then one bisection, and the distractor pool is the set of
+the window's target-type forms, taken from those per-sentence lists.  An
+example's context is a slice of the book's sentence list, so its sentence
+lists are shared with the book and with overlapping examples, and nothing
+may mutate them.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from . import ClozereaderError
 from .corpus import TokenizedBook
@@ -37,7 +49,11 @@ class SplitError(ClozereaderError):
 @dataclass
 class ClozeExample:
     """One cloze question: context sentences, gapped question, answer,
-    and a candidate list that contains the answer."""
+    and a candidate list that contains the answer.
+
+    A generated example's context sentence lists are its book's own and
+    are shared with every example whose window overlaps, so copy a
+    sentence before changing it.  The question is the example's own."""
 
     context: list[list[str]]
     question: list[str]
@@ -87,24 +103,19 @@ class GenerationReport:
 
 
 def select_candidates(
-    context: list[list[str]],
     answer: str,
-    target_type: WordType,
-    labels: list[list[WordType]],
+    pool: Iterable[str],
     rng_seed: int,
 ) -> list[str] | None:
-    """Answer plus nine distinct same-type distractor forms from the
-    context, in a seeded shuffled order.  Returns None when the context
-    offers fewer than nine distractor forms."""
-    pool = set()
-    for sentence, sentence_labels in zip(context, labels):
-        for token, label in zip(sentence, sentence_labels):
-            if label is target_type and token != answer:
-                pool.add(token)
-    if len(pool) < N_CANDIDATES - 1:
+    """Answer plus nine distinct distractor forms drawn from the pool (the
+    same-type forms the context offers; the answer itself is left out), in
+    a seeded shuffled order.  Returns None when the pool offers fewer than
+    nine distractor forms."""
+    distractors = sorted(form for form in pool if form != answer)
+    if len(distractors) < N_CANDIDATES - 1:
         return None
     rng = random.Random(rng_seed)
-    candidates = [answer] + rng.sample(sorted(pool), N_CANDIDATES - 1)
+    candidates = [answer] + rng.sample(distractors, N_CANDIDATES - 1)
     rng.shuffle(candidates)
     return candidates
 
@@ -127,30 +138,39 @@ def generate_from_book(
             f"book {book.book_id!r}: {len(labels)} label rows for "
             f"{len(book.sentences)} sentences"
         )
+    sentences = book.sentences
     examples: list[ClozeExample] = []
     report = GenerationReport()
 
-    for i in range(window, len(book.sentences), stride):
+    # The book's index: where each sentence starts in the flat token
+    # stream, every form's flat positions in ascending order, and each
+    # sentence's target-type forms.
+    starts = list(accumulate(map(len, sentences), initial=0))
+    positions: dict[str, list[int]] = {}
+    for offset, token in enumerate(chain.from_iterable(sentences)):
+        positions.setdefault(token, []).append(offset)
+    typed = [
+        [token for token, label in zip(sentence, sentence_labels) if label is target_type]
+        for sentence, sentence_labels in zip(sentences, labels)
+    ]
+
+    for i in range(window, len(sentences), stride):
         report.examined += 1
-        context = book.sentences[i - window:i]
-        context_labels = labels[i - window:i]
-        question_sentence = book.sentences[i]
-        question_labels = labels[i]
+        first = i - window
 
-        # Most recent context occurrence of each surface form, as a flat
-        # position; lower means farther back in the window.
-        last_seen: dict[str, int] = {}
-        flat_pos = 0
-        for sentence in context:
-            for token in sentence:
-                last_seen[token] = flat_pos
-                flat_pos += 1
-
+        # The gap goes where the answer's most recent context occurrence is
+        # farthest back; ties go to the earlier question token.
+        window_start, question_start = starts[first], starts[i]
+        question_sentence = sentences[i]
         best: tuple[int, int] | None = None
-        for j, (token, label) in enumerate(zip(question_sentence, question_labels)):
-            if label is not target_type or token not in last_seen:
+        for j, (token, label) in enumerate(zip(question_sentence, labels[i])):
+            if label is not target_type:
                 continue
-            key = (last_seen[token], j)
+            seen = positions[token]
+            k = bisect_left(seen, question_start) - 1
+            if k < 0 or seen[k] < window_start:
+                continue
+            key = (seen[k], j)
             if best is None or key < best:
                 best = key
         if best is None:
@@ -163,25 +183,22 @@ def generate_from_book(
         question[gap_index] = GAP_TOKEN
 
         candidates = select_candidates(
-            context,
             answer,
-            target_type,
-            context_labels,
+            set(chain.from_iterable(typed[first:i])),
             derive_seed(rng_seed, "candidates", book.book_id, i),
         )
         if candidates is None:
             report.skipped_small_pool += 1
             continue
 
-        example = ClozeExample(
-            context=[list(s) for s in context],
+        examples.append(ClozeExample(
+            context=sentences[first:i],
             question=question,
             answer=answer,
             candidates=candidates,
             word_type=target_type,
             source=(book.book_id, i),
-        )
-        examples.append(example)
+        ))
         report.emitted += 1
 
     return examples, report

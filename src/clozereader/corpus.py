@@ -202,10 +202,20 @@ def _split_chunk(chunk: str) -> list[str]:
 
 def tokenize_book(raw: RawBook) -> TokenizedBook:
     """Sentence-split and tokenize a stripped book.  Sentences that produce
-    no tokens are dropped, so every kept sentence has at least one token."""
+    no tokens are dropped, so every kept sentence has at least one token.
+
+    A book repeats most of its whitespace chunks, so each distinct chunk
+    is tokenized once; ``tokenize`` works chunk by chunk, so the result is
+    the same as tokenizing every sentence whole."""
+    chunk_tokens: dict[str, list[str]] = {}
     sentences = []
     for sentence in split_sentences(raw.text):
-        toks = tokenize(sentence)
+        toks: list[str] = []
+        for chunk in sentence.split():
+            parts = chunk_tokens.get(chunk)
+            if parts is None:
+                parts = chunk_tokens[chunk] = tokenize(chunk)
+            toks.extend(parts)
         if toks:
             sentences.append(toks)
     return TokenizedBook(book_id=raw.book_id, title=raw.title, sentences=sentences)

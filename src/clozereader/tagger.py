@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import ClozereaderError
@@ -87,25 +88,20 @@ def tag_book(book: TokenizedBook, config: TaggerConfig) -> list[list[WordType]]:
     if not config.noun_lexicon:
         raise ValueError("noun lexicon must not be empty")
     evidence = _midsentence_evidence(book)
-    labels: list[list[WordType]] = []
-    for sentence in book.sentences:
-        row = []
-        for token in sentence:
-            lowered = token.lower()
-            if lowered in config.stopwords:
-                row.append(WordType.OTHER)
-            elif (
-                _capitalized(token)
-                and token not in config.honorifics
-                and token in evidence
-            ):
-                row.append(WordType.NAMED_ENTITY)
-            elif token.islower() and token in config.noun_lexicon:
-                row.append(WordType.COMMON_NOUN)
-            else:
-                row.append(WordType.OTHER)
-        labels.append(row)
-    return labels
+
+    def label(token: str) -> WordType:
+        if token.lower() in config.stopwords:
+            return WordType.OTHER
+        if _capitalized(token) and token not in config.honorifics and token in evidence:
+            return WordType.NAMED_ENTITY
+        if token.islower() and token in config.noun_lexicon:
+            return WordType.COMMON_NOUN
+        return WordType.OTHER
+
+    # A label depends only on the form and the book's evidence, so each
+    # distinct form is labeled once.
+    label_of = {token: label(token) for token in set(chain.from_iterable(book.sentences))}
+    return [list(map(label_of.__getitem__, sentence)) for sentence in book.sentences]
 
 
 def read_pretagged(path: str | Path, book: TokenizedBook) -> list[list[WordType]]:

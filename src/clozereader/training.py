@@ -108,19 +108,16 @@ class EarlyStopper:
             raise ValueError("patience must be positive")
         self.patience = patience
         self.best_value: float | None = None
-        self.best_index: int = -1
         self.last_value: float | None = None
         self._count = 0
         self._seen = 0
 
     def update(self, value: float) -> bool:
         """Record one evaluation; return True when training should stop."""
-        index = self._seen
         self._seen += 1
         self.last_value = value
         if self.best_value is None or value > self.best_value:
             self.best_value = value
-            self.best_index = index
             self._count = 0
             return False
         self._count += 1

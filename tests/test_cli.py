@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -458,6 +459,64 @@ def test_generate_is_deterministic_per_seed(fixture_library, tmp_path, capsys):
     capsys.readouterr()
     assert datasets[0] == datasets[1]
     assert datasets[0] != datasets[2]
+
+
+# SHA-256 of every file `generate` writes for a fixed library and seed.  A
+# change to tokenizing, tagging, generation or writing that alters a single
+# byte of a split file or of the report shows here.
+GENERATE_DIGESTS = {
+    ("ne", "1"): {
+        "ne_train.txt": "ba5a919fdf7fa04a704012c4551b22e3cf472c51730c04b443df2679895b3a1b",
+        "ne_valid.txt": "2940a0104acbc7f88432a85eb3c8acf4ca70cc1235b80120ad89b8f946921989",
+        "ne_test.txt": "2777fb43b0055910552b748eccf55450385687b9af959161b91dd197bb600155",
+        "report.tsv": "5df9017d4fe3802bde21450c1c3ddcc6d5531b95c2737a8174b9c7295a2145ab",
+    },
+    ("ne", "3"): {
+        "ne_train.txt": "10087a930d732de1a0b155017d9dc7b0e39755caaccc471f86f25b27bdda9506",
+        "ne_valid.txt": "5a8369eceba551c39518695fdcb4b9e45c2fb4f5a26dace94ac64453ccba23a5",
+        "ne_test.txt": "a8bf29584060b269aef537432d189461e330bd5138a31539f5c91d99dada1390",
+        "report.tsv": "39544f283a92e88e404fa3d0713a752bca697e9452b752886d4e599e9386eb68",
+    },
+    ("cn", "1"): {
+        "cn_train.txt": "83ef382a22e2b98370bc2ce4c21ece8e33d0ec87e28f27f42a390b28091796da",
+        "cn_valid.txt": "5c421a421f8a22ff4e5f558df1cf4ef8331538ff55561843faa1f4f98413be4b",
+        "cn_test.txt": "553cb077215df4a46e7a4632988cb1616541d3eda4ba57faa213bae2de1a0766",
+        "report.tsv": "e56111f4f5f6c0d2f185f51684233931969aeab37f95cb660002dfb7641eaed7",
+    },
+    ("cn", "3"): {
+        "cn_train.txt": "404297ea5448625b13ec182b8b6a9af649f404eae8e4884652f927e376880dcb",
+        "cn_valid.txt": "3515e4af2fa0653aa9d0845e82f764cb2f6cbf0031152d6b460e51f1a1416e2b",
+        "cn_test.txt": "42c139e6ba7c157c078f347ceb824cbf93fe0f75c87e2bebcba3691830134211",
+        "report.tsv": "d51934132ef78d2c71fc62e49afeb6db5671fa5fd561ff8c7a398c4af2bebf88",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def golden_library(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    write_fixture_library(root / "books", n_books=5, rng_seed=11, n_paragraphs=12)
+    return root
+
+
+@pytest.mark.parametrize("word_type,stride", sorted(GENERATE_DIGESTS))
+def test_generate_output_is_byte_identical_to_golden_digests(
+        golden_library, monkeypatch, capsys, word_type, stride):
+    # Relative paths keep the report's file rows independent of the temp dir.
+    monkeypatch.chdir(golden_library)
+    out = f"{word_type}-s{stride}"
+    rc = main([
+        "generate", "--books", "books", "--type", word_type, "--out", out,
+        "--seed", "4", "--stride", stride, "--splits", "0.6,0.2,0.2",
+        "--tsv", f"{out}/report.tsv",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in Path(out).iterdir()
+    }
+    assert digests == GENERATE_DIGESTS[word_type, stride]
 
 
 def test_generate_blocklist_drops_editions(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Question generation, candidate selection, splits, stats."""
 
+import random
+
 import pytest
 
 from clozereader.clozegen import (
+    DEFAULT_WINDOW,
     GAP_TOKEN,
+    N_CANDIDATES,
     ClozeExample,
     ExampleInvariantError,
+    GenerationReport,
     SplitError,
     SplitSpec,
     compute_stats,
@@ -16,6 +21,7 @@ from clozereader.clozegen import (
     split_books,
 )
 from clozereader.corpus import TokenizedBook
+from clozereader.seeding import derive_seed
 from clozereader.tagger import WordType
 
 NE = WordType.NAMED_ENTITY
@@ -64,45 +70,32 @@ def test_validate_rejects_violations(overrides, message):
 # -------------------------------------------------------------- candidates
 
 
-def big_context():
-    nouns = ["crow", "door", "tree", "rock", "bird", "fish", "rope",
-             "sand", "moss", "grass"]
-    context = [["lamp"] + nouns[:5], nouns[5:] + ["lamp"]]
-    labels = [[CN] * len(s) for s in context]
-    return context, labels
+POOL = {"lamp", "crow", "door", "tree", "rock", "bird", "fish", "rope",
+        "sand", "moss", "grass"}
 
 
 def test_select_candidates_contains_answer_and_ten_forms():
-    context, labels = big_context()
-    candidates = select_candidates(context, "lamp", CN, labels, rng_seed=5)
+    candidates = select_candidates("lamp", POOL, rng_seed=5)
     assert candidates is not None
     assert len(candidates) == 10
     assert len(set(candidates)) == 10
     assert "lamp" in candidates
-
-
-def test_select_candidates_draws_only_matching_type():
-    context, labels = big_context()
-    labels[0][1] = NE  # "crow" is no longer a common noun
-    seen = set()
-    for seed in range(30):
-        candidates = select_candidates(context, "lamp", CN, labels, seed)
-        assert candidates is not None
-        seen.update(candidates)
-    assert "crow" not in seen
+    assert set(candidates) <= POOL
 
 
 def test_select_candidates_small_pool_returns_none():
-    context = [["lamp", "crow"], ["door", "lamp"]]
-    labels = [[CN, CN], [CN, CN]]
-    assert select_candidates(context, "lamp", CN, labels, 0) is None
+    # The answer itself is no distractor: this pool offers only eight.
+    pool = {"lamp", "crow", "door", "tree", "rock", "bird", "fish", "rope", "sand"}
+    assert select_candidates("lamp", pool, 0) is None
+    assert select_candidates("lamp", pool | {"moss"}, 0) is not None
 
 
 def test_select_candidates_is_seeded():
-    context, labels = big_context()
-    first = select_candidates(context, "lamp", CN, labels, rng_seed=9)
-    second = select_candidates(context, "lamp", CN, labels, rng_seed=9)
+    first = select_candidates("lamp", POOL, rng_seed=9)
+    # The pool's order does not matter, only its forms.
+    second = select_candidates("lamp", sorted(POOL, reverse=True), rng_seed=9)
     assert first == second
+    assert any(select_candidates("lamp", POOL, seed) != first for seed in range(5))
 
 
 # -------------------------------------------------------------- generation
@@ -135,6 +128,20 @@ def test_generate_emits_valid_example():
     assert example.question == ["the", GAP_TOKEN, "fell", "."]
     assert example.source == ("b", 2)
     assert example.word_type is CN
+
+
+def test_generate_draws_only_matching_type():
+    book, labels = pointing_book()
+    seen = {True: set(), False: set()}
+    for crow_is_noun in (True, False):
+        relabeled = [row[:] for row in labels]
+        relabeled[0][1] = CN if crow_is_noun else NE
+        for seed in range(30):
+            (example,), _ = generate_from_book(book, relabeled, CN, window=2,
+                                               rng_seed=seed)
+            seen[crow_is_noun].update(example.candidates)
+    assert "crow" in seen[True]
+    assert "crow" not in seen[False]
 
 
 def test_generate_prefers_least_recent_context_occurrence():
@@ -202,6 +209,20 @@ def test_generate_is_deterministic():
     assert [e.candidates for e in first] == [e.candidates for e in second]
 
 
+def test_generate_shares_context_sentences_and_owns_question():
+    # Contexts are slices of the book's sentence list, not copies: every
+    # example whose window overlaps holds the same sentence lists.
+    base, base_labels = pointing_book()
+    sentences = base.sentences[:2] + [list(base.sentences[0]), base.sentences[2]]
+    labels = base_labels[:2] + [[CN] * 6, base_labels[2]]
+    book = TokenizedBook(book_id="b", title="T", sentences=sentences)
+    first, second = generate_from_book(book, labels, CN, window=2)[0]
+    assert first.context[1] is book.sentences[1]
+    assert second.context[0] is first.context[1]
+    assert first.question is not book.sentences[2]
+    assert GAP_TOKEN not in book.sentences[2]
+
+
 def test_generate_rejects_misaligned_labels():
     book, labels = pointing_book()
     with pytest.raises(ValueError, match="label rows"):
@@ -222,6 +243,129 @@ def test_fixture_books_generate_clean_examples(fixture_books):
             example.validate()
         total += len(examples)
     assert total > 0
+
+
+# ------------------------------------------------------ reference generator
+
+
+def reference_generate(book, labels, target_type, window=DEFAULT_WINDOW,
+                       rng_seed=0, stride=1):
+    """The brute-force generator that walks every window twice per
+    question, kept as the oracle for the indexed one."""
+    examples = []
+    report = GenerationReport()
+    for i in range(window, len(book.sentences), stride):
+        report.examined += 1
+        context = book.sentences[i - window:i]
+        context_labels = labels[i - window:i]
+        question_sentence = book.sentences[i]
+        question_labels = labels[i]
+
+        last_seen = {}
+        flat_pos = 0
+        for sentence in context:
+            for token in sentence:
+                last_seen[token] = flat_pos
+                flat_pos += 1
+
+        best = None
+        for j, (token, label) in enumerate(zip(question_sentence, question_labels)):
+            if label is not target_type or token not in last_seen:
+                continue
+            key = (last_seen[token], j)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            report.skipped_no_qualifying += 1
+            continue
+
+        _, gap_index = best
+        answer = question_sentence[gap_index]
+        question = list(question_sentence)
+        question[gap_index] = GAP_TOKEN
+
+        pool = set()
+        for sentence, sentence_labels in zip(context, context_labels):
+            for token, label in zip(sentence, sentence_labels):
+                if label is target_type and token != answer:
+                    pool.add(token)
+        if len(pool) < N_CANDIDATES - 1:
+            report.skipped_small_pool += 1
+            continue
+        rng = random.Random(derive_seed(rng_seed, "candidates", book.book_id, i))
+        candidates = [answer] + rng.sample(sorted(pool), N_CANDIDATES - 1)
+        rng.shuffle(candidates)
+
+        examples.append(ClozeExample(
+            context=[list(s) for s in context],
+            question=question,
+            answer=answer,
+            candidates=candidates,
+            word_type=target_type,
+            source=(book.book_id, i),
+        ))
+        report.emitted += 1
+    return examples, report
+
+
+def assert_matches_reference(book, labels, target_type, window, stride, rng_seed=4):
+    got = generate_from_book(book, labels, target_type, window=window,
+                             rng_seed=rng_seed, stride=stride)
+    want = reference_generate(book, labels, target_type, window=window,
+                              rng_seed=rng_seed, stride=stride)
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("stride_of", [lambda w: 1, lambda w: 3, lambda w: w,
+                                       lambda w: w + 5],
+                         ids=["1", "3", "window", "window+5"])
+@pytest.mark.parametrize("window", [2, DEFAULT_WINDOW])
+@pytest.mark.parametrize("target_type", [NE, CN], ids=["NE", "CN"])
+def test_generate_matches_reference_on_fixture_books(fixture_books, target_type,
+                                                     window, stride_of):
+    from clozereader.tagger import default_config, tag_book
+
+    config = default_config()
+    emitted = 0
+    for book in fixture_books:
+        labels = tag_book(book, config)
+        _, report = assert_matches_reference(book, labels, target_type, window,
+                                             stride_of(window))
+        emitted += report.emitted
+    if window == DEFAULT_WINDOW:
+        assert emitted > 0
+
+
+@pytest.mark.parametrize("n_sentences", [0, 1, DEFAULT_WINDOW, DEFAULT_WINDOW + 1])
+def test_generate_matches_reference_on_short_books(fixture_books, n_sentences):
+    from clozereader.tagger import default_config, tag_book
+
+    book = fixture_books[0]
+    short = TokenizedBook(book_id=book.book_id, title=book.title,
+                          sentences=book.sentences[:n_sentences])
+    labels = tag_book(short, default_config())
+    for stride in (1, 3):
+        _, report = assert_matches_reference(short, labels, NE, DEFAULT_WINDOW, stride)
+        assert report.examined == max(0, n_sentences - DEFAULT_WINDOW)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generate_matches_reference_on_mixed_labels(seed):
+    # Pre-tagged labels may give one form different labels at different
+    # occurrences, so the pool must take a form only from a window
+    # occurrence that carries the target type.
+    rng = random.Random(seed)
+    forms = [f"w{k}" for k in range(24)]
+    sentences = [rng.choices(forms, k=rng.randint(1, 7)) for _ in range(60)]
+    labels = [rng.choices([NE, CN, O], weights=[3, 1, 1], k=len(s)) for s in sentences]
+    book = TokenizedBook(book_id=f"mixed{seed}", title="T", sentences=sentences)
+    emitted = 0
+    for window in (2, 5, 9):
+        for stride in (1, 2, 3, window - 1, window, window + 5):
+            _, report = assert_matches_reference(book, labels, NE, window, stride)
+            emitted += report.emitted
+    assert emitted > 0
 
 
 # ------------------------------------------------------------------ splits

@@ -169,6 +169,40 @@ def test_tokenize_book_drops_empty_sentences():
     assert all(book.sentences)
 
 
+BOOK_TEXT = (
+    '"Well--I don\'t know..." said Mr. Grey to J. R. Hale. (It\'s late.) '
+    "Hale's dog—a grey one—wasn't there... 'Come,' Dr. Oak said; "
+    '"we\'ll go." It\'s late -- it\'s late!\n\n'
+    "Mr. Grey didn't wait... He'd gone, and Hale's lamp (the grey one) "
+    "burned on. [J. Oak's note:] Don't!"
+)
+
+
+def test_tokenize_book_matches_per_sentence_tokenize():
+    book = tokenize_book(RawBook(book_id="b", title="T", text=BOOK_TEXT))
+    expected = [tokens for tokens in map(tokenize, split_sentences(BOOK_TEXT)) if tokens]
+    assert len(expected) >= 6
+    assert book.sentences == expected
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["Mira", "don't", "Mr.", "...", "(well)", '"Stop!"', "it's", "J.",
+             "well--known", "end.", "Go!", "\n\n", "--", "'Hale's'"]
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_tokenize_book_matches_per_sentence_tokenize_on_any_text(chunks):
+    text = " ".join(chunks)
+    book = tokenize_book(RawBook(book_id="b", title="T", text=text))
+    assert book.sentences == [
+        tokens for tokens in map(tokenize, split_sentences(text)) if tokens
+    ]
+
+
 # ---------------------------------------------------------------- ingestion
 
 

@@ -115,10 +115,14 @@ def test_make_batches_empty_input():
 
 def test_early_stopper_reference_sequence():
     stopper = EarlyStopper(patience=2)
-    outcomes = [stopper.update(v) for v in (0.5, 0.6, 0.55, 0.58)]
+    outcomes, improved = [], []
+    for value in (0.5, 0.6, 0.55, 0.58):
+        outcomes.append(stopper.update(value))
+        improved.append(stopper.improved)
     assert outcomes == [False, False, False, True]
+    # The best value came from the second evaluation and nothing after it.
+    assert improved == [True, True, False, False]
     assert stopper.best_value == 0.6
-    assert stopper.best_index == 1
 
 
 def test_early_stopper_patience_one_stops_on_first_flat_eval():
