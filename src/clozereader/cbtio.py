@@ -6,6 +6,12 @@ question, a tab, the answer, two tabs, and the ``|``-separated candidate
 list, and a blank line closes the example.  Files are UTF-8 with LF line
 endings.  Reading tolerates trailing whitespace on a line; writing never
 produces any.
+
+Generated files repeat each context sentence in many consecutive
+examples, so the reader splits a context line only when the previous
+example did not hold the same text.  Examples read from one file
+therefore share equal context sentences (one list object), as generated
+examples do; copy a sentence before changing it.
 """
 
 from __future__ import annotations
@@ -56,12 +62,14 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
 
 def read_examples(path: str | Path, word_type: WordType | None = None) -> list[ClozeExample]:
     """Parse a question file, raising on the first violation.  Equal
-    tokens within the file share one string object."""
+    tokens within the file share one string object, and a context line
+    equal to one of the previous example's shares its token list."""
     path = Path(path)
     forms: dict[str, str] = {}
+    sentences: dict[str, list[str]] = {}
     examples = []
     for ordinal, block in enumerate(_blocks(path)):
-        example = _parse_block(block, path, ordinal, forms)
+        example, sentences = _parse_block(block, path, ordinal, forms, sentences)
         example.word_type = word_type
         examples.append(example)
     return examples
@@ -72,10 +80,11 @@ def validate_file(path: str | Path) -> list[str]:
     first.  An empty list means the file is clean."""
     path = Path(path)
     forms: dict[str, str] = {}
+    sentences: dict[str, list[str]] = {}
     violations: list[str] = []
     for ordinal, block in enumerate(_blocks(path)):
         try:
-            _parse_block(block, path, ordinal, forms)
+            _, sentences = _parse_block(block, path, ordinal, forms, sentences)
         except CbtFormatError as exc:
             violations.append(str(exc))
     return violations
@@ -84,14 +93,14 @@ def validate_file(path: str | Path) -> list[str]:
 def _blocks(path: Path):
     """Yield each run of non-blank lines as (number of its first line,
     lines), trailing whitespace removed."""
-    lines: list[str] = []
-    for lineno, raw in enumerate(path.read_text("utf-8").splitlines() + [""], start=1):
-        line = raw.rstrip()
-        if line:
-            lines.append(line)
-        elif lines:
-            yield lineno - len(lines), lines
-            lines = []
+    lines = [line.rstrip() for line in path.read_text("utf-8").splitlines()]
+    lines.append("")
+    start = 0
+    while start < len(lines):
+        end = lines.index("", start)  # the blank line that closes this run
+        if end > start:
+            yield start + 1, lines[start:end]
+        start = end + 1
 
 
 def _error(path: Path, lineno: int, message: str) -> CbtFormatError:
@@ -102,10 +111,14 @@ _LINE_NUMBERS = [str(n) for n in range(1, N_CONTEXT_LINES + 2)]
 
 
 def _parse_block(
-    block: tuple[int, list[str]], path: Path, ordinal: int, forms: dict[str, str]
-) -> ClozeExample:
+    block: tuple[int, list[str]], path: Path, ordinal: int, forms: dict[str, str],
+    sentences: dict[str, list[str]],
+) -> tuple[ClozeExample, dict[str, list[str]]]:
     """One example from one block, or CbtFormatError at its first violation.
-    Each token passes through ``forms``, so equal tokens share one string."""
+    Each token passes through ``forms``, so equal tokens share one string.
+    ``sentences`` maps the previous example's context line texts to their
+    token lists, and a repeated text reuses that list; the example is
+    returned with the same map of its own lines."""
     first, lines = block
     if len(lines) != N_CONTEXT_LINES + 1:
         raise _error(
@@ -113,17 +126,23 @@ def _parse_block(
             f"example has {len(lines)} lines, expected {N_CONTEXT_LINES + 1}",
         )
     share = forms.setdefault
+    previous = sentences.get
 
+    own: dict[str, list[str]] = {}
     context: list[list[str]] = []
     for lineno, expected, line in zip(range(first, first + N_CONTEXT_LINES),
                                       _LINE_NUMBERS, lines):
         number, _, rest = line.partition(" ")
         if number != expected:
             raise _error(path, lineno, f"expected line number {expected}, got {number!r}")
-        tokens = rest.split()
-        if not tokens:
-            raise _error(path, lineno, "empty context sentence")
-        context.append(list(map(share, tokens, tokens)))
+        tokens = previous(rest)
+        if tokens is None:
+            tokens = rest.split()
+            if not tokens:
+                raise _error(path, lineno, "empty context sentence")
+            tokens = list(map(share, tokens, tokens))
+        own[rest] = tokens
+        context.append(tokens)
 
     lineno, line = first + N_CONTEXT_LINES, lines[N_CONTEXT_LINES]
     number, _, rest = line.partition(" ")
@@ -158,4 +177,4 @@ def _parse_block(
         candidates=list(map(share, candidates, candidates)),
         word_type=None,
         source=(path.stem, ordinal),
-    )
+    ), own

@@ -52,8 +52,10 @@ class ClozeExample:
     and a candidate list that contains the answer.
 
     A generated example's context sentence lists are its book's own and
-    are shared with every example whose window overlaps, so copy a
-    sentence before changing it.  The question is the example's own."""
+    are shared with every example whose window overlaps; examples read
+    from one question file share equal context sentences the same way.
+    So copy a sentence before changing it.  The question is the
+    example's own."""
 
     context: list[list[str]]
     question: list[str]

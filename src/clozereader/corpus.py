@@ -12,8 +12,8 @@ here, because downstream question generation depends on them being stable:
 * Tokens are whitespace chunks with punctuation peeled off both ends,
   double-dash and em-dash separated, and English contractions split
   (``don't`` -> ``do`` + ``n't``, ``John's`` -> ``John`` + ``'s``).
-  Abbreviations keep their period.  A chunk that is all punctuation is a
-  single token.
+  Abbreviations and initials keep their period, also after an opening
+  quote or bracket.  A chunk that is all punctuation is a single token.
 
 Both passes are lossless modulo whitespace: joining the output with single
 spaces and re-splitting reproduces the same token stream.
@@ -81,7 +81,7 @@ _TERMINATOR_RUN = re.compile(r"[.!?]+[)\]\"'”’]*")
 _WORD_BEFORE = re.compile(r"[A-Za-z]+$")
 _DASH_SPLIT = re.compile(r"(--+|—|–)")
 
-_LEAD_PUNCT = set("\"'`([{“‘«")
+_LEAD_PUNCT = "\"'`([{“‘«"  # one character is tested at a time
 _TRAIL_PUNCT = set(".,!?;:\"')]}”’»")
 _ALL_PUNCT = re.compile(r"[^\w]+$")
 
@@ -185,12 +185,11 @@ def _split_chunk(chunk: str) -> list[str]:
     if chunk.endswith("...") and chunk != "...":
         return _split_chunk(chunk[:-3]) + ["..."]
     last = chunk[-1]
+    if last == "." and _keeps_period(chunk.lstrip(_LEAD_PUNCT)):
+        if chunk[0] in _LEAD_PUNCT:  # '"Mr.' -> '"', 'Mr.'
+            return [chunk[0]] + _split_chunk(chunk[1:])
+        return [chunk]
     if last in _TRAIL_PUNCT:
-        if last == ".":
-            core = chunk.rstrip(".")
-            if chunk in DEFAULT_ABBREVIATIONS or (
-                    len(core) == 1 and core.isupper() and chunk == core + "."):
-                return [chunk]
         return _split_chunk(chunk[:-1]) + [last]
     if chunk[0] in _LEAD_PUNCT:
         return [chunk[0]] + _split_chunk(chunk[1:])
@@ -198,6 +197,12 @@ def _split_chunk(chunk: str) -> list[str]:
     if m is not None and m.start() > 0:
         return [chunk[: m.start()], chunk[m.start():]]
     return [chunk]
+
+
+def _keeps_period(chunk: str) -> bool:
+    """A known abbreviation or a single capital initial, period included."""
+    return chunk in DEFAULT_ABBREVIATIONS or (
+        len(chunk) == 2 and chunk[0].isupper() and chunk[1] == ".")
 
 
 def tokenize_book(raw: RawBook) -> TokenizedBook:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import ClozereaderError
 from .cbtio import read_examples
@@ -90,17 +91,30 @@ def build_vocab(
     """Count tokens over training examples (file paths or example objects)
     and keep the ``cap`` most frequent, ties broken lexicographically."""
     counts: Counter[str] = Counter()
+    examples: list[ClozeExample] = []
     for source in sources:
         if isinstance(source, (str, Path)):
-            examples: Iterable[ClozeExample] = read_examples(source)
+            _count_tokens(read_examples(source), counts)
         else:
-            examples = [source]
-        for ex in examples:
-            counts.update(chain(chain.from_iterable(ex.context), ex.question))
+            examples.append(source)
+    _count_tokens(examples, counts)
     counts.pop(GAP_TOKEN, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     words = [w for w, _ in ranked[:cap]]
     return Vocabulary(words=words, cap=cap, anon_count=anon_count)
+
+
+def _count_tokens(examples: list[ClozeExample], counts: Counter[str]) -> None:
+    """Add every context and question token of ``examples`` to ``counts``.
+    A sentence list shared by several examples is counted once, weighted
+    by the number of places that hold it."""
+    sentences = list(chain.from_iterable(ex.context for ex in examples))
+    keys = list(map(id, sentences))  # unique: ``sentences`` keeps every list alive
+    distinct = dict(zip(keys, sentences))
+    for key, weight in Counter(keys).items():
+        for form in distinct[key]:
+            counts[form] += weight
+    counts.update(chain.from_iterable(ex.question for ex in examples))
 
 
 @dataclass
@@ -122,11 +136,25 @@ def encode_example(
 ) -> EncodedExample:
     """Encode one example; every distinct out-of-vocabulary form gets its
     own seeded anonymous slot, consistent within the example."""
-    forms = list(chain(chain.from_iterable(example.context), example.question,
-                       example.candidates, (example.answer,)))
-    ids = list(map(vocabulary._lookup.get, forms))
+    context_ids = map(vocabulary._lookup.get, chain.from_iterable(example.context))
+    return _encode(example, context_ids, vocabulary, lambda: rng_seed)
+
+
+def _encode(
+    example: ClozeExample,
+    context_ids: Iterable[int | None],
+    vocabulary: Vocabulary,
+    rng_seed: Callable[[], int],
+) -> EncodedExample:
+    """``context_ids`` are the flattened context's ids, None where a form
+    is unknown; ``rng_seed`` is called only when some form is unknown."""
+    lookup = vocabulary._lookup.get
+    ids = list(chain(context_ids, map(lookup, example.question),
+                     map(lookup, example.candidates), (lookup(example.answer),)))
     oov_map: dict[str, int] = {}
-    if None in ids:
+    if not all(ids):  # known ids are at least GAP_ID, so only None is false
+        forms = list(chain(chain.from_iterable(example.context), example.question,
+                           example.candidates, (example.answer,)))
         unknown = [p for p, i in enumerate(ids) if i is None]
         oov_forms = list(dict.fromkeys([forms[p] for p in unknown]))
         if len(oov_forms) > vocabulary.anon_count:
@@ -134,7 +162,7 @@ def encode_example(
                 f"{len(oov_forms)} unknown forms exceed {vocabulary.anon_count} "
                 f"anonymous slots (source {example.source})"
             )
-        slots = random.Random(rng_seed).sample(range(vocabulary.anon_count), len(oov_forms))
+        slots = random.Random(rng_seed()).sample(range(vocabulary.anon_count), len(oov_forms))
         oov_map = {form: ANON_START + slot for form, slot in zip(oov_forms, slots)}
         for p in unknown:
             ids[p] = oov_map[forms[p]]
@@ -157,11 +185,24 @@ def encode_dataset(
     rng_seed: int,
 ) -> list[EncodedExample]:
     """Encode a whole dataset, deriving one anonymous-slot seed per
-    example from its position."""
-    return [
-        encode_example(example, vocabulary, derive_seed(rng_seed, "anon", index))
-        for index, example in enumerate(examples)
-    ]
+    example from its position.  Overlapping examples share sentence lists,
+    so each list is looked up once while it stays in a small cache."""
+    lookup = vocabulary._lookup.get
+    encoded = []
+    # id(sentence) -> its ids; unique, as ``examples`` keeps every sentence alive
+    cache: dict[int, list[int | None]] = {}
+    for index, example in enumerate(examples):
+        rows = []
+        for sentence in example.context:
+            row = cache.get(id(sentence))
+            if row is None:
+                row = cache[id(sentence)] = list(map(lookup, sentence))
+            rows.append(row)
+        if len(cache) > 2 * len(rows):
+            cache = dict(zip(map(id, example.context), rows))
+        encoded.append(_encode(example, chain.from_iterable(rows), vocabulary,
+                               partial(derive_seed, rng_seed, "anon", index)))
+    return encoded
 
 
 def decode_example(

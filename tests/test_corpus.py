@@ -127,6 +127,12 @@ def test_newline_inside_paragraph_is_plain_whitespace():
         ("?!", ["?!"]),
         ("I'll go; you'd stay", ["I", "'ll", "go", ";", "you", "'d", "stay"]),
         ("o'clock", ["o'clock"]),
+        # An abbreviation or initial after an opening quote or bracket
+        # keeps its period.
+        ('"Mr. Grey came.', ['"', "Mr.", "Grey", "came", "."]),
+        ("(J. Hale)", ["(", "J.", "Hale", ")"]),
+        ("[Dr. Who]", ["[", "Dr.", "Who", "]"]),
+        ('"Mrs. Dale said."', ['"', "Mrs.", "Dale", "said", ".", '"']),
     ],
 )
 def test_tokenize_cases(sentence, expected):
@@ -137,7 +143,7 @@ def test_tokenize_cases(sentence, expected):
     st.lists(
         st.sampled_from(
             ["Mira", "don't", "Mr.", "...", "(well)", '"Stop!"', "it's",
-             "well--known", "x", "St.", "o'clock", "end."]
+             "well--known", "x", "St.", "o'clock", "end.", '"Mr.', "(J."]
         ),
         min_size=1,
         max_size=12,
@@ -152,7 +158,7 @@ def test_tokenize_is_lossless_modulo_whitespace(chunks):
 @given(
     st.lists(
         st.sampled_from(
-            ["Mira", "don't", "Mr.", "...", "(well)", "it's", "end.", "x"]
+            ["Mira", "don't", "Mr.", "...", "(well)", "it's", "end.", "x", '"Mr.', "(J."]
         ),
         min_size=1,
         max_size=10,

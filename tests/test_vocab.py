@@ -1,11 +1,13 @@
 """Vocabulary construction, anonymous-slot encoding, save/load."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clozereader.cbtio import read_examples
 from clozereader.clozegen import GAP_TOKEN, ClozeExample
 from clozereader.seeding import derive_seed
 from clozereader.vocab import (
@@ -314,6 +316,105 @@ def test_encoding_matches_a_per_token_reference(examples, cap, anon_count, gap_a
             return
         assert encode_example(example, vocab, seed) == expected[-1]
     assert encode_dataset(examples, vocab, rng_seed) == expected
+
+
+# ------------------------------------------- generated splits, shared lists
+
+
+@pytest.fixture(scope="module")
+def generated_splits(tmp_path_factory):
+    """Splits as ``generate`` writes them and ``read_examples`` reads them:
+    overlapping examples share their sentence lists."""
+    from clozereader import cli, synthdata
+
+    books, out = tmp_path_factory.mktemp("books"), tmp_path_factory.mktemp("splits")
+    synthdata.write_fixture_library(books, n_books=6, rng_seed=0, n_paragraphs=20)
+    assert cli.main(["generate", "--books", str(books), "--type", "ne",
+                     "--out", str(out), "--seed", "7", "--splits", "0.6,0.2,0.2"]) == 0
+    return {s: read_examples(out / f"ne_{s}.txt") for s in ("train", "valid", "test")}
+
+
+def unshared(examples):
+    """The same examples with every list a separate object."""
+    return [make_example([list(s) for s in e.context], list(e.question), e.answer,
+                         list(e.candidates)) for e in examples]
+
+
+@pytest.mark.parametrize("cap", [200_000, 40])
+@pytest.mark.parametrize("sharing", ["read", "unshared"])
+def test_generated_splits_match_a_per_token_reference(generated_splits, cap, sharing):
+    splits = generated_splits
+    if sharing == "unshared":
+        splits = {s: unshared(examples) for s, examples in splits.items()}
+    vocab = build_vocab(splits["train"], cap=cap, anon_count=1000)
+    assert vocab.words == reference_words(splits["train"], cap)
+    for split, examples in splits.items():
+        seed = derive_seed(7, split)
+        expected = [reference_encode(example, vocab, derive_seed(seed, "anon", index))
+                    for index, example in enumerate(examples)]
+        assert encode_dataset(examples, vocab, seed) == expected
+    if cap == 40:  # the cap leaves unknown forms in every split
+        assert all(any(e.oov_map for e in encode_dataset(examples, vocab, 0))
+                   for examples in splits.values())
+
+
+def test_generated_splits_share_sentence_lists(generated_splits):
+    examples = generated_splits["train"]
+    lines = sum(len(e.context) for e in examples)
+    assert len({id(s) for e in examples for s in e.context}) < lines / 5
+
+
+def test_exhausted_slots_message_is_unchanged_on_a_generated_split(generated_splits):
+    examples = generated_splits["train"]
+    vocab = Vocabulary(words=build_vocab(examples, cap=40).words, cap=40, anon_count=3)
+
+    def unknown(example):
+        forms = [*(t for s in example.context for t in s), *example.question,
+                 *example.candidates]
+        return {t for t in forms if vocab.token_id(t) is None}
+
+    first = next(e for e in examples if len(unknown(e)) > 3)
+    message = (f"{len(unknown(first))} unknown forms exceed 3 anonymous slots "
+               f"(source {first.source})")
+    with pytest.raises(AnonymousSlotsExhausted, match=f"^{re.escape(message)}$"):
+        encode_dataset(examples, vocab, 7)
+
+
+def test_the_anonymous_seed_is_derived_only_for_examples_with_unknown_forms(
+        generated_splits, monkeypatch):
+    import clozereader.vocab as vocab_module
+
+    examples = generated_splits["valid"]
+    vocab = build_vocab(examples, cap=200_000)
+    derived = []
+
+    def counting(*args):
+        derived.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(vocab_module, "derive_seed", counting)
+    encoded = encode_dataset(examples, vocab, 5)
+    assert not any(e.oov_map for e in encoded)
+    assert derived == []
+    small = Vocabulary(words=vocab.words[:40], cap=40, anon_count=1000)
+    encoded = encode_dataset(examples, small, 5)
+    assert derived == [(5, "anon", i) for i, e in enumerate(encoded) if e.oov_map]
+    assert encoded == [reference_encode(e, small, derive_seed(5, "anon", i))
+                       for i, e in enumerate(examples)]
+
+
+def test_a_list_held_twice_is_counted_and_encoded_twice():
+    shared = ["ab", "cd", "ab"]
+    examples = [
+        make_example([shared, shared], ["ab", GAP_TOKEN], "ab", ["ab", "ef"]),
+        make_example([["ef"]], ["cd", GAP_TOKEN], "ef", ["ab", "ef"]),
+        make_example([shared, ["ef", "cd"]], ["ef", GAP_TOKEN], "cd", ["cd", "ef"]),
+    ]
+    vocab = build_vocab(examples, cap=2, anon_count=4)
+    assert vocab.words == reference_words(examples, 2) == ["ab", "cd"]
+    assert encode_dataset(examples, vocab, 3) == [
+        reference_encode(e, vocab, derive_seed(3, "anon", i)) for i, e in enumerate(examples)
+    ]
 
 
 # -------------------------------------------------------------------- file
