@@ -37,7 +37,15 @@ from .numerics import (
     uniform_init,
 )
 from .seeding import derive_seed
-from .vocab import ANON_START, GAP_ID, PAD_ID, EncodedExample, Vocabulary
+from .vocab import (
+    ANON_START,
+    GAP_ID,
+    PAD_ID,
+    EncodedCorpus,
+    EncodedExample,
+    Vocabulary,
+    as_corpus,
+)
 
 MASK_OFFSET = 1e9  # added as -MASK_OFFSET to scores at excluded positions
 
@@ -64,37 +72,35 @@ class Batch:
     question_lengths: np.ndarray  # (B,)
     answers: np.ndarray          # (B,)
     candidates: np.ndarray       # (B, n_candidates)
-    indices: np.ndarray          # (B,) positions in the source example list
+    indices: np.ndarray          # (B,) positions in the source corpus or list
 
     @classmethod
-    def from_examples(cls, examples: list[EncodedExample], indices=None) -> "Batch":
-        if indices is None:
-            indices = np.arange(len(examples))
-        b = len(examples)
-        t = max(len(ex.context_ids) for ex in examples)
-        q = max(len(ex.question_ids) for ex in examples)
-        context = np.full((b, t), PAD_ID, dtype=np.int64)
-        question = np.full((b, q), PAD_ID, dtype=np.int64)
-        context_lengths = np.zeros(b, dtype=np.int64)
-        question_lengths = np.zeros(b, dtype=np.int64)
-        answers = np.zeros(b, dtype=np.int64)
-        candidates = np.zeros((b, len(examples[0].candidate_ids)), dtype=np.int64)
-        for i, ex in enumerate(examples):
-            context[i, : len(ex.context_ids)] = ex.context_ids
-            question[i, : len(ex.question_ids)] = ex.question_ids
-            context_lengths[i] = len(ex.context_ids)
-            question_lengths[i] = len(ex.question_ids)
-            answers[i] = ex.answer_id
-            candidates[i] = ex.candidate_ids
+    def from_corpus(cls, corpus: EncodedCorpus, indices) -> "Batch":
+        """The examples of ``corpus`` at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        context, context_lengths = corpus.contexts(indices)
+        question, question_lengths = corpus.questions.padded(indices[:, None])
+        candidates, counts = corpus.candidates.padded(indices[:, None])
+        if counts.size and counts.min() != counts.max():
+            raise ValueError(f"examples {indices.tolist()} differ in candidate count")
         return cls(
             context=context,
             context_lengths=context_lengths,
             question=question,
             question_lengths=question_lengths,
-            answers=answers,
+            answers=corpus.answers[indices].astype(np.int64),
             candidates=candidates,
-            indices=np.asarray(indices, dtype=np.int64),
+            indices=indices,
         )
+
+    @classmethod
+    def from_examples(cls, examples: list[EncodedExample], indices=None) -> "Batch":
+        """Every example of the list; ``indices`` label the rows, 0..B-1
+        by default."""
+        batch = cls.from_corpus(as_corpus(examples), np.arange(len(examples)))
+        if indices is not None:
+            batch.indices = np.asarray(indices, dtype=np.int64)
+        return batch
 
     @property
     def size(self) -> int:

@@ -55,7 +55,7 @@ from .training import (
     most_frequent_candidate_accuracy,
     train as run_training,
 )
-from .vocab import DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedExample, build_vocab, encode_dataset
+from .vocab import DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedCorpus, build_vocab, encode_dataset
 
 _WORD_TYPES = {"ne": WordType.NAMED_ENTITY, "cn": WordType.COMMON_NOUN}
 
@@ -298,7 +298,7 @@ def _positional(predictions: list[Prediction]) -> list[Prediction]:
 
 def _predict_with_checkpoint(
     path: str, raw: list[ClozeExample], seed: int
-) -> tuple[list[Prediction], list[EncodedExample]]:
+) -> tuple[list[Prediction], EncodedCorpus]:
     """Positional predictions plus the examples as this model encodes them."""
     model, _ = load_checkpoint(path)
     encoded = encode_dataset(raw, model.vocabulary, derive_seed(seed, "eval"))
@@ -308,7 +308,7 @@ def _predict_with_checkpoint(
 
 def _load_predictions_models(
     args, raw: list[ClozeExample]
-) -> tuple[list[Prediction], list[EncodedExample]]:
+) -> tuple[list[Prediction], EncodedCorpus]:
     """Predictions of the model or the averaged ensemble, plus the
     examples as encoded for the (first) model."""
     if args.model:

@@ -79,6 +79,7 @@ _TITLE_LINE = re.compile(r"^Title:\s*(.+?)\s*$", re.MULTILINE)
 _PARAGRAPH_BREAK = re.compile(r"\n\s*\n")
 _TERMINATOR_RUN = re.compile(r"[.!?]+[)\]\"'”’]*")
 _WORD_BEFORE = re.compile(r"[A-Za-z]+$")
+_NON_SPACE = re.compile(r"\S")
 _DASH_SPLIT = re.compile(r"(--+|—|–)")
 
 _LEAD_PUNCT = "\"'`([{“‘«"  # one character is tested at a time
@@ -139,12 +140,13 @@ def split_sentences(text: str) -> list[str]:
 def _split_paragraph(paragraph: str) -> list[str]:
     bounds = []
     for m in _TERMINATOR_RUN.finditer(paragraph):
-        rest = paragraph[m.end():]
-        if rest and not rest[0].isspace():
-            continue
-        following = rest.lstrip()
-        if following and not (following[0].isupper() or following[0] in _LEAD_PUNCT):
-            continue
+        end = m.end()
+        if end < len(paragraph):
+            if not paragraph[end].isspace():
+                continue
+            following = _NON_SPACE.search(paragraph, end)
+            if following and not (following[0].isupper() or following[0] in _LEAD_PUNCT):
+                continue
         run = m.group()
         if run[0] == "." and "." not in run[1:]:
             before = _WORD_BEFORE.search(paragraph, max(0, m.start() - 40), m.start())

@@ -300,7 +300,22 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def take_rows(a: Tensor, indices) -> Tensor:
     """Row gather (embedding lookup)."""
-    return _select(a, np.asarray(indices))
+    index = np.asarray(indices)
+    if a.data.ndim != 2 or index.ndim != 1:
+        return _select(a, index)
+    data = a.data[index]
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        # numpy's fast ``np.add.at`` path is 1-D only.  Each bin still adds
+        # in index order, so the sums equal one 2-D call's bit for bit.
+        for column in range(g.shape[1]):
+            np.add.at(a.grad[:, column], index, g[:, column])
+
+    return _make(data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -31,7 +31,7 @@ from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grad
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError
 from .seeding import derive_seed
-from .vocab import EncodedExample, Vocabulary, VocabularyError
+from .vocab import EncodedCorpus, EncodedExample, Vocabulary, VocabularyError, as_corpus
 
 CHECKPOINT_MAGIC = b"CLZR"
 CHECKPOINT_VERSION = 1
@@ -74,28 +74,30 @@ class TrainConfig:
 
 
 def make_batches(
-    examples: list[EncodedExample],
+    examples: EncodedCorpus | list[EncodedExample],
     config: TrainConfig,
     epoch_seed: int,
 ) -> list[Batch]:
     """Length-bucketed batches over a seeded epoch shuffle."""
-    if not examples:
+    corpus = as_corpus(examples)
+    if not corpus:
         return []
     rng = random.Random(epoch_seed)
-    order = list(range(len(examples)))
+    order = list(range(len(corpus)))
     rng.shuffle(order)
+    lengths = corpus.context_lengths().tolist()
     window_size = config.batch_size * config.prefetch_batches
     batches: list[Batch] = []
     for start in range(0, len(order), window_size):
         window = order[start : start + window_size]
-        window.sort(key=lambda i: len(examples[i].context_ids))
+        window.sort(key=lengths.__getitem__)
         chunks = [
             window[j : j + config.batch_size]
             for j in range(0, len(window), config.batch_size)
         ]
         rng.shuffle(chunks)
         for chunk in chunks:
-            batches.append(Batch.from_examples([examples[i] for i in chunk], chunk))
+            batches.append(Batch.from_corpus(corpus, chunk))
     return batches
 
 
@@ -136,33 +138,41 @@ class EvalResult:
 
 def evaluate(
     model: Model,
-    examples: list[EncodedExample],
+    examples: EncodedCorpus | list[EncodedExample],
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EvalResult:
     """Greedy accuracy plus per-example predictions, in input order."""
-    if not examples:
+    corpus = as_corpus(examples)
+    if not corpus:
         raise ValueError("nothing to evaluate")
-    order = sorted(range(len(examples)), key=lambda i: len(examples[i].context_ids))
-    predictions: list[Prediction | None] = [None] * len(examples)
+    order = np.argsort(corpus.context_lengths(), kind="stable")
+    predictions: list[Prediction | None] = [None] * len(corpus)
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        batch = Batch.from_examples([examples[i] for i in chunk], chunk)
-        for row, prediction in zip(chunk, model.predict(batch)):
+        for row, prediction in zip(chunk.tolist(), model.predict(Batch.from_corpus(corpus, chunk))):
             predictions[row] = prediction
     return EvalResult(
-        accuracy=prediction_accuracy(predictions, [ex.answer_id for ex in examples]),
+        accuracy=prediction_accuracy(predictions, corpus.answers.tolist()),
         predictions=predictions,  # type: ignore[arg-type]
     )
 
 
-def most_frequent_candidate_accuracy(examples: list[EncodedExample]) -> float:
+def _in_order(corpus: EncodedCorpus, size: int = DEFAULT_BATCH_SIZE):
+    """Batches of ``size`` consecutive examples, and each batch's keep-mask
+    of real context positions."""
+    for start in range(0, len(corpus), size):
+        batch = Batch.from_corpus(corpus, range(start, min(start + size, len(corpus))))
+        yield batch, np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
+
+
+def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExample]) -> float:
     """Baseline: always pick the candidate occurring most often in the
     document (ties go to the earlier candidate in the list)."""
     flags = []
-    for ex in examples:
-        context = np.asarray(ex.context_ids)
-        counts = [int((context == c).sum()) for c in ex.candidate_ids]
-        flags.append(int(ex.candidate_ids[int(np.argmax(counts))] == ex.answer_id))
+    for batch, real in _in_order(as_corpus(examples)):
+        occurs = (batch.context[:, None, :] == batch.candidates[:, :, None]) & real[:, None, :]
+        picked = batch.candidates[np.arange(batch.size), occurs.sum(axis=2).argmax(axis=1)]
+        flags += (picked == batch.answers).astype(int).tolist()
     return hit_rate(flags)
 
 
@@ -178,8 +188,8 @@ class TrainResult:
 
 def train(
     model: Model,
-    train_examples: list[EncodedExample],
-    valid_examples: list[EncodedExample],
+    train_examples: EncodedCorpus | list[EncodedExample],
+    valid_examples: EncodedCorpus | list[EncodedExample],
     config: TrainConfig,
     checkpoint_path: str | None = None,
     log_fh=None,
@@ -195,15 +205,18 @@ def train(
     whose answer never occurs in the document are rejected before the
     first step.
     """
+    train_examples, valid_examples = as_corpus(train_examples), as_corpus(valid_examples)
     if not train_examples:
         raise ValueError("no training examples")
     if not valid_examples:
         raise ValueError("no validation examples")
-    for index, ex in enumerate(train_examples):
-        if ex.answer_id not in ex.context_ids:
+    for batch, real in _in_order(train_examples):
+        absent = ~((batch.context == batch.answers[:, None]) & real).any(axis=1)
+        if absent.any():
+            index = int(batch.indices[absent.argmax()])
             raise AnswerNotInDocumentError(
-                f"training example {index} (source {ex.source}): "
-                f"answer id {ex.answer_id} absent from its document"
+                f"training example {index} (source {train_examples.sources[index]}): "
+                f"answer id {train_examples.answers[index]} absent from its document"
             )
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)

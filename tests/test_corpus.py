@@ -1,5 +1,7 @@
 """Boilerplate stripping, sentence splitting, tokenization, ingestion."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from clozereader.corpus import (
     DEFAULT_ABBREVIATIONS,
     EmptyCorpusError,
     RawBook,
+    _split_paragraph,
     extract_title,
     ingest_books,
     split_sentences,
@@ -105,6 +108,65 @@ def test_split_before_opening_quote():
 def test_newline_inside_paragraph_is_plain_whitespace():
     text = "One sentence here.\nAnother sentence there."
     assert split_sentences(text) == ["One sentence here.", "Another sentence there."]
+
+
+def copying_split_paragraph(paragraph):
+    """The splitter as it was when it copied the rest of the paragraph at
+    every terminator, which made it quadratic in paragraph length."""
+    bounds = []
+    for m in re.finditer(r"[.!?]+[)\]\"'”’]*", paragraph):
+        rest = paragraph[m.end():]
+        if rest and not rest[0].isspace():
+            continue
+        following = rest.lstrip()
+        if following and not (following[0].isupper() or following[0] in "\"'`([{“‘«"):
+            continue
+        run = m.group()
+        if run[0] == "." and "." not in run[1:]:
+            before = re.compile(r"[A-Za-z]+$").search(paragraph, max(0, m.start() - 40), m.start())
+            if before is not None:
+                word = before.group()
+                if word + "." in DEFAULT_ABBREVIATIONS or (len(word) == 1 and word.isupper()):
+                    continue
+        bounds.append(m.end())
+    pieces, prev = [], 0
+    for b in bounds:
+        if paragraph[prev:b].strip():
+            pieces.append(paragraph[prev:b].strip())
+        prev = b
+    if paragraph[prev:].strip():
+        pieces.append(paragraph[prev:].strip())
+    return pieces
+
+
+SPLIT_CASES = [
+    "Mr. Smith waved. Dr. Jones did not.",
+    "J. Watson arrived. He sat down.",
+    'She said "Stop!" Then she left.',
+    'He nodded. "Fine," she said. (Quietly.) [Then.] ‘Yes.’ «Non.»',
+    "What?! Nobody knew... it was late.  \u00a0 Then\u2003Morning came.",
+    "A trailing terminator.   ",
+    "No terminator at all",
+    "Dots.Without.Spaces. And then i.e. lower case. St. Ives. (Mr. Bell.) “Q.” E. Fin",
+]
+
+
+@pytest.mark.parametrize("paragraph", SPLIT_CASES)
+def test_split_paragraph_matches_the_copying_splitter(paragraph):
+    assert _split_paragraph(paragraph) == copying_split_paragraph(paragraph)
+
+
+@pytest.mark.parametrize("sentences", [2_000, 8_000])
+def test_split_paragraph_matches_the_copying_splitter_on_one_long_paragraph(sentences):
+    pieces = ["Tom saw Mr. Bell run.", 'J. Watson said "Stop!"', "Who?!", "then (Later.)",
+              "St. Ives is far.", "Ann waved."]
+    paragraph = " ".join(pieces[i % len(pieces)] + f" {i}." for i in range(sentences))
+    assert _split_paragraph(paragraph) == copying_split_paragraph(paragraph)
+
+
+@given(st.text(alphabet="Ab. !?\"'(“\n\u00a0Mr", max_size=80))
+def test_split_paragraph_matches_the_copying_splitter_on_any_text(paragraph):
+    assert _split_paragraph(paragraph) == copying_split_paragraph(paragraph)
 
 
 # ------------------------------------------------------------------- tokens

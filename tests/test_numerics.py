@@ -296,6 +296,17 @@ def test_gradients_accumulate_across_backward_calls(rng):
     assert p.grad is None
 
 
+def test_take_rows_gradient_equals_one_2d_scatter_add_bit_for_bit(rng):
+    table = Parameter(rng.normal(size=(7, 5)))
+    index = np.array([3, 0, 3, 6, 3, 0, 1, 3])
+    upstream = rng.normal(size=(len(index), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(index), 5))
+    rows = take_rows(table, index)
+    tensor_sum(mul(rows, Tensor(upstream))).backward()
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, index, upstream)
+    assert table.grad.tobytes() == expected.tobytes()
+
+
 def test_no_grad_blocks_graph_recording(rng):
     p = Parameter(rng.normal(size=(3,)))
     with no_grad():

@@ -25,7 +25,14 @@ from clozereader.training import (
     save_checkpoint,
     train,
 )
-from clozereader.vocab import GAP_ID, EncodedExample, Vocabulary, build_vocab, encode_dataset
+from clozereader.vocab import (
+    GAP_ID,
+    EncodedCorpus,
+    EncodedExample,
+    Vocabulary,
+    build_vocab,
+    encode_dataset,
+)
 
 LOG_LINE = re.compile(r"^\d+\t[^\t]+\t\d\.\d{6}\t\d+\.\d{3}$")
 
@@ -108,6 +115,25 @@ def test_make_batches_order_changes_with_epoch_seed():
 
 def test_make_batches_empty_input():
     assert make_batches([], TrainConfig(), 0) == []
+
+
+def test_make_batches_returns_a_list_from_a_corpus():
+    _, enc_train, _ = toy_setup(n_train=10, n_valid=2)
+    batches = make_batches(enc_train, TrainConfig(batch_size=4), 0)
+    assert type(batches) is list and len(batches) == 3
+    assert all(isinstance(b, Batch) for b in batches)
+
+
+def test_training_and_evaluation_build_no_row_view(monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=4)
+
+    def no_rows(self, key):
+        raise AssertionError(f"row view {key!r} built")
+
+    monkeypatch.setattr(EncodedCorpus, "__getitem__", no_rows)
+    train(model, enc_train, enc_valid, TrainConfig(batch_size=4, max_epochs=1))
+    evaluate(model, enc_valid)
+    most_frequent_candidate_accuracy(enc_valid)
 
 
 # ------------------------------------------------------------ early stopping
@@ -351,6 +377,7 @@ def test_train_rejects_empty_training_set():
 
 def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
     model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=2)
+    enc_train = list(enc_train)
     bad = enc_train[5]
     absent = max(bad.context_ids) + 1
     enc_train[5] = EncodedExample(

@@ -1,15 +1,20 @@
 """Vocabulary construction, anonymous-slot encoding, save/load."""
 
+import gc
 import random
 import re
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clozereader.cbtio import read_examples
+from clozereader.asreader import Batch
+from clozereader.cbtio import read_examples, write_examples
 from clozereader.clozegen import GAP_TOKEN, ClozeExample
 from clozereader.seeding import derive_seed
+from clozereader.training import TrainConfig, make_batches
 from clozereader.vocab import (
     ANON_START,
     GAP_ID,
@@ -19,6 +24,8 @@ from clozereader.vocab import (
     Vocabulary,
     VocabularyError,
     build_vocab,
+    EncodedCorpus,
+    as_corpus,
     decode_example,
     encode_dataset,
     encode_example,
@@ -273,6 +280,45 @@ def reference_encode(example, vocab, rng_seed):
     )
 
 
+BATCH_FIELDS = ("context", "context_lengths", "question", "question_lengths", "answers",
+                "candidates", "indices")
+
+
+def reference_batch(rows, indices):
+    """Padded int64 arrays filled one example at a time."""
+    b = len(rows)
+    t = max(len(ex.context_ids) for ex in rows)
+    q = max(len(ex.question_ids) for ex in rows)
+    arrays = {
+        "context": np.full((b, t), PAD_ID, dtype=np.int64),
+        "context_lengths": np.zeros(b, dtype=np.int64),
+        "question": np.full((b, q), PAD_ID, dtype=np.int64),
+        "question_lengths": np.zeros(b, dtype=np.int64),
+        "answers": np.zeros(b, dtype=np.int64),
+        "candidates": np.zeros((b, len(rows[0].candidate_ids)), dtype=np.int64),
+        "indices": np.asarray(indices, dtype=np.int64),
+    }
+    for i, ex in enumerate(rows):
+        arrays["context"][i, : len(ex.context_ids)] = ex.context_ids
+        arrays["question"][i, : len(ex.question_ids)] = ex.question_ids
+        arrays["context_lengths"][i] = len(ex.context_ids)
+        arrays["question_lengths"][i] = len(ex.question_ids)
+        arrays["answers"][i] = ex.answer_id
+        arrays["candidates"][i] = ex.candidate_ids
+    return arrays
+
+
+def assert_batch_matches(batch, expected, indices=None):
+    """``batch`` holds the reference arrays of ``expected[i]`` for its indices."""
+    if indices is None:
+        indices = batch.indices.tolist()
+    reference = reference_batch([expected[i] for i in indices], indices)
+    for name in BATCH_FIELDS:
+        got, want = getattr(batch, name), reference[name]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 # Two-letter forms, copied on each draw, so equal tokens are distinct objects.
 FORM = st.sampled_from(["ab", "cd", "ef", "gh", "ij", "kl", GAP_TOKEN]).map(lambda f: f[:1] + f[1:])
 
@@ -315,7 +361,14 @@ def test_encoding_matches_a_per_token_reference(examples, cap, anon_count, gap_a
                 encode_dataset(examples, vocab, rng_seed)
             return
         assert encode_example(example, vocab, seed) == expected[-1]
-    assert encode_dataset(examples, vocab, rng_seed) == expected
+    corpus = encode_dataset(examples, vocab, rng_seed)
+    assert list(corpus) == expected
+    same = [i for i, e in enumerate(expected)
+            if len(e.candidate_ids) == len(expected[0].candidate_ids)]
+    for indices in (same, same[::-1]):
+        assert_batch_matches(Batch.from_corpus(corpus, indices), expected, indices)
+    assert_batch_matches(Batch.from_examples([expected[i] for i in same]),
+                         [expected[i] for i in same], list(range(len(same))))
 
 
 # ------------------------------------------- generated splits, shared lists
@@ -352,10 +405,80 @@ def test_generated_splits_match_a_per_token_reference(generated_splits, cap, sha
         seed = derive_seed(7, split)
         expected = [reference_encode(example, vocab, derive_seed(seed, "anon", index))
                     for index, example in enumerate(examples)]
-        assert encode_dataset(examples, vocab, seed) == expected
+        corpus = encode_dataset(examples, vocab, seed)
+        assert list(corpus) == expected
+        for batch in make_batches(corpus, TrainConfig(batch_size=32), derive_seed(seed, "epoch")):
+            assert_batch_matches(batch, expected)
+        order = np.argsort(corpus.context_lengths(), kind="stable")
+        for start in range(0, len(order), 32):  # evaluate's batches
+            assert_batch_matches(Batch.from_corpus(corpus, order[start:start + 32]), expected)
     if cap == 40:  # the cap leaves unknown forms in every split
         assert all(any(e.oov_map for e in encode_dataset(examples, vocab, 0))
                    for examples in splits.values())
+
+
+def test_a_slice_is_a_corpus_that_shares_the_arrays(generated_splits):
+    examples = generated_splits["valid"]
+    corpus = encode_dataset(examples, build_vocab(examples, cap=40), 3)
+    rows = list(corpus)
+    part = corpus[5:17]
+    assert isinstance(part, EncodedCorpus) and list(part) == rows[5:17]
+    assert list(corpus[::-3]) == rows[::-3]
+    assert np.shares_memory(part.sentence_rows, corpus.sentence_rows)
+    assert part.sentences is corpus.sentences
+    assert corpus[-1] == rows[-1] and len(corpus[len(corpus):]) == 0
+    with pytest.raises(IndexError):
+        corpus[len(corpus)]
+    assert as_corpus(corpus) is corpus
+    assert list(as_corpus(rows)) == rows
+
+
+def no_repeated_line(examples):
+    """The examples with every context line made distinct: a line whose
+    text was seen before gets one of its own tokens appended until it is new."""
+    seen, out = set(), []
+    for example in examples:
+        context = []
+        for sentence in example.context:
+            sentence = list(sentence)
+            while " ".join(sentence) in seen:
+                sentence.append(sentence[len(seen) % len(sentence)])
+            seen.add(" ".join(sentence))
+            context.append(sentence)
+        out.append(make_example(context, list(example.question), example.answer,
+                                list(example.candidates)))
+    return out
+
+
+def encoded_bytes_per_context_token(examples, vocab):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = encode_dataset(examples, vocab, 7)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == len(examples)
+    return grown / sum(len(s) for e in examples for s in e.context)
+
+
+def test_encoded_contexts_take_at_most_2_bytes_per_token_when_lines_repeat(generated_splits):
+    examples = generated_splits["train"]
+    vocab = build_vocab(examples, cap=200_000)
+    assert encoded_bytes_per_context_token(examples, vocab) <= 2
+
+
+def test_encoded_contexts_take_at_most_6_bytes_per_token_when_no_line_repeats(
+        generated_splits, tmp_path):
+    path = tmp_path / "norepeat.txt"
+    write_examples(no_repeated_line(generated_splits["train"]), path)
+    examples = read_examples(path)
+    lines = [" ".join(s) for e in examples for s in e.context]
+    assert len(set(lines)) == len(lines)
+    vocab = build_vocab(examples, cap=200_000)
+    assert encoded_bytes_per_context_token(examples, vocab) <= 6
 
 
 def test_generated_splits_share_sentence_lists(generated_splits):
@@ -399,7 +522,7 @@ def test_the_anonymous_seed_is_derived_only_for_examples_with_unknown_forms(
     small = Vocabulary(words=vocab.words[:40], cap=40, anon_count=1000)
     encoded = encode_dataset(examples, small, 5)
     assert derived == [(5, "anon", i) for i, e in enumerate(encoded) if e.oov_map]
-    assert encoded == [reference_encode(e, small, derive_seed(5, "anon", i))
+    assert list(encoded) == [reference_encode(e, small, derive_seed(5, "anon", i))
                        for i, e in enumerate(examples)]
 
 
@@ -412,7 +535,7 @@ def test_a_list_held_twice_is_counted_and_encoded_twice():
     ]
     vocab = build_vocab(examples, cap=2, anon_count=4)
     assert vocab.words == reference_words(examples, 2) == ["ab", "cd"]
-    assert encode_dataset(examples, vocab, 3) == [
+    assert list(encode_dataset(examples, vocab, 3)) == [
         reference_encode(e, vocab, derive_seed(3, "anon", i)) for i, e in enumerate(examples)
     ]
 
