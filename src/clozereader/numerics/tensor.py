@@ -299,10 +299,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Row gather (embedding lookup)."""
+    """Row gather (embedding lookup) from a 2-D table by a 1-D index."""
     index = np.asarray(indices)
-    if a.data.ndim != 2 or index.ndim != 1:
-        return _select(a, index)
     data = a.data[index]
 
     def backward(g):

@@ -157,22 +157,27 @@ def evaluate(
     )
 
 
-def _in_order(corpus: EncodedCorpus, size: int = DEFAULT_BATCH_SIZE):
-    """Batches of ``size`` consecutive examples, and each batch's keep-mask
-    of real context positions."""
+def _contexts_in_order(corpus: EncodedCorpus, size: int = DEFAULT_BATCH_SIZE):
+    """Runs of ``size`` consecutive examples: their indices, their padded
+    context matrix and its keep-mask of real positions.  Candidates are
+    left out, so examples may differ in candidate count."""
     for start in range(0, len(corpus), size):
-        batch = Batch.from_corpus(corpus, range(start, min(start + size, len(corpus))))
-        yield batch, np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
+        index = np.arange(start, min(start + size, len(corpus)))
+        context, lengths = corpus.contexts(index)
+        yield index, context, np.arange(context.shape[1]) < lengths[:, None]
 
 
 def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExample]) -> float:
     """Baseline: always pick the candidate occurring most often in the
     document (ties go to the earlier candidate in the list)."""
+    corpus = as_corpus(examples)
     flags = []
-    for batch, real in _in_order(as_corpus(examples)):
-        occurs = (batch.context[:, None, :] == batch.candidates[:, :, None]) & real[:, None, :]
-        picked = batch.candidates[np.arange(batch.size), occurs.sum(axis=2).argmax(axis=1)]
-        flags += (picked == batch.answers).astype(int).tolist()
+    for index, context, real in _contexts_in_order(corpus):
+        # A padding slot counts 0 and follows the real candidates, so it never wins.
+        candidates, _ = corpus.candidates.padded(index[:, None])
+        occurs = ((context[:, None, :] == candidates[:, :, None]) & real[:, None, :]).sum(axis=2)
+        picked = candidates[np.arange(len(index)), occurs.argmax(axis=1)]
+        flags += (picked == corpus.answers[index]).astype(int).tolist()
     return hit_rate(flags)
 
 
@@ -210,10 +215,10 @@ def train(
         raise ValueError("no training examples")
     if not valid_examples:
         raise ValueError("no validation examples")
-    for batch, real in _in_order(train_examples):
-        absent = ~((batch.context == batch.answers[:, None]) & real).any(axis=1)
+    for rows, context, real in _contexts_in_order(train_examples):
+        absent = ~((context == train_examples.answers[rows, None]) & real).any(axis=1)
         if absent.any():
-            index = int(batch.indices[absent.argmax()])
+            index = int(rows[absent.argmax()])
             raise AnswerNotInDocumentError(
                 f"training example {index} (source {train_examples.sources[index]}): "
                 f"answer id {train_examples.answers[index]} absent from its document"

@@ -223,6 +223,10 @@ def test_most_frequent_candidate_baseline():
     assert most_frequent_candidate_accuracy([one, two]) == 0.5
     # Tie on counts goes to the earlier candidate in the list.
     assert most_frequent_candidate_accuracy([tie]) == 1.0
+    # Examples may differ in candidate count.
+    three = EncodedExample([7, 9, 9], [GAP_ID], 9, [7, 8, 9], {})
+    absent = EncodedExample([9], [GAP_ID], 7, [7, 8], {})
+    assert most_frequent_candidate_accuracy([one, three, two, absent]) == 0.75
 
 
 # ------------------------------------------------------------------- train
@@ -395,6 +399,21 @@ def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
     monkeypatch.setattr(Model, "loss", no_step)
     with pytest.raises(AnswerNotInDocumentError,
                        match=r"example 5 \(source \('book-x', 42\)\)"):
+        train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
+
+
+def test_train_checks_answers_of_examples_with_mixed_candidate_counts():
+    model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=2)
+    enc_train = list(enc_train)
+    bad = enc_train[3]
+    enc_train[3] = EncodedExample(
+        context_ids=bad.context_ids,
+        question_ids=bad.question_ids,
+        answer_id=max(bad.context_ids) + 1,
+        candidate_ids=bad.candidate_ids[:2],
+        oov_map=bad.oov_map,
+    )
+    with pytest.raises(AnswerNotInDocumentError, match="example 3 "):
         train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
 
 
