@@ -109,18 +109,59 @@ class Batch:
 
 @dataclass
 class Prediction:
-    """Per-example outcome: candidate-renormalized probabilities, the
-    argmax candidate (first on ties), and the attention on each of the
-    row's real positions."""
+    """One example's outcome: candidate-renormalized probabilities, the
+    argmax candidate (first on ties), and, from ``Model.predict``, the
+    attention on each of the row's real positions."""
 
     candidate_ids: np.ndarray
     probabilities: np.ndarray
     predicted_index: int
-    attention: np.ndarray
+    attention: np.ndarray | None = None
 
     @property
     def predicted_id(self) -> int:
         return int(self.candidate_ids[self.predicted_index])
+
+
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """The candidate ids and candidate-renormalized probabilities of N
+    examples as (N, C) arrays, a narrower row padded with PAD_ID at
+    probability 0, and from ``Model.predict`` each row's attention.
+    ``predictions[i]`` is row i as a ``Prediction`` viewing these arrays."""
+
+    candidate_ids: np.ndarray
+    probabilities: np.ndarray
+    attention: list[np.ndarray] | None = None  # views of one (N, T) matrix
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, i: int) -> Prediction:
+        probabilities = self.probabilities[i]  # IndexError past the end stops iteration
+        attention = None if self.attention is None else self.attention[i]
+        return Prediction(self.candidate_ids[i], probabilities, int(probabilities.argmax()),
+                          attention)
+
+    @property
+    def predicted_ids(self) -> np.ndarray:
+        """(N,) id of each row's most probable candidate, the first on ties."""
+        return self.candidate_ids[np.arange(len(self)), self.probabilities.argmax(axis=1)]
+
+
+def as_predictions(predictions: Predictions | list[Prediction]) -> Predictions:
+    """Predictions as they are, or a list of rows packed into arrays; each
+    row then predicts the argmax of its probabilities."""
+    if isinstance(predictions, Predictions):
+        return predictions
+    # An empty list keeps one column, so that its argmax is defined.
+    width = max((len(p.candidate_ids) for p in predictions), default=1)
+    candidate_ids = np.full((len(predictions), width), PAD_ID, dtype=np.int64)
+    probabilities = np.zeros(candidate_ids.shape)
+    for i, p in enumerate(predictions):
+        candidate_ids[i, : len(p.candidate_ids)] = p.candidate_ids
+        probabilities[i, : len(p.probabilities)] = p.probabilities
+    return Predictions(candidate_ids, probabilities)
 
 
 def _step_masks(lengths: np.ndarray, steps: int) -> np.ndarray | None:
@@ -208,14 +249,13 @@ class Model:
         the question vector.  Padding positions are NOT yet masked."""
         return time_major_dot(self.document_states(batch), self.question_vector(batch))
 
-    def loss(self, batch: Batch, scores: Tensor | None = None) -> Tensor:
+    def loss(self, batch: Batch) -> Tensor:
         """Mean negative log of the answer's aggregated attention mass.
 
         Computed in log space: logsumexp over all real positions minus
         logsumexp over the answer's positions.
         """
-        if scores is None:
-            scores = self.forward_scores(batch)
+        scores = self.forward_scores(batch)
         b, t = batch.context.shape
         real = np.arange(t)[None, :] < batch.context_lengths[:, None]
         answer_positions = (batch.context == batch.answers[:, None]) & real
@@ -233,8 +273,8 @@ class Model:
                           logsumexp(answer_masked, axis=1))
         return mean(per_example)
 
-    def predict(self, batch: Batch) -> list[Prediction]:
-        """Candidate-renormalized probabilities and argmax answers."""
+    def predict(self, batch: Batch) -> Predictions:
+        """Candidate-renormalized probabilities, argmax answers and attention."""
         with no_grad():
             scores = self.forward_scores(batch).data
         return predictions_from_scores(
@@ -247,9 +287,8 @@ def predictions_from_scores(
     context: np.ndarray,
     context_lengths: np.ndarray,
     candidates: np.ndarray,
-) -> list[Prediction]:
-    b, t = scores.shape
-    real = np.arange(t)[None, :] < context_lengths[:, None]
+) -> Predictions:
+    real = np.arange(scores.shape[1])[None, :] < context_lengths[:, None]
     masked = np.where(real, scores, -np.inf)
     shift = masked.max(axis=1, keepdims=True)
     exps = np.exp(masked - shift)
@@ -259,21 +298,9 @@ def predictions_from_scores(
     masses = (attention[:, None, :] * occurs).sum(axis=2)
     totals = masses.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
-    probabilities = np.where(
-        totals > 0, masses / safe, np.full_like(masses, 1.0 / masses.shape[1])
-    )
-
-    # Copies trimmed to each row's length: a prediction neither pins the
-    # batch arrays nor carries the batch's padding.
-    return [
-        Prediction(
-            candidate_ids=candidates[i].copy(),
-            probabilities=probabilities[i].copy(),
-            predicted_index=int(np.argmax(probabilities[i])),
-            attention=attention[i, : context_lengths[i]].copy(),
-        )
-        for i in range(b)
-    ]
+    probabilities = np.where(totals > 0, masses / safe, 1.0 / masses.shape[1])
+    rows = [attention[i, :n] for i, n in enumerate(context_lengths.tolist())]
+    return Predictions(candidates, probabilities, rows)
 
 
 # --------------------------------------------------------------- example ops

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ClozereaderError
-from .asreader import Model, ModelConfig, Prediction
+from .asreader import Model, ModelConfig, Predictions
 from .cbtio import read_examples, write_examples
 from .clozegen import (
     ClozeExample,
@@ -284,45 +284,26 @@ def _answer_positions(examples: list[ClozeExample]) -> list[int]:
     return [ex.candidates.index(ex.answer) for ex in examples]
 
 
-def _positional(predictions: list[Prediction]) -> list[Prediction]:
-    """Re-key candidate ids to list positions so predictions from models
-    with different vocabularies line up."""
-    return [
-        replace(
-            p,
-            candidate_ids=np.arange(len(p.candidate_ids), dtype=np.int64),
-        )
-        for p in predictions
-    ]
-
-
 def _predict_with_checkpoint(
     path: str, raw: list[ClozeExample], seed: int
-) -> tuple[list[Prediction], EncodedCorpus]:
+) -> tuple[Predictions, EncodedCorpus]:
     """Positional predictions plus the examples as this model encodes them."""
     model, _ = load_checkpoint(path)
     encoded = encode_dataset(raw, model.vocabulary, derive_seed(seed, "eval"))
-    result = evaluate_model(model, encoded)
-    return _positional(result.predictions), encoded
-
-
-def _load_predictions_models(
-    args, raw: list[ClozeExample]
-) -> tuple[list[Prediction], EncodedCorpus]:
-    """Predictions of the model or the averaged ensemble, plus the
-    examples as encoded for the (first) model."""
-    if args.model:
-        return _predict_with_checkpoint(args.model, raw, args.seed)
-    member_paths, _ = read_ensemble_spec(args.ensemble)
-    runs = [_predict_with_checkpoint(path, raw, args.seed) for path in member_paths]
-    return average_predictions([predictions for predictions, _ in runs]), runs[0][1]
+    probabilities = evaluate_model(model, encoded).predictions.probabilities
+    # Candidate positions as ids: models with different vocabularies line up.
+    positions = np.broadcast_to(np.arange(probabilities.shape[1]), probabilities.shape)
+    return Predictions(positions, probabilities), encoded
 
 
 def cmd_evaluate(args) -> int:
     raw = read_examples(args.data, word_type=_WORD_TYPES.get(args.type or ""))
     if not raw:
         raise CliError(f"{args.data}: no examples")
-    predictions, encoded = _load_predictions_models(args, raw)
+    # A model is scored as the ensemble of itself.
+    paths = [args.model] if args.model else read_ensemble_spec(args.ensemble)[0]
+    runs = [_predict_with_checkpoint(path, raw, args.seed) for path in paths]
+    predictions = average_predictions([predictions for predictions, _ in runs])
     flags = correct_flags(predictions, _answer_positions(raw))
 
     rows: list[tuple[str, object]] = [
@@ -343,15 +324,15 @@ def cmd_evaluate(args) -> int:
     )
     # Counting ids counts surface forms: encoding maps distinct forms to
     # distinct ids within an example.
-    baseline = most_frequent_candidate_accuracy(encoded)
+    baseline = most_frequent_candidate_accuracy(runs[0][1])
     rows.append(("baseline_frequency", _format_float(baseline)))
     print_report(rows, args.tsv)
 
     if args.predictions_out:
         with open(args.predictions_out, "w", encoding="utf-8", newline="\n") as fh:
-            for i, (ex, p, flag) in enumerate(zip(raw, predictions, flags), start=1):
-                token = ex.candidates[p.predicted_index]
-                fh.write(f"{i}\t{token}\t{flag}\n")
+            picks = predictions.predicted_ids.tolist()  # candidate positions
+            for i, (ex, pick, flag) in enumerate(zip(raw, picks, flags), start=1):
+                fh.write(f"{i}\t{ex.candidates[pick]}\t{flag}\n")
     return 0
 
 

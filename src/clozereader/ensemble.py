@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ClozereaderError
-from .asreader import Prediction
+from .asreader import Prediction, Predictions, as_predictions
 
 
 class EnsembleError(ClozereaderError):
@@ -28,47 +28,39 @@ class EnsembleMember:
 
     name: str
     validation_accuracy: float
-    predictions: list[Prediction]
+    predictions: Predictions | list[Prediction]
 
 
 def average_predictions(
-    member_predictions: list[list[Prediction]],
-) -> list[Prediction]:
-    """Average probability vectors example by example."""
+    member_predictions: list[Predictions | list[Prediction]],
+) -> Predictions:
+    """Average the members' probability arrays."""
     if not member_predictions:
         raise EnsembleError("no members to average")
-    lengths = {len(preds) for preds in member_predictions}
+    members = [as_predictions(p) for p in member_predictions]
+    lengths = {len(p) for p in members}
     if len(lengths) != 1:
         raise EnsembleError(f"members disagree on example count: {sorted(lengths)}")
-    out: list[Prediction] = []
-    for i, first in enumerate(member_predictions[0]):
-        for preds in member_predictions[1:]:
-            if not np.array_equal(preds[i].candidate_ids, first.candidate_ids):
-                raise EnsembleError(
-                    f"members disagree on candidates for example {i}"
-                )
-        probabilities = np.mean(
-            [preds[i].probabilities for preds in member_predictions], axis=0
+    # Narrower members get the padding of wider rows: id 0 (PAD_ID) at probability 0.
+    width = max(p.probabilities.shape[1] for p in members)
+    pads = [((0, 0), (0, width - p.probabilities.shape[1])) for p in members]
+    candidate_ids = np.stack([np.pad(p.candidate_ids, pad) for p, pad in zip(members, pads)])
+    disagree = (candidate_ids != candidate_ids[0]).any(axis=(0, 2))
+    if disagree.any():
+        raise EnsembleError(
+            f"members disagree on candidates for example {int(disagree.argmax())}"
         )
-        attention = np.mean(
-            [preds[i].attention for preds in member_predictions], axis=0
-        )
-        out.append(
-            Prediction(
-                candidate_ids=first.candidate_ids.copy(),
-                probabilities=probabilities,
-                predicted_index=int(np.argmax(probabilities)),
-                attention=attention,
-            )
-        )
-    return out
+    probabilities = np.mean([np.pad(p.probabilities, pad) for p, pad in zip(members, pads)], axis=0)
+    return Predictions(candidate_ids[0], probabilities)
 
 
-def correct_flags(predictions: list[Prediction], answer_ids: list[int]) -> list[int]:
+def correct_flags(predictions: Predictions | list[Prediction],
+                  answer_ids: list[int]) -> list[int]:
     """1 where a prediction names its answer id, else 0."""
+    predictions = as_predictions(predictions)
     if len(predictions) != len(answer_ids):
         raise EnsembleError("predictions and answers differ in length")
-    return [int(p.predicted_id == a) for p, a in zip(predictions, answer_ids)]
+    return (predictions.predicted_ids == np.asarray(answer_ids)).astype(int).tolist()
 
 
 def hit_rate(flags: list[int]) -> float:
@@ -78,7 +70,8 @@ def hit_rate(flags: list[int]) -> float:
     return sum(flags) / len(flags)
 
 
-def prediction_accuracy(predictions: list[Prediction], answer_ids: list[int]) -> float:
+def prediction_accuracy(predictions: Predictions | list[Prediction],
+                        answer_ids: list[int]) -> float:
     return hit_rate(correct_flags(predictions, answer_ids))
 
 

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ClozereaderError
-from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Prediction
-from .ensemble import hit_rate, prediction_accuracy
+from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Predictions
+from .ensemble import correct_flags, hit_rate, prediction_accuracy
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError
@@ -133,7 +133,7 @@ class EarlyStopper:
 @dataclass
 class EvalResult:
     accuracy: float
-    predictions: list[Prediction]
+    predictions: Predictions  # without attention; Model.predict gives it
 
 
 def evaluate(
@@ -141,20 +141,19 @@ def evaluate(
     examples: EncodedCorpus | list[EncodedExample],
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EvalResult:
-    """Greedy accuracy plus per-example predictions, in input order."""
+    """Greedy accuracy plus the predictions, in input order."""
     corpus = as_corpus(examples)
     if not corpus:
         raise ValueError("nothing to evaluate")
+    candidate_ids, _ = corpus.candidates.padded(np.arange(len(corpus))[:, None])
+    probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
-    predictions: list[Prediction | None] = [None] * len(corpus)
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        for row, prediction in zip(chunk.tolist(), model.predict(Batch.from_corpus(corpus, chunk))):
-            predictions[row] = prediction
-    return EvalResult(
-        accuracy=prediction_accuracy(predictions, corpus.answers.tolist()),
-        predictions=predictions,  # type: ignore[arg-type]
-    )
+        rows = model.predict(Batch.from_corpus(corpus, chunk)).probabilities
+        probabilities[chunk, : rows.shape[1]] = rows
+    predictions = Predictions(candidate_ids, probabilities)
+    return EvalResult(prediction_accuracy(predictions, corpus.answers), predictions)
 
 
 def _contexts_in_order(corpus: EncodedCorpus, size: int = DEFAULT_BATCH_SIZE):
@@ -176,8 +175,7 @@ def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExamp
         # A padding slot counts 0 and follows the real candidates, so it never wins.
         candidates, _ = corpus.candidates.padded(index[:, None])
         occurs = ((context[:, None, :] == candidates[:, :, None]) & real[:, None, :]).sum(axis=2)
-        picked = candidates[np.arange(len(index)), occurs.argmax(axis=1)]
-        flags += (picked == corpus.answers[index]).astype(int).tolist()
+        flags += correct_flags(Predictions(candidates, occurs), corpus.answers[index])
     return hit_rate(flags)
 
 

@@ -69,6 +69,20 @@ def fixture_dataset_path(fixture_dataset, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def generated_splits(tmp_path_factory):
+    """Splits as ``generate`` writes them and ``read_examples`` reads them:
+    overlapping examples share their sentence lists."""
+    from clozereader import cli
+    from clozereader.cbtio import read_examples
+
+    books, out = tmp_path_factory.mktemp("books"), tmp_path_factory.mktemp("splits")
+    synthdata.write_fixture_library(books, n_books=6, rng_seed=0, n_paragraphs=20)
+    assert cli.main(["generate", "--books", str(books), "--type", "ne",
+                     "--out", str(out), "--seed", "7", "--splits", "0.6,0.2,0.2"]) == 0
+    return {s: read_examples(out / f"ne_{s}.txt") for s in ("train", "valid", "test")}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

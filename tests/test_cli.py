@@ -281,6 +281,22 @@ def test_select_ensemble_then_evaluate(cli_workspace, tmp_path):
     )
 
 
+def test_an_ensemble_of_one_checkpoint_twice_evaluates_as_that_checkpoint(
+        cli_workspace, tmp_path, capsys):
+    _, _, valid_path, _, checkpoints = cli_workspace
+    spec_path = tmp_path / "twice.txt"
+    write_ensemble_spec(str(spec_path), [str(checkpoints["a"])] * 2, 0.0)
+    outputs = []
+    for source in (["--model", str(checkpoints["a"])], ["--ensemble", str(spec_path)]):
+        path = tmp_path / "preds.txt"
+        capsys.readouterr()
+        rc = main(["evaluate", *source, "--data", str(valid_path),
+                   "--predictions-out", str(path)])
+        assert rc == 0
+        outputs.append((capsys.readouterr().out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 # ------------------------------------------------------------ export-errors
 
 

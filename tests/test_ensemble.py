@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clozereader.asreader import Prediction
 from clozereader.ensemble import (
@@ -10,6 +11,7 @@ from clozereader.ensemble import (
     average_predictions,
     correct_flags,
     greedy_select,
+    hit_rate,
     prediction_accuracy,
     read_ensemble_spec,
     union_accuracy,
@@ -169,6 +171,121 @@ def test_greedy_orders_ties_by_name():
 def test_greedy_rejects_empty():
     with pytest.raises(EnsembleError):
         greedy_select([], [])
+
+
+# ------------------------------------------------------- per-example oracle
+#
+# The per-example loops that averaged, scored and selected predictions
+# before they were stored as arrays.  The array code must give the same
+# probabilities, flags, picks and errors.
+
+
+def reference_average(member_predictions):
+    if not member_predictions:
+        raise EnsembleError("no members to average")
+    lengths = {len(preds) for preds in member_predictions}
+    if len(lengths) != 1:
+        raise EnsembleError(f"members disagree on example count: {sorted(lengths)}")
+    out = []
+    for i, first in enumerate(member_predictions[0]):
+        for preds in member_predictions[1:]:
+            if not np.array_equal(preds[i].candidate_ids, first.candidate_ids):
+                raise EnsembleError(f"members disagree on candidates for example {i}")
+        probabilities = np.mean([preds[i].probabilities for preds in member_predictions], axis=0)
+        out.append(Prediction(first.candidate_ids.copy(), probabilities,
+                              int(np.argmax(probabilities))))
+    return out
+
+
+def reference_flags(predictions, answer_ids):
+    if len(predictions) != len(answer_ids):
+        raise EnsembleError("predictions and answers differ in length")
+    return [int(p.predicted_id == a) for p, a in zip(predictions, answer_ids)]
+
+
+def reference_greedy(members, answer_ids):
+    """Names picked and their accuracy, for (name, accuracy, predictions) members."""
+    def accuracy(group):
+        averaged = reference_average([preds for _, _, preds in group])
+        return hit_rate(reference_flags(averaged, answer_ids))
+
+    ordered = sorted(members, key=lambda m: (-m[1], m[0]))
+    selected = [ordered[0]]
+    best = accuracy(selected)
+    for member in ordered[1:]:
+        trial = selected + [member]
+        trial_accuracy = accuracy(trial)
+        if trial_accuracy > best:
+            selected, best = trial, trial_accuracy
+    return [name for name, _, _ in selected], best
+
+
+def outcome(function, *args):
+    """The function's result, or the message of the EnsembleError it raised."""
+    try:
+        return function(*args)
+    except EnsembleError as exc:
+        return f"EnsembleError: {exc}"
+
+
+@st.composite
+def prediction_tables(draw):
+    """Members' predictions over shared candidates, with small integer
+    weights so that ties are common; at most one member disagrees on one
+    or two rows' candidates, by one id or by a missing candidate."""
+    n = draw(st.integers(0, 5))
+    width = draw(st.integers(2, 5))
+    members = draw(st.integers(1, 4))
+    ids = [draw(st.lists(st.integers(1, 9), min_size=width, max_size=width, unique=True))
+           for _ in range(n)]
+    answers = [draw(st.integers(1, 9)) for _ in range(n)]
+    table = []
+    for _ in range(members):
+        rows = []
+        for row in ids:
+            weights = np.array(draw(st.lists(st.integers(0, 3), min_size=width,
+                                             max_size=width).filter(any)), dtype=float)
+            rows.append(Prediction(np.array(row), weights / weights.sum(),
+                                   int(np.argmax(weights))))
+        table.append(rows)
+    if members > 1 and n and draw(st.booleans()):
+        rows = table[draw(st.integers(1, members - 1))]
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+            changed = rows[i].candidate_ids.copy()
+            if draw(st.booleans()):
+                changed[draw(st.integers(0, width - 1))] = 10
+                rows[i] = Prediction(changed, rows[i].probabilities, rows[i].predicted_index)
+            else:
+                kept = rows[i].probabilities[:-1] + rows[i].probabilities[-1] / (width - 1)
+                rows[i] = Prediction(changed[:-1], kept, int(np.argmax(kept)))
+    return table, answers
+
+
+@settings(max_examples=300, deadline=None)
+@given(prediction_tables())
+def test_array_ensembles_match_the_per_example_loops(case):
+    table, answers = case
+    expected = outcome(reference_average, table)
+    got = outcome(average_predictions, table)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert row.candidate_ids.tolist() == want.candidate_ids.tolist()
+            assert row.probabilities.tobytes() == want.probabilities.tobytes()
+            assert row.predicted_index == want.predicted_index
+        assert correct_flags(got, answers) == reference_flags(expected, answers)
+    for preds in table:
+        assert correct_flags(preds, answers) == reference_flags(preds, answers)
+    if not answers:
+        return
+    named = [(f"m{j}", hit_rate(reference_flags(preds, answers)), preds)
+             for j, preds in enumerate(table)]
+    picked = outcome(greedy_select, [EnsembleMember(*m) for m in named], answers)
+    if not isinstance(picked, str):
+        picked = [m.name for m in picked[0]], picked[1]
+    assert picked == outcome(reference_greedy, named, answers)
 
 
 # --------------------------------------------------------------- spec files

@@ -1,15 +1,16 @@
 """Bucketed batching, early stopping, the training loop, checkpoints."""
 
+import gc
 import json
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from clozereader.asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig
-from clozereader.ensemble import average_predictions
 from clozereader.numerics import Tensor, write_tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
@@ -27,6 +28,7 @@ from clozereader.training import (
 )
 from clozereader.vocab import (
     GAP_ID,
+    PAD_ID,
     EncodedCorpus,
     EncodedExample,
     Vocabulary,
@@ -176,6 +178,7 @@ def test_early_stopper_counter_resets_on_improvement():
 
 def test_evaluate_restores_input_order():
     model, enc_train, _ = toy_setup(n_train=9)
+    enc_train = list(enc_train)
     # Unequal lengths force reordering inside evaluate.
     for i, ex in enumerate(enc_train):
         ex.context_ids = ex.context_ids[: len(ex.context_ids) - (i % 4)]
@@ -194,19 +197,71 @@ def test_evaluate_restores_input_order():
     assert result.accuracy == pytest.approx(manual)
 
 
-def test_evaluate_attention_does_not_depend_on_batch_size():
+def test_predictions_do_not_depend_on_batch_size(monkeypatch):
     model, enc_train, _ = toy_setup(n_train=40)
-    for i, ex in enumerate(enc_train):
+    examples = list(enc_train)
+    for i, ex in enumerate(examples):
         ex.context_ids = ex.context_ids[: len(ex.context_ids) - (i % 5)]
-    alone = evaluate(model, enc_train, batch_size=1).predictions
-    padded = evaluate(model, enc_train, batch_size=32).predictions
-    for ex, one, many in zip(enc_train, alone, padded):
-        assert many.attention.shape == (len(ex.context_ids),)
-        assert many.attention.base is None and many.probabilities.base is None
+    alone = [p for ex in examples for p in model.predict(Batch.from_examples([ex]))]
+    padded = [p for start in range(0, len(examples), 32)
+              for p in model.predict(Batch.from_examples(examples[start : start + 32]))]
+    for ex, one, many in zip(examples, alone, padded):
+        assert many.attention.shape == one.attention.shape == (len(ex.context_ids),)
         np.testing.assert_allclose(many.attention, one.attention, rtol=0, atol=1e-12)
-    averaged = average_predictions([alone, padded])
-    for one, mean in zip(alone, averaged):
-        np.testing.assert_allclose(mean.attention, one.attention, rtol=0, atol=1e-12)
+
+    batches = []
+    real_predict = Model.predict
+
+    def recording_predict(self, batch):
+        batches.append(batch)
+        return real_predict(self, batch)
+
+    monkeypatch.setattr(Model, "predict", recording_predict)
+    one_by_one = evaluate(model, examples, batch_size=1).predictions
+    result = evaluate(model, examples, batch_size=32).predictions
+    np.testing.assert_allclose(result.probabilities, one_by_one.probabilities, rtol=0, atol=1e-12)
+    # The result keeps no attention and pins no batch array.
+    assert result.attention is None
+    batch_arrays = [array for batch in batches for array in vars(batch).values()]
+    for array in (result.candidate_ids, result.probabilities):
+        assert not any(np.shares_memory(array, other) for other in batch_arrays)
+
+
+def test_evaluate_pads_the_rows_of_batches_with_fewer_candidates():
+    model, enc_train, _ = toy_setup(n_train=8)
+    examples = list(enc_train)
+    # Evaluate's length-sorted batches of 4: the first holds two-candidate examples.
+    for i in np.argsort([len(ex.context_ids) for ex in examples], kind="stable")[:4]:
+        ex = examples[i]
+        ex.candidate_ids = [ex.answer_id] + [c for c in ex.candidate_ids if c != ex.answer_id][:1]
+    result = evaluate(model, examples, batch_size=4)
+    width = max(len(ex.candidate_ids) for ex in examples)
+    assert width > 2 and result.predictions.probabilities.shape == (8, width)
+    for ex, prediction in zip(examples, result.predictions):
+        n = len(ex.candidate_ids)
+        (single,) = model.predict(Batch.from_examples([ex]))
+        assert prediction.candidate_ids[:n].tolist() == ex.candidate_ids
+        assert (prediction.candidate_ids[n:] == PAD_ID).all()
+        assert (prediction.probabilities[n:] == 0).all()
+        np.testing.assert_allclose(prediction.probabilities[:n], single.probabilities, atol=1e-12)
+        assert prediction.predicted_id == single.predicted_id
+
+
+def test_evaluation_result_takes_at_most_2_bytes_per_context_token(generated_splits):
+    vocab = build_vocab(generated_splits["train"], cap=200_000)
+    corpus = encode_dataset(generated_splits["valid"], vocab, 7)
+    model = Model(vocab, ModelConfig(embedding_dim=8, hidden_units=8, recurrent_layers=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = evaluate(model, corpus)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.predictions) == len(corpus)
+    assert grown / corpus.context_lengths().sum() <= 2
 
 
 def test_evaluate_rejects_empty():
@@ -355,10 +410,10 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     losses = []
     alive_at_entry = []
 
-    def tracked_loss(self, batch, scores=None):
+    def tracked_loss(self, batch):
         if losses:
             alive_at_entry.append(losses[-1]() is not None)
-        loss = real_loss(self, batch, scores)
+        loss = real_loss(self, batch)
         losses.append(weakref.ref(loss))
         return loss
 

@@ -374,19 +374,6 @@ def test_encoding_matches_a_per_token_reference(examples, cap, anon_count, gap_a
 # ------------------------------------------- generated splits, shared lists
 
 
-@pytest.fixture(scope="module")
-def generated_splits(tmp_path_factory):
-    """Splits as ``generate`` writes them and ``read_examples`` reads them:
-    overlapping examples share their sentence lists."""
-    from clozereader import cli, synthdata
-
-    books, out = tmp_path_factory.mktemp("books"), tmp_path_factory.mktemp("splits")
-    synthdata.write_fixture_library(books, n_books=6, rng_seed=0, n_paragraphs=20)
-    assert cli.main(["generate", "--books", str(books), "--type", "ne",
-                     "--out", str(out), "--seed", "7", "--splits", "0.6,0.2,0.2"]) == 0
-    return {s: read_examples(out / f"ne_{s}.txt") for s in ("train", "valid", "test")}
-
-
 def unshared(examples):
     """The same examples with every list a separate object."""
     return [make_example([list(s) for s in e.context], list(e.question), e.answer,
