@@ -61,6 +61,11 @@ class ModelConfig:
     recurrent_layers: int = 2
     query_init: bool = False
 
+    def __post_init__(self):
+        for key in ("embedding_dim", "hidden_units", "recurrent_layers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive")
+
 
 @dataclass
 class Batch:
@@ -71,7 +76,7 @@ class Batch:
     question: np.ndarray         # (B, Q) int64
     question_lengths: np.ndarray  # (B,)
     answers: np.ndarray          # (B,)
-    candidates: np.ndarray       # (B, n_candidates)
+    candidates: np.ndarray       # (B, C) int64, right-padded with PAD_ID
     indices: np.ndarray          # (B,) positions in the source corpus or list
 
     @classmethod
@@ -80,9 +85,7 @@ class Batch:
         indices = np.asarray(indices, dtype=np.int64)
         context, context_lengths = corpus.contexts(indices)
         question, question_lengths = corpus.questions.padded(indices[:, None])
-        candidates, counts = corpus.candidates.padded(indices[:, None])
-        if counts.size and counts.min() != counts.max():
-            raise ValueError(f"examples {indices.tolist()} differ in candidate count")
+        candidates, _ = corpus.candidates.padded(indices[:, None])
         return cls(
             context=context,
             context_lengths=context_lengths,
@@ -298,7 +301,11 @@ def predictions_from_scores(
     masses = (attention[:, None, :] * occurs).sum(axis=2)
     totals = masses.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
-    probabilities = np.where(totals > 0, masses / safe, 1.0 / masses.shape[1])
+    # No real position holds PAD_ID, so a padding column gets no mass; it
+    # stays out of the uniform fallback too.
+    real_candidates = candidates != PAD_ID
+    probabilities = np.where(totals > 0, masses / safe,
+                             real_candidates / real_candidates.sum(axis=1, keepdims=True))
     rows = [attention[i, :n] for i, n in enumerate(context_lengths.tolist())]
     return Predictions(candidates, probabilities, rows)
 

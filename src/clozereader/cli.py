@@ -222,6 +222,7 @@ def cmd_train(args) -> int:
         rng_seed=args.seed,
         **{k: v for k, v in settings.items() if k in _TRAIN_KEYS},
     )
+    model_config = ModelConfig(**{k: v for k, v in settings.items() if k in _MODEL_KEYS})
     train_raw = read_examples(args.train)
     valid_raw = read_examples(args.valid)
     if not train_raw:
@@ -243,9 +244,6 @@ def cmd_train(args) -> int:
             train_raw,
             cap=settings.get("vocab_cap", DEFAULT_CAP),
             anon_count=settings.get("anon_count", DEFAULT_ANON_COUNT),
-        )
-        model_config = ModelConfig(
-            **{k: v for k, v in settings.items() if k in _MODEL_KEYS}
         )
         model = Model(vocabulary, model_config, rng_seed=args.seed)
 

@@ -259,8 +259,6 @@ class BiGru:
         backward states side by side and, per layer, the final forward and
         backward (B, H) states.
         """
-        if steps == 0:
-            raise ShapeMismatchError("empty sequence")
         finals: list[tuple[Tensor, Tensor]] = []
         for k, (fwd, bwd) in enumerate(self.layers):
             h0_fwd = init_states[k][0] if init_states is not None else None

@@ -85,8 +85,6 @@ def tag_book(book: TokenizedBook, config: TaggerConfig) -> list[list[WordType]]:
 
     Output is aligned with ``book.sentences``: one label per token.
     """
-    if not config.noun_lexicon:
-        raise ValueError("noun lexicon must not be empty")
     evidence = _midsentence_evidence(book)
 
     def label(token: str) -> WordType:

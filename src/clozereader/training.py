@@ -91,14 +91,16 @@ def make_batches(
     for start in range(0, len(order), window_size):
         window = order[start : start + window_size]
         window.sort(key=lengths.__getitem__)
-        chunks = [
-            window[j : j + config.batch_size]
-            for j in range(0, len(window), config.batch_size)
-        ]
-        rng.shuffle(chunks)
-        for chunk in chunks:
-            batches.append(Batch.from_corpus(corpus, chunk))
+        window_batches = list(_batches(corpus, window, config.batch_size))
+        rng.shuffle(window_batches)
+        batches += window_batches
     return batches
+
+
+def _batches(corpus: EncodedCorpus, order, size: int = DEFAULT_BATCH_SIZE):
+    """Batches of ``size`` examples of ``corpus``, taken in ``order``."""
+    for start in range(0, len(order), size):
+        yield Batch.from_corpus(corpus, order[start : start + size])
 
 
 class EarlyStopper:
@@ -148,22 +150,11 @@ def evaluate(
     candidate_ids, _ = corpus.candidates.padded(np.arange(len(corpus))[:, None])
     probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        rows = model.predict(Batch.from_corpus(corpus, chunk)).probabilities
-        probabilities[chunk, : rows.shape[1]] = rows
+    for batch in _batches(corpus, order, batch_size):
+        rows = model.predict(batch).probabilities
+        probabilities[batch.indices, : rows.shape[1]] = rows
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, corpus.answers), predictions)
-
-
-def _contexts_in_order(corpus: EncodedCorpus, size: int = DEFAULT_BATCH_SIZE):
-    """Runs of ``size`` consecutive examples: their indices, their padded
-    context matrix and its keep-mask of real positions.  Candidates are
-    left out, so examples may differ in candidate count."""
-    for start in range(0, len(corpus), size):
-        index = np.arange(start, min(start + size, len(corpus)))
-        context, lengths = corpus.contexts(index)
-        yield index, context, np.arange(context.shape[1]) < lengths[:, None]
 
 
 def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExample]) -> float:
@@ -171,11 +162,11 @@ def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExamp
     document (ties go to the earlier candidate in the list)."""
     corpus = as_corpus(examples)
     flags = []
-    for index, context, real in _contexts_in_order(corpus):
+    for batch in _batches(corpus, np.arange(len(corpus))):
+        real = np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
         # A padding slot counts 0 and follows the real candidates, so it never wins.
-        candidates, _ = corpus.candidates.padded(index[:, None])
-        occurs = ((context[:, None, :] == candidates[:, :, None]) & real[:, None, :]).sum(axis=2)
-        flags += correct_flags(Predictions(candidates, occurs), corpus.answers[index])
+        occurs = (batch.context[:, None, :] == batch.candidates[:, :, None]) & real[:, None, :]
+        flags += correct_flags(Predictions(batch.candidates, occurs.sum(axis=2)), batch.answers)
     return hit_rate(flags)
 
 
@@ -213,10 +204,11 @@ def train(
         raise ValueError("no training examples")
     if not valid_examples:
         raise ValueError("no validation examples")
-    for rows, context, real in _contexts_in_order(train_examples):
-        absent = ~((context == train_examples.answers[rows, None]) & real).any(axis=1)
+    for batch in _batches(train_examples, np.arange(len(train_examples))):
+        real = np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
+        absent = ~((batch.context == batch.answers[:, None]) & real).any(axis=1)
         if absent.any():
-            index = int(rows[absent.argmax()])
+            index = int(batch.indices[absent.argmax()])
             raise AnswerNotInDocumentError(
                 f"training example {index} (source {train_examples.sources[index]}): "
                 f"answer id {train_examples.answers[index]} absent from its document"
@@ -375,7 +367,7 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
                 anon_count=vocab_info["anon_count"],
             )
             config = ModelConfig(**header["config"])
-        except (KeyError, TypeError, VocabularyError) as exc:
+        except (KeyError, TypeError, ValueError, VocabularyError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc}") from exc
         model = Model(vocabulary, config, header.get("rng_seed", 0))
         (count,) = struct.unpack("<I", read(fh, 4, "tensor table"))

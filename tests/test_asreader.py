@@ -22,7 +22,7 @@ from clozereader.asreader import (
     query_initiated_encoding,
 )
 from clozereader.numerics import no_grad
-from clozereader.vocab import GAP_ID, EncodedExample, Vocabulary
+from clozereader.vocab import GAP_ID, PAD_ID, EncodedExample, Vocabulary
 
 
 def small_vocab(n_words=8):
@@ -119,12 +119,16 @@ def test_absent_candidate_gets_zero_mass():
 
 
 def test_no_candidate_in_document_falls_back_to_uniform():
-    scores = np.zeros((1, 2))
-    (prediction,) = predictions_from_scores(
-        scores, np.array([[3, 4]]), np.array([2]), np.array([[8, 9, 10, 11]])
+    scores = np.zeros((2, 2))
+    whole, padded = predictions_from_scores(
+        scores, np.array([[3, 4], [3, 4]]), np.array([2, 2]),
+        np.array([[8, 9, 10, 11], [8, 9, PAD_ID, PAD_ID]]),
     )
-    np.testing.assert_allclose(prediction.probabilities, np.full(4, 0.25))
-    assert prediction.predicted_index == 0
+    np.testing.assert_allclose(whole.probabilities, np.full(4, 0.25))
+    assert whole.predicted_index == 0
+    # The uniform share goes to the real candidates only, none to padding.
+    assert padded.probabilities.tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert padded.predicted_index == 0
 
 
 def test_argmax_tie_takes_first_candidate():

@@ -106,17 +106,25 @@ def test_train_rejects_unknown_config_key(cli_workspace, tmp_path, capsys):
     assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
 
 
-def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys):
+@pytest.mark.parametrize("setting, message", [
+    ("vocab_cap = -1", "cap must be at least 0, got -1"),
+    ("embedding_dim = 0", "embedding_dim must be positive"),
+    ("hidden_units = 0", "hidden_units must be positive"),
+    ("hidden_units = -1", "hidden_units must be positive"),
+    ("recurrent_layers = 0", "recurrent_layers must be positive"),
+], ids=["vocab_cap", "embedding_dim", "hidden_units", "negative_hidden_units",
+        "recurrent_layers"])
+def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys, setting, message):
     _, train_path, valid_path, _, _ = cli_workspace
     config = tmp_path / "bad.cfg"
-    config.write_text("vocab_cap = -1\n", encoding="utf-8")
+    config.write_text(setting + "\n", encoding="utf-8")
     out = tmp_path / "m.ckpt"
     rc = main([
         "train", "--train", str(train_path), "--valid", str(valid_path),
         "--config", str(config), "--out", str(out),
     ])
     assert rc == 1
-    assert "cap must be at least 0, got -1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

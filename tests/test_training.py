@@ -10,8 +10,14 @@ import weakref
 import numpy as np
 import pytest
 
-from clozereader.asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig
-from clozereader.numerics import Tensor, write_tensor
+from clozereader.asreader import (
+    AnswerNotInDocumentError,
+    Batch,
+    Model,
+    ModelConfig,
+    predictions_from_scores,
+)
+from clozereader.numerics import Tensor, no_grad, write_tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
@@ -245,6 +251,36 @@ def test_evaluate_pads_the_rows_of_batches_with_fewer_candidates():
         assert (prediction.probabilities[n:] == 0).all()
         np.testing.assert_allclose(prediction.probabilities[:n], single.probabilities, atol=1e-12)
         assert prediction.predicted_id == single.predicted_id
+
+
+def test_one_batch_may_mix_candidate_counts():
+    raw = associative_recall_examples(8, 0) + associative_recall_examples(8, 1, n_pairs=4)
+    vocabulary = build_vocab(raw, cap=200, anon_count=50)
+    corpus = encode_dataset(raw, vocabulary, 0)
+    model = Model(vocabulary, ModelConfig(embedding_dim=8, hidden_units=8, recurrent_layers=1))
+    # Every batch of 16 or 32 holds the ten-pair and the four-pair examples.
+    assert train(model, corpus, corpus, TrainConfig(batch_size=16, max_epochs=1)).steps == 1
+    alone = evaluate(model, corpus, batch_size=1).predictions
+    mixed = evaluate(model, corpus, batch_size=32).predictions
+    assert (mixed.candidate_ids[8:, 4:] == PAD_ID).all()
+    assert (mixed.probabilities[8:, 4:] == 0).all()
+    # Batch shape and context padding move the scores by an ulp or so, as in
+    # test_predictions_do_not_depend_on_batch_size.
+    np.testing.assert_allclose(mixed.probabilities, alone.probabilities, rtol=0, atol=1e-12)
+    assert (mixed.predicted_ids == alone.predicted_ids).all()
+    # Padding the candidates changes no bit: score each row of evaluate's
+    # batch with its own candidates only.
+    batch = Batch.from_corpus(corpus, np.argsort(corpus.context_lengths(), kind="stable"))
+    with no_grad():
+        scores = model.forward_scores(batch).data
+    for i, row in enumerate(batch.indices):
+        n = len(raw[row].candidates)
+        (own,) = predictions_from_scores(scores[i : i + 1], batch.context[i : i + 1],
+                                         batch.context_lengths[i : i + 1],
+                                         batch.candidates[i : i + 1, :n])
+        assert own.probabilities.tobytes() == mixed.probabilities[row, :n].tobytes()
+    # The value the baseline gave before batches padded their candidates.
+    assert most_frequent_candidate_accuracy(corpus) == 0.1875
 
 
 def test_evaluation_result_takes_at_most_2_bytes_per_context_token(generated_splits):
@@ -598,20 +634,33 @@ def test_checkpoint_names_shape_mismatched_tensor(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_checkpoint_names_a_negative_vocabulary_size(tmp_path):
+def checkpoint_with_header(tmp_path, edit):
+    """A checkpoint of a toy model whose JSON header ``edit`` has changed."""
     model, _, _ = toy_setup(n_train=2, n_valid=2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     raw = path.read_bytes()
     (blob_len,) = struct.unpack("<Q", raw[6:14])
     header = json.loads(raw[14 : 14 + blob_len].decode("utf-8"))
-    header["vocab"]["anon_count"] = -1
+    edit(header)
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     path.write_bytes(
         raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + blob_len :]
     )
+    return path
+
+
+def test_checkpoint_names_a_negative_vocabulary_size(tmp_path):
+    path = checkpoint_with_header(tmp_path, lambda h: h["vocab"].update(anon_count=-1))
     with pytest.raises(CheckpointError,
                        match=re.escape(str(path)) + ": bad header: .*anon_count"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_names_a_model_size_below_1(tmp_path):
+    path = checkpoint_with_header(tmp_path, lambda h: h["config"].update(hidden_units=0))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))
+                       + ": bad header: hidden_units must be positive"):
         load_checkpoint(str(path))
 
 
