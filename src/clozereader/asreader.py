@@ -39,8 +39,12 @@ from .numerics import (
 from .seeding import derive_seed
 from .vocab import (
     ANON_START,
+    ANSWER,
+    CANDIDATES,
+    CONTEXT,
     GAP_ID,
     PAD_ID,
+    QUESTION,
     EncodedCorpus,
     EncodedExample,
     Vocabulary,
@@ -83,15 +87,16 @@ class Batch:
     def from_corpus(cls, corpus: EncodedCorpus, indices) -> "Batch":
         """The examples of ``corpus`` at ``indices``, in that order."""
         indices = np.asarray(indices, dtype=np.int64)
-        context, context_lengths = corpus.contexts(indices)
-        question, question_lengths = corpus.questions.padded(indices[:, None])
-        candidates, _ = corpus.candidates.padded(indices[:, None])
+        context, context_lengths = corpus.ids(indices, CONTEXT)
+        question, question_lengths = corpus.ids(indices, QUESTION)
+        candidates, _ = corpus.ids(indices, CANDIDATES)
+        answers, _ = corpus.ids(indices, ANSWER)
         return cls(
             context=context,
             context_lengths=context_lengths,
             question=question,
             question_lengths=question_lengths,
-            answers=corpus.answers[indices].astype(np.int64),
+            answers=answers.reshape(-1),
             candidates=candidates,
             indices=indices,
         )

@@ -21,6 +21,7 @@ may mutate them.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from bisect import bisect_left
@@ -261,6 +262,8 @@ def split_books(
     least one book; too few books is an error.
     """
     fractions = spec.fractions()
+    if not all(map(math.isfinite, fractions)):
+        raise SplitError(f"non-finite split fraction in {fractions}")
     if any(f < 0 for f in fractions):
         raise SplitError(f"negative split fraction in {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:

@@ -38,7 +38,7 @@ class Adam:
     beta1: float = DEFAULT_BETA1
     beta2: float = DEFAULT_BETA2
     eps: float = DEFAULT_EPS
-    states: dict[int, AdamState] = field(default_factory=dict)
+    states: dict[int, AdamState] = field(default_factory=dict, init=False)
 
     def step(self) -> None:
         """One bias-corrected moment update per parameter, in place.

@@ -14,6 +14,7 @@ Round-trips are bitwise exact, including empty and zero-rank tensors.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO
 
@@ -57,10 +58,19 @@ def write_tensor(fh: BinaryIO, array: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(array).astype(dtype.newbyteorder("<")).tobytes())
 
 
+def read_exactly(fh: BinaryIO, size: int, what: str) -> bytes:
+    """The next ``size`` bytes of the seekable ``fh``.  A size past the
+    end of the stream raises "truncated" before anything is read."""
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if size > left:
+        raise TensorFormatError(f"truncated {what}")
+    return fh.read(size)
+
+
 def read_tensor(fh: BinaryIO) -> np.ndarray:
-    head = fh.read(8)
-    if len(head) != 8:
-        raise TensorFormatError("truncated tensor header")
+    head = read_exactly(fh, 8, "tensor header")
     magic, version, code, rank = struct.unpack("<4sHBB", head)
     if magic != TENSOR_MAGIC:
         raise TensorFormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
@@ -71,15 +81,11 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     dtype = _CODE_DTYPES.get(code)
     if dtype is None:
         raise TensorFormatError(f"unknown dtype code {code}")
-    raw_shape = fh.read(8 * rank)
-    if len(raw_shape) != 8 * rank:
-        raise TensorFormatError("truncated tensor shape")
+    raw_shape = read_exactly(fh, 8 * rank, "tensor shape")
     shape = struct.unpack(f"<{rank}Q", raw_shape) if rank else ()
     count = 1
     for dim in shape:
         count *= dim
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise TensorFormatError("truncated tensor payload")
+    payload = read_exactly(fh, count * dtype.itemsize, "tensor payload")
     array = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return array.astype(dtype.newbyteorder("="), copy=True)

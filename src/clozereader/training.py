@@ -16,6 +16,7 @@ fixed seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import struct
@@ -29,9 +30,10 @@ from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Predi
 from .ensemble import correct_flags, hit_rate, prediction_accuracy
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
 from .numerics.optim import DEFAULT_LEARNING_RATE
-from .numerics.serialize import TensorFormatError
+from .numerics.serialize import TensorFormatError, read_exactly
 from .seeding import derive_seed
-from .vocab import EncodedCorpus, EncodedExample, Vocabulary, VocabularyError, as_corpus
+from .vocab import (ANSWER, CANDIDATES, EncodedCorpus, EncodedExample, Vocabulary,
+                    VocabularyError, as_corpus)
 
 CHECKPOINT_MAGIC = b"CLZR"
 CHECKPOINT_VERSION = 1
@@ -63,8 +65,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.prefetch_batches < 1:
             raise ValueError("prefetch_batches must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
         if self.patience < 1:
@@ -147,14 +149,15 @@ def evaluate(
     corpus = as_corpus(examples)
     if not corpus:
         raise ValueError("nothing to evaluate")
-    candidate_ids, _ = corpus.candidates.padded(np.arange(len(corpus))[:, None])
+    candidate_ids, _ = corpus.ids(slice(None), CANDIDATES)
     probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
     for batch in _batches(corpus, order, batch_size):
         rows = model.predict(batch).probabilities
         probabilities[batch.indices, : rows.shape[1]] = rows
     predictions = Predictions(candidate_ids, probabilities)
-    return EvalResult(prediction_accuracy(predictions, corpus.answers), predictions)
+    answers, _ = corpus.ids(slice(None), ANSWER)
+    return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 
 
 def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExample]) -> float:
@@ -211,7 +214,7 @@ def train(
             index = int(batch.indices[absent.argmax()])
             raise AnswerNotInDocumentError(
                 f"training example {index} (source {train_examples.sources[index]}): "
-                f"answer id {train_examples.answers[index]} absent from its document"
+                f"answer id {batch.answers[absent][0]} absent from its document"
             )
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)
@@ -339,10 +342,10 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
 def load_checkpoint(path: str) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
     def read(fh, n: int, what: str) -> bytes:
-        raw = fh.read(n)
-        if len(raw) < n:
-            raise CheckpointError(f"{path}: truncated {what}")
-        return raw
+        try:
+            return read_exactly(fh, n, what)
+        except TensorFormatError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
 
     with open(path, "rb") as fh:
         head = fh.read(6)

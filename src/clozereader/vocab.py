@@ -139,7 +139,7 @@ def _int32(values: list[int]) -> np.ndarray:
 class _Ragged(NamedTuple):
     """Rows of varying length: row i is ``values[starts[i]:starts[i] + lengths[i]]``."""
 
-    values: np.ndarray   # int32, (M,) or (M, k)
+    values: np.ndarray   # int32
     starts: np.ndarray   # int32, or int64 past 2**31 values
     lengths: np.ndarray  # int32
 
@@ -150,13 +150,6 @@ class _Ragged(NamedTuple):
         if len(values) <= np.iinfo(np.int32).max:
             starts = starts.astype(np.int32)
         return cls(values, starts, counts)
-
-    def take(self, index) -> "_Ragged":
-        return _Ragged(self.values, self.starts[index], self.lengths[index])
-
-    def row(self, i: int) -> np.ndarray:
-        start = self.starts[i]
-        return self.values[start:start + self.lengths[i]]
 
     def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where in ``values`` the rows named by each line of ``rows``
@@ -177,95 +170,99 @@ class _Ragged(NamedTuple):
         return matrix, lengths
 
 
+# The columns of a row of ``EncodedCorpus.sentence_rows``: the context's
+# W pieces, then one piece each for the question, the candidates, the
+# answer and the anonymous pairs.
+CONTEXT, QUESTION, CANDIDATES, ANSWER, PAIRS = (
+    slice(-4), slice(-4, -3), slice(-3, -2), slice(-2, -1), slice(-1, None))
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedCorpus:
     """Encoded examples in a few arrays.
 
+    Every id sequence of an example is a piece of ``sentences``: each
+    context sentence, the question, the candidates, the answer, and the
+    (k, anonymous id) pairs it drew, flattened.  Row i of
+    ``sentence_rows`` holds example i's piece numbers in that order.
     Overlapping examples share context sentences, so each distinct
-    sentence's ids are stored once and an example's context is the row
-    of sentence numbers in ``sentence_rows``.  A form that the
-    vocabulary lacks is stored as ``~k``, where ``unknown_forms[k]`` is
-    the form; an example's ``anon`` row pairs each k it holds with the
-    anonymous id it drew.  Questions, candidates and answers hold final
-    ids.  ``corpus[i]`` is example i as an ``EncodedExample``, and a
-    slice is a corpus that shares these arrays.
+    sentence is stored once.  Piece 0 is empty: it pads a shorter
+    context and stands for "no pairs".  A form that the vocabulary lacks
+    is stored as ``~k``, where ``unknown_forms[k]`` is the form, and
+    ``ids`` resolves it through the row's pairs.  ``corpus[i]`` is
+    example i as an ``EncodedExample``, and a slice is a corpus that
+    shares these arrays.
     """
 
-    sentences: _Ragged         # sentence 0 is empty: it pads shorter contexts
-    sentence_rows: np.ndarray  # (N, W) int32 sentence numbers
-    questions: _Ragged
-    candidates: _Ragged
-    answers: np.ndarray        # (N,) int32
-    anon: _Ragged              # rows of (k, anonymous id) pairs
+    sentences: _Ragged
+    sentence_rows: np.ndarray  # (N, W + 4) int32 piece numbers
     unknown_forms: list[str]
     sources: list
 
     @classmethod
     def from_examples(cls, examples: list[EncodedExample]) -> "EncodedCorpus":
-        """A corpus of examples built by hand; each context is one sentence."""
+        """A corpus of examples built by hand; each context is one piece."""
         forms: dict[str, int] = {}
-        anon = [[v for form, i in ex.oov_map.items() for v in (forms.setdefault(form, len(forms)), i)]
-                for ex in examples]
-
-        def pack(rows: list[list[int]], columns: int = 1) -> _Ragged:
-            values = _int32(list(chain.from_iterable(rows)))
-            return _Ragged.pack(values.reshape(-1, columns) if columns > 1 else values,
-                                [len(row) // columns for row in rows])
-
+        pieces: list[list[int]] = [[]]
+        for ex in examples:
+            pairs = [v for form, i in ex.oov_map.items()
+                     for v in (forms.setdefault(form, len(forms)), i)]
+            pieces += (ex.context_ids, ex.question_ids, ex.candidate_ids, [ex.answer_id], pairs)
         return cls(
-            sentences=pack([ex.context_ids for ex in examples]),
-            sentence_rows=np.arange(len(examples), dtype=np.int32)[:, None],
-            questions=pack([ex.question_ids for ex in examples]),
-            candidates=pack([ex.candidate_ids for ex in examples]),
-            answers=_int32([ex.answer_id for ex in examples]),
-            anon=pack(anon, columns=2),
+            sentences=_Ragged.pack(_int32(list(chain.from_iterable(pieces))),
+                                   list(map(len, pieces))),
+            sentence_rows=np.arange(1, len(pieces), dtype=np.int32).reshape(len(examples), 5),
             unknown_forms=list(forms),
             sources=[ex.source for ex in examples],
         )
 
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.sentence_rows)
 
     def __iter__(self) -> Iterator[EncodedExample]:
         return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, key: int | slice) -> EncodedExample | EncodedCorpus:
         if isinstance(key, slice):
-            return replace(self, sentence_rows=self.sentence_rows[key],
-                           questions=self.questions.take(key),
-                           candidates=self.candidates.take(key), answers=self.answers[key],
-                           anon=self.anon.take(key), sources=self.sources[key])
+            return replace(self, sentence_rows=self.sentence_rows[key], sources=self.sources[key])
         i = range(len(self))[key]
-        context, _ = self.contexts(np.array([i]))
+        # The joined row splits where the context and each later piece end.
+        pieces = self.sentences.lengths[self.sentence_rows[i]]
+        ends = np.cumsum([pieces[CONTEXT].sum(), *pieces[-4:-1]])
+        context, question, candidates, answer, pairs = map(
+            np.ndarray.tolist, np.split(self.ids([i], slice(None))[0][0], ends))
         return EncodedExample(
-            context_ids=context[0].tolist(),
-            question_ids=self.questions.row(i).tolist(),
-            answer_id=int(self.answers[i]),
-            candidate_ids=self.candidates.row(i).tolist(),
-            oov_map={self.unknown_forms[k]: slot for k, slot in self.anon.row(i).tolist()},
+            context_ids=context,
+            question_ids=question,
+            answer_id=answer[0],
+            candidate_ids=candidates,
+            oov_map={self.unknown_forms[k]: slot for k, slot in zip(pairs[::2], pairs[1::2])},
             source=self.sources[i],
         )
 
     def context_lengths(self) -> np.ndarray:
         """(N,) int64 token count of each example's context."""
-        return self.sentences.lengths[self.sentence_rows].sum(axis=1)
+        return self.sentences.lengths[self.sentence_rows[:, CONTEXT]].sum(axis=1)
 
-    def contexts(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The contexts of the examples at ``index`` as a (B, T) int64
-        matrix right-padded with PAD_ID, and their lengths."""
-        context, lengths = self.sentences.padded(self.sentence_rows[index])
-        flat = context.reshape(-1)
+    def ids(self, index, columns: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The pieces in ``columns`` of the rows at ``index``, joined row
+        by row into a (B, T) int64 matrix right-padded with PAD_ID, with
+        each ``~k`` resolved to the anonymous id its row drew, and each
+        row's length."""
+        rows = self.sentence_rows[index]
+        matrix, lengths = self.sentences.padded(rows[:, columns])
+        flat = matrix.reshape(-1)
         unknown = np.flatnonzero(flat < 0)
         if unknown.size:
-            # Find each unknown position's (line, k) among the lines' anon pairs.
-            at, counts = self.anon.positions(np.asarray(index)[:, None])
-            pairs = self.anon.values[at]
+            # Find each unknown position's (line, k) among the lines' pairs.
+            at, counts = self.sentences.positions(rows[:, PAIRS])
+            pairs = self.sentences.values[at].reshape(-1, 2)
             n = len(self.unknown_forms)
-            keys = np.repeat(np.arange(len(counts)), counts) * n + pairs[:, 0]
+            keys = np.repeat(np.arange(len(counts)), counts // 2) * n + pairs[:, 0]
             order = np.argsort(keys)
-            wanted = unknown // context.shape[1] * n + ~flat[unknown]
+            wanted = unknown // matrix.shape[1] * n + ~flat[unknown]
             flat[unknown] = pairs[order[np.searchsorted(keys, wanted, sorter=order)], 1]
-        return context, lengths
+        return matrix, lengths
 
 
 def as_corpus(examples: EncodedCorpus | list[EncodedExample]) -> EncodedCorpus:
@@ -299,11 +296,12 @@ def _encode(
     seed_of: Callable[[int], int],
 ) -> EncodedCorpus:
     """The one encoder.  Overlapping examples share sentence lists, so
-    each list is stored once while it stays in a small cache, and then
-    every stored form is looked up in one pass.  ``seed_of(index)`` is
-    called only for an example that holds an unknown form."""
+    each list is stored once while it stays in a small cache; every
+    stored form is looked up in one pass, and then only the examples
+    that hold an unknown form draw their anonymous ids.  ``seed_of(index)``
+    is called only for such an example."""
     width = max(map(len, (ex.context for ex in examples)), default=0)
-    forms, sentence_lengths, rows = [], [0], []
+    forms, lengths, rows = [], [0], []
     # id(sentence) -> its number; unique, as ``examples`` keeps every sentence alive
     cache: dict[int, int] = {}
     for example in examples:
@@ -311,73 +309,52 @@ def _encode(
         for sentence in example.context:
             number = cache.get(id(sentence))
             if number is None:
-                number = cache[id(sentence)] = len(sentence_lengths)
+                number = cache[id(sentence)] = len(lengths)
                 forms += sentence
-                sentence_lengths.append(len(sentence))
+                lengths.append(len(sentence))
             row.append(number)
         if len(cache) > 2 * len(row):
             cache = dict(zip(map(id, example.context), row))
         rows += row
-        if len(row) < width:
-            rows += [0] * (width - len(row))
+        rows += [0] * (width - len(row))
+        for piece in (example.question, example.candidates, [example.answer]):
+            rows.append(len(lengths))
+            forms += piece
+            lengths.append(len(piece))
+        rows.append(0)  # the pairs, set below for an example with an unknown form
 
     # Known ids are at least GAP_ID, so -1 marks an unknown form.
     tokens = np.fromiter(map(vocabulary._lookup.get, forms, repeat(-1)),
                          dtype=np.int32, count=len(forms))
+    sentence_rows = _int32(rows).reshape(len(examples), width + 4)
     codes: dict[str, int] = {}  # unknown form -> k, stored as ~k
-    unknown_in: dict[int, dict[int, None]] = {}  # sentence -> its distinct ~k, in order
+    pairs: list[int] = []
     unknown = np.flatnonzero(tokens < 0)
     if unknown.size:
         stored = [~codes.setdefault(forms[p], len(codes)) for p in unknown.tolist()]
         tokens[unknown] = stored
-        sentence_of = np.searchsorted(np.cumsum(sentence_lengths), unknown, side="right")
-        for number, code in zip(sentence_of.tolist(), stored):
+        unknown_in: dict[int, dict[int, None]] = {}  # piece -> its distinct ~k, in order
+        piece_of = np.searchsorted(np.cumsum(lengths), unknown, side="right")
+        for number, code in zip(piece_of.tolist(), stored):
             unknown_in.setdefault(number, {})[code] = None
-
-    lookup = vocabulary._lookup.get
-    questions, candidates, answers, anon = [], [], [], []
-    question_lengths, candidate_lengths, anon_lengths = [], [], []
-    for index, example in enumerate(examples):
-        question = list(map(lookup, example.question))
-        options = list(map(lookup, example.candidates))
-        answer = lookup(example.answer)
-        in_context = [unknown_in[n] for n in rows[index * width:(index + 1) * width]
-                      if n in unknown_in] if unknown_in else []
-        pairs: list[int] = []
-        if in_context or not all(question) or not all(options) or answer is None:
-            forms_of = (example.question, example.candidates, [example.answer])
-            ids = (question, options, [answer])
-            later = [~codes.setdefault(form, len(codes))
-                     for part, part_ids in zip(forms_of, ids)
-                     for i, form in zip(part_ids, part) if i is None]
-            order = list(dict.fromkeys(chain(chain.from_iterable(in_context), later)))
+        holders = np.isin(sentence_rows, list(unknown_in)).any(axis=1)
+        for index in np.flatnonzero(holders).tolist():
+            row = sentence_rows[index].tolist()
+            order = list(dict.fromkeys(chain.from_iterable(unknown_in.get(n, ()) for n in row)))
             if len(order) > vocabulary.anon_count:
                 raise AnonymousSlotsExhausted(
                     f"{len(order)} unknown forms exceed {vocabulary.anon_count} "
-                    f"anonymous slots (source {example.source})"
+                    f"anonymous slots (source {examples[index].source})"
                 )
             slots = random.Random(seed_of(index)).sample(range(vocabulary.anon_count), len(order))
-            id_of = {code: ANON_START + slot for code, slot in zip(order, slots)}
-            question, options, (answer,) = (
-                [id_of[~codes[form]] if i is None else i for i, form in zip(part_ids, part)]
-                for part, part_ids in zip(forms_of, ids))
-            for code, anon_id in id_of.items():
-                pairs += (~code, anon_id)
-        questions += question
-        question_lengths.append(len(question))
-        candidates += options
-        candidate_lengths.append(len(options))
-        answers.append(answer)
-        anon += pairs
-        anon_lengths.append(len(pairs) // 2)
+            sentence_rows[index, PAIRS] = len(lengths)
+            lengths.append(2 * len(order))
+            for code, slot in zip(order, slots):
+                pairs += (~code, ANON_START + slot)
 
     return EncodedCorpus(
-        sentences=_Ragged.pack(tokens, sentence_lengths),
-        sentence_rows=_int32(rows).reshape(len(examples), width),
-        questions=_Ragged.pack(_int32(questions), question_lengths),
-        candidates=_Ragged.pack(_int32(candidates), candidate_lengths),
-        answers=_int32(answers),
-        anon=_Ragged.pack(_int32(anon).reshape(-1, 2), anon_lengths),
+        sentences=_Ragged.pack(np.concatenate([tokens, _int32(pairs)]), lengths),
+        sentence_rows=sentence_rows,
         unknown_forms=list(codes),
         sources=[example.source for example in examples],
     )

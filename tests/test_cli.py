@@ -112,8 +112,10 @@ def test_train_rejects_unknown_config_key(cli_workspace, tmp_path, capsys):
     ("hidden_units = 0", "hidden_units must be positive"),
     ("hidden_units = -1", "hidden_units must be positive"),
     ("recurrent_layers = 0", "recurrent_layers must be positive"),
+    ("learning_rate = nan", "learning_rate must be positive and finite"),
+    ("learning_rate = inf", "learning_rate must be positive and finite"),
 ], ids=["vocab_cap", "embedding_dim", "hidden_units", "negative_hidden_units",
-        "recurrent_layers"])
+        "recurrent_layers", "nan_learning_rate", "inf_learning_rate"])
 def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys, setting, message):
     _, train_path, valid_path, _, _ = cli_workspace
     config = tmp_path / "bad.cfg"

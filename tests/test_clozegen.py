@@ -1,5 +1,6 @@
 """Question generation, candidate selection, splits, stats."""
 
+import math
 import random
 
 import pytest
@@ -427,6 +428,9 @@ def test_split_books_rejects_bad_fractions():
         split_books(books, SplitSpec(train=0.5, valid=0.2, test=0.2))
     with pytest.raises(SplitError, match="negative"):
         split_books(books, SplitSpec(train=1.2, valid=-0.2, test=0.0))
+    for fraction in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SplitError, match="non-finite"):
+            split_books(books, SplitSpec(train=fraction, valid=0.5, test=0.5))
 
 
 def test_split_books_needs_enough_books():

@@ -636,6 +636,10 @@ def test_tensor_block_rejects_truncation():
     buffer = io.BytesIO()
     write_tensor(buffer, np.arange(4, dtype=np.float64))
     raw = buffer.getvalue()
-    for cut in (4, 12, len(raw) - 3):
+    blocks = [raw[:cut] for cut in (4, 12, len(raw) - 3)]
+    # A dimension that declares far more data than follows, up to an
+    # element count past any index-sized integer.
+    blocks += [raw[:8] + struct.pack("<Q", dim) + raw[16:] for dim in (2**28, 2**62, 2**63)]
+    for block in blocks:
         with pytest.raises(TensorFormatError, match="truncated"):
-            read_tensor(io.BytesIO(raw[:cut]))
+            read_tensor(io.BytesIO(block))

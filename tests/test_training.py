@@ -18,6 +18,7 @@ from clozereader.asreader import (
     predictions_from_scores,
 )
 from clozereader.numerics import Tensor, no_grad, write_tensor
+from clozereader.numerics.serialize import TENSOR_MAGIC
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
@@ -584,11 +585,19 @@ def test_checkpoint_rejects_truncation_everywhere(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     raw = path.read_bytes()
+    clipped = tmp_path / "clipped.ckpt"
     for cut in (3, 8, 13, len(raw) // 2, len(raw) - 5):
-        clipped = tmp_path / "clipped.ckpt"
         clipped.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(clipped))
+    # Lengths that declare far more data than the file holds: the header
+    # blob's u64, and the first tensor's first dimension.
+    dim = raw.index(TENSOR_MAGIC) + 8
+    for size in (2**28, 2**62, 2**63):
+        for at in (6, dim):
+            clipped.write_bytes(raw[:at] + struct.pack("<Q", size) + raw[at + 8:])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(clipped))
 
 
 def test_checkpoint_rejects_undecodable_tensor_name(tmp_path):

@@ -380,7 +380,7 @@ def unshared(examples):
                          list(e.candidates)) for e in examples]
 
 
-@pytest.mark.parametrize("cap", [200_000, 40])
+@pytest.mark.parametrize("cap", [200_000, 40, 12])
 @pytest.mark.parametrize("sharing", ["read", "unshared"])
 def test_generated_splits_match_a_per_token_reference(generated_splits, cap, sharing):
     splits = generated_splits
@@ -399,6 +399,8 @@ def test_generated_splits_match_a_per_token_reference(generated_splits, cap, sha
         order = np.argsort(corpus.context_lengths(), kind="stable")
         for start in range(0, len(order), 32):  # evaluate's batches
             assert_batch_matches(Batch.from_corpus(corpus, order[start:start + 32]), expected)
+        if cap == 12:  # every answer, and so every candidate list, is an unknown form
+            assert all(vocab.is_anonymous(e.answer_id) for e in expected)
     if cap == 40:  # the cap leaves unknown forms in every split
         assert all(any(e.oov_map for e in encode_dataset(examples, vocab, 0))
                    for examples in splits.values())
