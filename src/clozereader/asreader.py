@@ -13,6 +13,11 @@ log space); candidate-renormalized probabilities are for reporting only.
 The optional query-initiated variant first runs the question through the
 document encoder and uses the final forward/backward states to initialize
 the document passes, layer by layer.
+
+A batch is read in one way each: ``occurrences`` is the one mask of where
+ids occur among a row's real context positions, ``Batch.answer_positions``
+is the one answer check, and ``Model._document_pass`` is the one run of
+the document encoder.
 """
 
 from __future__ import annotations
@@ -87,10 +92,8 @@ class Batch:
     def from_corpus(cls, corpus: EncodedCorpus, indices) -> "Batch":
         """The examples of ``corpus`` at ``indices``, in that order."""
         indices = np.asarray(indices, dtype=np.int64)
-        context, context_lengths = corpus.ids(indices, CONTEXT)
-        question, question_lengths = corpus.ids(indices, QUESTION)
-        candidates, _ = corpus.ids(indices, CANDIDATES)
-        answers, _ = corpus.ids(indices, ANSWER)
+        (context, context_lengths), (question, question_lengths), (candidates, _), (answers, _) = (
+            corpus.ids(indices, CONTEXT, QUESTION, CANDIDATES, ANSWER))
         return cls(
             context=context,
             context_lengths=context_lengths,
@@ -113,6 +116,27 @@ class Batch:
     @property
     def size(self) -> int:
         return self.context.shape[0]
+
+    def answer_positions(self, sources=None) -> np.ndarray:
+        """(B, T) mask of where each row's answer occurs in its document.
+        A row without one raises, naming its corpus index and, when the
+        corpus's ``sources`` are given, its source."""
+        positions = occurrences(self.context, self.context_lengths, self.answers[:, None])[:, 0]
+        absent = ~positions.any(axis=1)
+        if absent.any():
+            row = int(absent.argmax())
+            index = int(self.indices[row])
+            source = "" if sources is None else f" (source {sources[index]})"
+            raise AnswerNotInDocumentError(f"example {index}{source}: answer id "
+                                           f"{self.answers[row]} absent from its document")
+        return positions
+
+
+def occurrences(context: np.ndarray, lengths: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(B, K, T) mask of where each of a row's K ``ids`` occurs among the
+    first ``lengths`` positions of its ``context`` row."""
+    real = np.arange(context.shape[1]) < lengths[:, None]
+    return (context[:, None, :] == ids[:, :, None]) & real[:, None, :]
 
 
 @dataclass
@@ -242,14 +266,17 @@ class Model:
     def document_states(self, batch: Batch) -> Tensor:
         """Time-major (T*B, 2H) contextual embeddings of the context: row
         t*B + b is position t of batch row b."""
+        return self._document_pass(batch, self.config.query_init)
+
+    def _document_pass(self, batch: Batch, query_init: bool) -> Tensor:
+        """The document encoder over the context; with ``query_init`` its
+        passes start from its final states over the question."""
         init_states = None
-        if self.config.query_init:
-            _, init_states = self._run_encoder(
-                self.doc_encoder, batch.question, batch.question_lengths
-            )
-        block, _ = self._run_encoder(
-            self.doc_encoder, batch.context, batch.context_lengths, init_states
-        )
+        if query_init:
+            _, init_states = self._run_encoder(self.doc_encoder, batch.question,
+                                               batch.question_lengths)
+        block, _ = self._run_encoder(self.doc_encoder, batch.context, batch.context_lengths,
+                                     init_states)
         return block
 
     def forward_scores(self, batch: Batch) -> Tensor:
@@ -263,16 +290,9 @@ class Model:
         Computed in log space: logsumexp over all real positions minus
         logsumexp over the answer's positions.
         """
+        answer_positions = batch.answer_positions()
         scores = self.forward_scores(batch)
-        b, t = batch.context.shape
-        real = np.arange(t)[None, :] < batch.context_lengths[:, None]
-        answer_positions = (batch.context == batch.answers[:, None]) & real
-        rows_without_answer = ~answer_positions.any(axis=1)
-        if rows_without_answer.any():
-            where = batch.indices[rows_without_answer][:5].tolist()
-            raise AnswerNotInDocumentError(
-                f"answer id absent from document for example(s) {where}"
-            )
+        real = np.arange(scores.shape[1])[None, :] < batch.context_lengths[:, None]
         all_masked = add(scores, Tensor((real.astype(float) - 1.0) * MASK_OFFSET))
         answer_masked = add(
             scores, Tensor((answer_positions.astype(float) - 1.0) * MASK_OFFSET)
@@ -302,7 +322,7 @@ def predictions_from_scores(
     exps = np.exp(masked - shift)
     attention = exps / exps.sum(axis=1, keepdims=True)
 
-    occurs = (context[:, None, :] == candidates[:, :, None]) & real[:, None, :]
+    occurs = occurrences(context, context_lengths, candidates)
     masses = (attention[:, None, :] * occurs).sum(axis=2)
     totals = masses.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
@@ -336,12 +356,8 @@ def encode_document(context_ids: list[int], model: Model) -> np.ndarray:
     """(T, 2H) contextual embeddings for one document."""
     if not context_ids:
         raise ValueError("empty document")
-    batch = _single_batch(context_ids, [])
     with no_grad():
-        block, _ = model._run_encoder(
-            model.doc_encoder, batch.context, batch.context_lengths
-        )
-    return block.data
+        return model._document_pass(_single_batch(context_ids, []), False).data
 
 
 def encode_question(question_ids: list[int], model: Model) -> np.ndarray:
@@ -365,15 +381,8 @@ def query_initiated_encoding(
         raise ValueError("empty document")
     if GAP_ID not in question_ids:
         raise ValueError("question does not contain the gap tag id")
-    batch = _single_batch(context_ids, question_ids)
     with no_grad():
-        _, init_states = model._run_encoder(
-            model.doc_encoder, batch.question, batch.question_lengths
-        )
-        block, _ = model._run_encoder(
-            model.doc_encoder, batch.context, batch.context_lengths, init_states
-        )
-    return block.data
+        return model._document_pass(_single_batch(context_ids, question_ids), True).data
 
 
 def attention_and_answer(
@@ -398,13 +407,7 @@ def example_loss(
 ) -> float:
     """-log of the answer's aggregated attention mass, in log space."""
     scores = np.asarray(scores, dtype=float)
-    context = np.asarray(context_ids)
-    positions = np.flatnonzero(context == answer_id)
+    positions = np.flatnonzero(np.asarray(context_ids) == answer_id)
     if positions.size == 0:
-        raise AnswerNotInDocumentError(f"answer id {answer_id} not in document")
-
-    def lse(values: np.ndarray) -> float:
-        m = values.max()
-        return float(m + np.log(np.exp(values - m).sum()))
-
-    return lse(scores) - lse(scores[positions])
+        raise AnswerNotInDocumentError(f"answer id {answer_id} absent from its document")
+    return logsumexp(Tensor(scores)).item() - logsumexp(Tensor(scores[positions])).item()

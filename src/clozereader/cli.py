@@ -295,7 +295,7 @@ def _predict_with_checkpoint(
 
 
 def cmd_evaluate(args) -> int:
-    raw = read_examples(args.data, word_type=_WORD_TYPES.get(args.type or ""))
+    raw = read_examples(args.data)
     if not raw:
         raise CliError(f"{args.data}: no examples")
     # A model is scored as the ensemble of itself.
@@ -304,18 +304,14 @@ def cmd_evaluate(args) -> int:
     predictions = average_predictions([predictions for predictions, _ in runs])
     flags = correct_flags(predictions, _answer_positions(raw))
 
+    accuracy = _format_float(hit_rate(flags))
     rows: list[tuple[str, object]] = [
         ("dataset", Path(args.data).name),
         ("n_examples", len(raw)),
-        ("accuracy", _format_float(hit_rate(flags))),
+        ("accuracy", accuracy),
     ]
-    by_type: dict[str, list[int]] = {}
-    for ex, flag in zip(raw, flags):
-        if ex.word_type is not None:
-            by_type.setdefault(ex.word_type.value, []).append(flag)
-    for type_name in sorted(by_type):
-        rows.append((f"accuracy[{type_name.lower()}]",
-                     _format_float(hit_rate(by_type[type_name]))))
+    if args.type:  # ``--type`` labels every example
+        rows.append((f"accuracy[{args.type}]", accuracy))
     rows.append(
         ("baseline_random",
          _format_float(sum(1 / len(ex.candidates) for ex in raw) / len(raw)))

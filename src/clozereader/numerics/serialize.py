@@ -15,6 +15,7 @@ Round-trips are bitwise exact, including empty and zero-rank tensors.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -83,9 +84,9 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
         raise TensorFormatError(f"unknown dtype code {code}")
     raw_shape = read_exactly(fh, 8 * rank, "tensor shape")
     shape = struct.unpack(f"<{rank}Q", raw_shape) if rank else ()
-    count = 1
-    for dim in shape:
-        count *= dim
-    payload = read_exactly(fh, count * dtype.itemsize, "tensor payload")
+    payload = read_exactly(fh, math.prod(shape) * dtype.itemsize, "tensor payload")
+    # An empty shape declares no payload, yet numpy still caps its extent.
+    if math.prod(max(dim, 1) for dim in shape) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise TensorFormatError(f"shape {shape} exceeds the largest array size")
     array = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return array.astype(dtype.newbyteorder("="), copy=True)

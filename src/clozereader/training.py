@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ClozereaderError
-from .asreader import AnswerNotInDocumentError, Batch, Model, ModelConfig, Predictions
+from .asreader import Batch, Model, ModelConfig, Predictions, occurrences
 from .ensemble import correct_flags, hit_rate, prediction_accuracy
 from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
 from .numerics.optim import DEFAULT_LEARNING_RATE
@@ -149,14 +149,13 @@ def evaluate(
     corpus = as_corpus(examples)
     if not corpus:
         raise ValueError("nothing to evaluate")
-    candidate_ids, _ = corpus.ids(slice(None), CANDIDATES)
+    (candidate_ids, _), (answers, _) = corpus.ids(slice(None), CANDIDATES, ANSWER)
     probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
     for batch in _batches(corpus, order, batch_size):
         rows = model.predict(batch).probabilities
         probabilities[batch.indices, : rows.shape[1]] = rows
     predictions = Predictions(candidate_ids, probabilities)
-    answers, _ = corpus.ids(slice(None), ANSWER)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 
 
@@ -166,9 +165,8 @@ def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExamp
     corpus = as_corpus(examples)
     flags = []
     for batch in _batches(corpus, np.arange(len(corpus))):
-        real = np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
         # A padding slot counts 0 and follows the real candidates, so it never wins.
-        occurs = (batch.context[:, None, :] == batch.candidates[:, :, None]) & real[:, None, :]
+        occurs = occurrences(batch.context, batch.context_lengths, batch.candidates)
         flags += correct_flags(Predictions(batch.candidates, occurs.sum(axis=2)), batch.answers)
     return hit_rate(flags)
 
@@ -208,14 +206,7 @@ def train(
     if not valid_examples:
         raise ValueError("no validation examples")
     for batch in _batches(train_examples, np.arange(len(train_examples))):
-        real = np.arange(batch.context.shape[1]) < batch.context_lengths[:, None]
-        absent = ~((batch.context == batch.answers[:, None]) & real).any(axis=1)
-        if absent.any():
-            index = int(batch.indices[absent.argmax()])
-            raise AnswerNotInDocumentError(
-                f"training example {index} (source {train_examples.sources[index]}): "
-                f"answer id {batch.answers[absent][0]} absent from its document"
-            )
+        batch.answer_positions(train_examples.sources)
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)
     stopper = EarlyStopper(config.patience)
@@ -389,6 +380,8 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
                 raise CheckpointError(f"{path}: tensor {name!r}: {exc}") from exc
             if name not in named:
                 raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+            if name in seen:
+                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             if named[name].data.shape != data.shape:
                 raise CheckpointError(
                     f"{path}: tensor {name!r} has shape {data.shape}, "

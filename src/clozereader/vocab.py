@@ -229,8 +229,9 @@ class EncodedCorpus:
         # The joined row splits where the context and each later piece end.
         pieces = self.sentences.lengths[self.sentence_rows[i]]
         ends = np.cumsum([pieces[CONTEXT].sum(), *pieces[-4:-1]])
-        context, question, candidates, answer, pairs = map(
-            np.ndarray.tolist, np.split(self.ids([i], slice(None))[0][0], ends))
+        [(joined, _)] = self.ids([i], slice(None))
+        context, question, candidates, answer, pairs = map(np.ndarray.tolist,
+                                                           np.split(joined[0], ends))
         return EncodedExample(
             context_ids=context,
             question_ids=question,
@@ -244,25 +245,27 @@ class EncodedCorpus:
         """(N,) int64 token count of each example's context."""
         return self.sentences.lengths[self.sentence_rows[:, CONTEXT]].sum(axis=1)
 
-    def ids(self, index, columns: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The pieces in ``columns`` of the rows at ``index``, joined row
-        by row into a (B, T) int64 matrix right-padded with PAD_ID, with
-        each ``~k`` resolved to the anonymous id its row drew, and each
-        row's length."""
+    def ids(self, index, *columns: slice) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each slice in ``columns``, its pieces of the rows at
+        ``index``, joined row by row into a (B, T) int64 matrix
+        right-padded with PAD_ID, with each ``~k`` resolved to the
+        anonymous id its row drew, and each row's length.  The rows and
+        their pairs are read once for all the slices."""
         rows = self.sentence_rows[index]
-        matrix, lengths = self.sentences.padded(rows[:, columns])
-        flat = matrix.reshape(-1)
-        unknown = np.flatnonzero(flat < 0)
-        if unknown.size:
+        read = [self.sentences.padded(rows[:, c]) for c in columns]
+        if any(matrix.min(initial=0) < 0 for matrix, _ in read):
             # Find each unknown position's (line, k) among the lines' pairs.
             at, counts = self.sentences.positions(rows[:, PAIRS])
             pairs = self.sentences.values[at].reshape(-1, 2)
             n = len(self.unknown_forms)
             keys = np.repeat(np.arange(len(counts)), counts // 2) * n + pairs[:, 0]
             order = np.argsort(keys)
-            wanted = unknown // matrix.shape[1] * n + ~flat[unknown]
-            flat[unknown] = pairs[order[np.searchsorted(keys, wanted, sorter=order)], 1]
-        return matrix, lengths
+            for matrix, _ in read:
+                flat = matrix.reshape(-1)
+                unknown = np.flatnonzero(flat < 0)
+                wanted = unknown // matrix.shape[1] * n + ~flat[unknown]
+                flat[unknown] = pairs[order[np.searchsorted(keys, wanted, sorter=order)], 1]
+        return read
 
 
 def as_corpus(examples: EncodedCorpus | list[EncodedExample]) -> EncodedCorpus:

@@ -18,6 +18,7 @@ from clozereader.asreader import (
     encode_document,
     encode_question,
     example_loss,
+    occurrences,
     predictions_from_scores,
     query_initiated_encoding,
 )
@@ -205,13 +206,32 @@ def test_batched_loss_matches_single_example_losses():
     assert batched == pytest.approx(float(np.mean(singles)), abs=1e-9)
 
 
-def test_loss_raises_and_names_rows_missing_the_answer():
+def test_loss_raises_and_names_rows_missing_the_answer(monkeypatch):
     model = small_model()
     v = model.vocabulary
     good = encoded(word_ids(v, 0, 1), [GAP_ID], word_ids(v, 1)[0], word_ids(v, 1, 0))
     bad = encoded(word_ids(v, 2, 3), [GAP_ID], word_ids(v, 7)[0], word_ids(v, 7, 2))
-    with pytest.raises(AnswerNotInDocumentError, match="1"):
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the forward pass ran before the answer check")
+
+    monkeypatch.setattr(Model, "forward_scores", no_forward)
+    with pytest.raises(AnswerNotInDocumentError,
+                       match=rf"^example 1: answer id {v.word_start + 7} absent from its document$"):
         model.loss(Batch.from_examples([good, bad]))
+
+
+def test_answer_positions_and_occurrences_read_real_positions_only():
+    a, b = 7, 9
+    # Row 0 is padded to row 1's width, and its third candidate is padding.
+    batch = Batch.from_examples([encoded([a, b, a], [GAP_ID], a, [a, b]),
+                                 encoded([b, b, a, b, a], [GAP_ID], b, [b, a, 4])])
+    assert batch.context[0].tolist() == [a, b, a, PAD_ID, PAD_ID]
+    assert batch.candidates[0].tolist() == [a, b, PAD_ID]
+    assert batch.answer_positions().tolist() == [[True, False, True, False, False],
+                                                 [True, True, False, True, False]]
+    counts = occurrences(batch.context, batch.context_lengths, batch.candidates).sum(axis=2)
+    assert counts.tolist() == [[2, 1, 0], [3, 2, 0]]
 
 
 def test_loss_decreases_along_the_gradient():

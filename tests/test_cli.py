@@ -199,6 +199,22 @@ def test_evaluate_reports_accuracy_and_baselines(cli_workspace, tmp_path, capsys
     assert sum(flags) / n_valid == pytest.approx(float(report["accuracy"]), abs=1e-6)
 
 
+def test_evaluate_reports_the_type_row_only_for_a_type(cli_workspace, tmp_path):
+    _, _, valid_path, _, checkpoints = cli_workspace
+    reports = []
+    for flags in ([], ["--type", "ne"]):
+        tsv = tmp_path / f"eval{len(flags)}.tsv"
+        rc = main(["evaluate", "--model", str(checkpoints["a"]), "--data", str(valid_path),
+                   *flags, "--tsv", str(tsv)])
+        assert rc == 0
+        reports.append(report_dict(tsv))
+    untyped, typed = reports
+    assert not any(key.startswith("accuracy[") for key in untyped)
+    assert list(typed) == ["dataset", "n_examples", "accuracy", "accuracy[ne]",
+                           "baseline_random", "baseline_frequency"]
+    assert typed["accuracy[ne]"] == typed["accuracy"] == untyped["accuracy"]
+
+
 def frequency_oracle(examples):
     """Share of examples whose answer is the candidate that occurs most
     often in the context, the first one listed winning ties."""

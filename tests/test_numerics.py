@@ -643,3 +643,11 @@ def test_tensor_block_rejects_truncation():
     for block in blocks:
         with pytest.raises(TensorFormatError, match="truncated"):
             read_tensor(io.BytesIO(block))
+    # A shape with a 0 declares no payload, but numpy cannot hold the
+    # other dimension.
+    empty = io.BytesIO()
+    write_tensor(empty, np.zeros((1, 0)))
+    head = empty.getvalue()[:8]
+    for shape in ((2**63, 0), (0, 2**64 - 1)):
+        with pytest.raises(TensorFormatError, match="exceeds the largest array size"):
+            read_tensor(io.BytesIO(head + struct.pack("<2Q", *shape)))

@@ -1,6 +1,7 @@
 """Bucketed batching, early stopping, the training loop, checkpoints."""
 
 import gc
+import io
 import json
 import re
 import struct
@@ -18,7 +19,7 @@ from clozereader.asreader import (
     predictions_from_scores,
 )
 from clozereader.numerics import Tensor, no_grad, write_tensor
-from clozereader.numerics.serialize import TENSOR_MAGIC
+from clozereader.numerics.serialize import TENSOR_MAGIC, read_tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
@@ -319,6 +320,9 @@ def test_most_frequent_candidate_baseline():
     three = EncodedExample([7, 9, 9], [GAP_ID], 9, [7, 8, 9], {})
     absent = EncodedExample([9], [GAP_ID], 7, [7, 8], {})
     assert most_frequent_candidate_accuracy([one, three, two, absent]) == 0.75
+    # One's padding candidate column counts none of its padding positions.
+    wide = EncodedExample([9] * 6, [GAP_ID], 9, [9, 7, 8], {})
+    assert most_frequent_candidate_accuracy([one, wide]) == 1.0
 
 
 # ------------------------------------------------------------------- train
@@ -485,12 +489,17 @@ def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
         source=("book-x", 42),
     )
 
+    # The loss names the same example, without its source.
+    message = f"answer id {absent} absent from its document"
+    with pytest.raises(AnswerNotInDocumentError, match=f"^example 5: {message}$"):
+        model.loss(Batch.from_examples([enc_train[i] for i in (2, 5, 4)], [2, 5, 4]))
+
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran before the check")
 
     monkeypatch.setattr(Model, "loss", no_step)
     with pytest.raises(AnswerNotInDocumentError,
-                       match=r"example 5 \(source \('book-x', 42\)\)"):
+                       match=rf"^example 5 \(source \('book-x', 42\)\): {message}$"):
         train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
 
 
@@ -598,6 +607,41 @@ def test_checkpoint_rejects_truncation_everywhere(tmp_path):
             clipped.write_bytes(raw[:at] + struct.pack("<Q", size) + raw[at + 8:])
             with pytest.raises(CheckpointError, match="truncated"):
                 load_checkpoint(str(clipped))
+
+
+def test_checkpoint_names_a_tensor_whose_empty_shape_numpy_cannot_hold(tmp_path):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    name = b"doc.l0.bwd.u_c"
+    dims = raw.index(TENSOR_MAGIC, raw.index(struct.pack("<H", len(name)) + name)) + 8
+    assert raw[dims - 1] == 2  # the rank
+    path.write_bytes(raw[:dims] + struct.pack("<2Q", 2**63, 0) + raw[dims + 16:])
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: tensor 'doc.l0.bwd.u_c': shape ")):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_a_tensor_named_twice(tmp_path):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    table = 14 + blob_len
+    (count,) = struct.unpack("<I", raw[table : table + 4])
+    stream = io.BytesIO(raw)
+    stream.seek(table + 4)
+    (name_len,) = struct.unpack("<H", stream.read(2))
+    name = stream.read(name_len).decode("utf-8")
+    read_tensor(stream)
+    first = raw[table + 4 : stream.tell()]
+    # The first entry again, with a different value, at the end of the table.
+    edited = first[:-1] + bytes([first[-1] ^ 1])
+    path.write_bytes(raw[:table] + struct.pack("<I", count + 1) + raw[table + 4 :] + edited)
+    with pytest.raises(CheckpointError, match=re.escape(f"tensor {name!r} appears twice")):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_undecodable_tensor_name(tmp_path):
