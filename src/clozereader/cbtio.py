@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import ClozereaderError
 from .clozegen import DEFAULT_WINDOW as N_CONTEXT_LINES, N_CANDIDATES, ClozeExample
-from .tagger import WordType
 
 CANDIDATE_SEP = "|"
 
@@ -60,7 +59,7 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_examples(path: str | Path, word_type: WordType | None = None) -> list[ClozeExample]:
+def read_examples(path: str | Path) -> list[ClozeExample]:
     """Parse a question file, raising on the first violation.  Equal
     tokens within the file share one string object, and a context line
     equal to one of the previous example's shares its token list."""
@@ -70,7 +69,6 @@ def read_examples(path: str | Path, word_type: WordType | None = None) -> list[C
     examples = []
     for ordinal, block in enumerate(_blocks(path)):
         example, sentences = _parse_block(block, path, ordinal, forms, sentences)
-        example.word_type = word_type
         examples.append(example)
     return examples
 
@@ -175,6 +173,5 @@ def _parse_block(
         question=list(map(share, question, question)),
         answer=share(answer, answer),
         candidates=list(map(share, candidates, candidates)),
-        word_type=None,
         source=(path.stem, ordinal),
     ), own

@@ -268,7 +268,7 @@ def cmd_train(args) -> int:
             ("best_step", result.best_step),
             ("steps", result.steps),
             ("epochs", result.epochs),
-            ("checkpoint", result.checkpoint_path or ""),
+            ("checkpoint", args.out),
         ],
         args.tsv,
     )

@@ -62,7 +62,6 @@ class ClozeExample:
     question: list[str]
     answer: str
     candidates: list[str]
-    word_type: WordType | None = None
     source: tuple[str, int] | None = None
 
     def validate(self, window: int = DEFAULT_WINDOW) -> None:
@@ -199,7 +198,6 @@ def generate_from_book(
             question=question,
             answer=answer,
             candidates=candidates,
-            word_type=target_type,
             source=(book.book_id, i),
         ))
         report.emitted += 1

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .clozegen import GAP_TOKEN, ClozeExample, N_CANDIDATES
 from .seeding import stream
-from .tagger import WordType
 
 # ------------------------------------------------------------ pointing task
 
@@ -66,7 +65,6 @@ def associative_recall_examples(
                 question=question,
                 answer=values[probe],
                 candidates=candidates,
-                word_type=WordType.COMMON_NOUN,
                 source=("recall", index),
             )
         )

@@ -7,6 +7,12 @@ Rows inside a batch then have similar lengths, which keeps padding cheap,
 while the window shuffle stops the model from seeing documents in strict
 length order.
 
+A training step evaluates on the validation set when it ends an epoch or
+when its batch carries the count of consumed training examples past a
+multiple of ``eval_every``.  An evaluation that beats every earlier one
+saves the checkpoint, so the first one always does; ``patience``
+evaluations in a row without a new best stop training.
+
 Training logs one tab-separated line per evaluation: step number, the
 step's loss (full repr), validation accuracy, and wall-clock seconds.
 Everything except the wall column is reproducible bit for bit for a
@@ -105,35 +111,6 @@ def _batches(corpus: EncodedCorpus, order, size: int = DEFAULT_BATCH_SIZE):
         yield Batch.from_corpus(corpus, order[start : start + size])
 
 
-class EarlyStopper:
-    """Stop after ``patience`` consecutive evaluations without strict
-    improvement over the best value seen so far."""
-
-    def __init__(self, patience: int = 1):
-        if patience < 1:
-            raise ValueError("patience must be positive")
-        self.patience = patience
-        self.best_value: float | None = None
-        self.last_value: float | None = None
-        self._count = 0
-        self._seen = 0
-
-    def update(self, value: float) -> bool:
-        """Record one evaluation; return True when training should stop."""
-        self._seen += 1
-        self.last_value = value
-        if self.best_value is None or value > self.best_value:
-            self.best_value = value
-            self._count = 0
-            return False
-        self._count += 1
-        return self._count >= self.patience
-
-    @property
-    def improved(self) -> bool:
-        return self._count == 0 and self._seen > 0
-
-
 @dataclass
 class EvalResult:
     accuracy: float
@@ -149,6 +126,8 @@ def evaluate(
     corpus = as_corpus(examples)
     if not corpus:
         raise ValueError("nothing to evaluate")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     (candidate_ids, _), (answers, _) = corpus.ids(slice(None), CANDIDATES, ANSWER)
     probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
@@ -178,7 +157,6 @@ class TrainResult:
     steps: int
     epochs: int
     log_lines: list[str] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
 
 def train(
@@ -190,11 +168,9 @@ def train(
     log_fh=None,
 ) -> TrainResult:
     """Optimize the model, keeping the checkpoint with the best validation
-    accuracy.
+    accuracy; the module docstring gives the evaluation schedule.
 
-    Evaluations run every ``eval_every`` consumed training examples (when
-    set) and at the end of every epoch; each one appends a log line.  A
-    NaN or infinite loss or gradient norm saves a diagnostic checkpoint
+    A NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
     parameters are updated.  Empty example lists and training examples
     whose answer never occurs in the document are rejected before the
@@ -209,80 +185,53 @@ def train(
         batch.answer_positions(train_examples.sources)
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)
-    stopper = EarlyStopper(config.patience)
-    result = TrainResult(best_accuracy=0.0, best_step=0, steps=0, epochs=0)
-    started = time.monotonic()
-
-    def emit(step: int, loss_value: float) -> None:
-        line = (
-            f"{step}\t{loss_value!r}\t{stopper.last_value:.6f}"
-            f"\t{time.monotonic() - started:.3f}"
-        )
-        result.log_lines.append(line)
-        if log_fh is not None:
-            log_fh.write(line + "\n")
-            log_fh.flush()
-
-    def run_eval(step: int, loss_value: float) -> bool:
-        accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
-        stop = stopper.update(accuracy)
-        if stopper.improved:
-            result.best_accuracy = accuracy
-            result.best_step = step
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    model,
-                    checkpoint_path,
-                    extra={"validation_accuracy": accuracy, "step": step},
-                )
-                result.checkpoint_path = checkpoint_path
-        emit(step, loss_value)
-        return stop
-
-    def diverged(what: str, step: int, extra: dict):
-        if checkpoint_path is not None:
-            save_checkpoint(model, checkpoint_path + ".diverged",
-                            extra={"step": step, **extra})
-        raise TrainingDivergedError(f"{what} at step {step}")
-
-    step = 0
+    result = TrainResult(best_accuracy=-math.inf, best_step=0, steps=0, epochs=0)
+    eval_every = config.eval_every or math.inf
     examples_seen = 0
-    eval_marks = 0
-    stop = False
+    since_best = 0
+    started = time.monotonic()
     for epoch in range(config.max_epochs):
-        epoch_seed = derive_seed(config.rng_seed, "epoch", epoch)
-        evaluated_at = -1
-        for batch in make_batches(train_examples, config, epoch_seed):
+        result.epochs = epoch + 1
+        batches = make_batches(train_examples, config, derive_seed(config.rng_seed, "epoch", epoch))
+        for batch in batches:
             zero_grads(params)
             loss = model.loss(batch)
             loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                diverged(f"non-finite loss {loss_value!r}", step,
-                         {"loss": loss_value})
-            loss.backward()
-            grad_norm = clip_gradients([p.grad for p in params if p.grad is not None])
-            if not np.isfinite(grad_norm):
-                diverged(f"non-finite gradient norm {grad_norm!r}", step,
-                         {"loss": loss_value, "grad_norm": grad_norm})
-            optimizer.step()
+            extra = {"step": result.steps, "loss": loss_value}
+            if math.isfinite(loss_value):
+                loss.backward()
+                extra["grad_norm"] = clip_gradients([p.grad for p in params if p.grad is not None])
             # Free this step's graph before the next forward pass builds one.
             del loss
-            step += 1
+            # A non-finite loss skips the backward pass, so the last value is the one to check.
+            name, value = list(extra.items())[-1]
+            if not math.isfinite(value):
+                if checkpoint_path is not None:
+                    save_checkpoint(model, checkpoint_path + ".diverged", extra=extra)
+                what = "gradient norm" if name == "grad_norm" else name
+                raise TrainingDivergedError(f"non-finite {what} {value!r} at step {result.steps}")
+            optimizer.step()
+            result.steps += 1
             examples_seen += batch.size
-            result.steps = step
-            if config.eval_every and examples_seen // config.eval_every > eval_marks:
-                eval_marks = examples_seen // config.eval_every
-                stop = run_eval(step, loss_value)
-                evaluated_at = step
-                if stop:
-                    break
-        result.epochs = epoch + 1
-        if stop:
-            break
-        if step != evaluated_at:
-            stop = run_eval(step, loss_value)
-        if stop:
-            break
+            crossed_mark = examples_seen // eval_every > (examples_seen - batch.size) // eval_every
+            if not crossed_mark and batch is not batches[-1]:
+                continue
+            accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
+            if accuracy > result.best_accuracy:
+                result.best_accuracy, result.best_step, since_best = accuracy, result.steps, 0
+                if checkpoint_path is not None:
+                    save_checkpoint(model, checkpoint_path,
+                                    extra={"validation_accuracy": accuracy, "step": result.steps})
+            else:
+                since_best += 1
+            line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
+                    f"\t{time.monotonic() - started:.3f}")
+            result.log_lines.append(line)
+            if log_fh is not None:
+                log_fh.write(line + "\n")
+                log_fh.flush()
+            if since_best == config.patience:
+                return result
     return result
 
 

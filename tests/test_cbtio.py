@@ -102,8 +102,7 @@ def test_exact_serialization_bytes():
 
 def test_read_assigns_word_type_and_source(tmp_path):
     path = write_text(tmp_path, "\n".join(sample_block() + sample_block()), "ne_train.txt")
-    loaded = read_examples(path, word_type=WordType.NAMED_ENTITY)
-    assert [e.word_type for e in loaded] == [WordType.NAMED_ENTITY] * 2
+    loaded = read_examples(path)
     assert [e.source for e in loaded] == [("ne_train", 0), ("ne_train", 1)]
 
 
@@ -252,7 +251,6 @@ def reference_parse_block(block, path, ordinal, forms):
         question=list(map(share, question, question)),
         answer=share(answer, answer),
         candidates=list(map(share, candidates, candidates)),
-        word_type=None,
         source=(path.stem, ordinal),
     )
 
@@ -269,7 +267,7 @@ def reference_validate(path):
 
 def all_fields(example):
     return (example.context, example.question, example.answer, example.candidates,
-            example.word_type, example.source)
+            example.source)
 
 
 def assert_reads_like_reference(path):

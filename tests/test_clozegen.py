@@ -128,7 +128,6 @@ def test_generate_emits_valid_example():
     assert example.answer == "lamp"
     assert example.question == ["the", GAP_TOKEN, "fell", "."]
     assert example.source == ("b", 2)
-    assert example.word_type is CN
 
 
 def test_generate_draws_only_matching_type():
@@ -302,7 +301,6 @@ def reference_generate(book, labels, target_type, window=DEFAULT_WINDOW,
             question=question,
             answer=answer,
             candidates=candidates,
-            word_type=target_type,
             source=(book.book_id, i),
         ))
         report.emitted += 1

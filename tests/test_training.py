@@ -1,4 +1,4 @@
-"""Bucketed batching, early stopping, the training loop, checkpoints."""
+"""Bucketed batching, evaluation, the training loop, checkpoints."""
 
 import gc
 import io
@@ -24,7 +24,6 @@ from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
 from clozereader.training import (
     CheckpointError,
-    EarlyStopper,
     TrainConfig,
     TrainingDivergedError,
     evaluate,
@@ -144,41 +143,6 @@ def test_training_and_evaluation_build_no_row_view(monkeypatch):
     train(model, enc_train, enc_valid, TrainConfig(batch_size=4, max_epochs=1))
     evaluate(model, enc_valid)
     most_frequent_candidate_accuracy(enc_valid)
-
-
-# ------------------------------------------------------------ early stopping
-
-
-def test_early_stopper_reference_sequence():
-    stopper = EarlyStopper(patience=2)
-    outcomes, improved = [], []
-    for value in (0.5, 0.6, 0.55, 0.58):
-        outcomes.append(stopper.update(value))
-        improved.append(stopper.improved)
-    assert outcomes == [False, False, False, True]
-    # The best value came from the second evaluation and nothing after it.
-    assert improved == [True, True, False, False]
-    assert stopper.best_value == 0.6
-
-
-def test_early_stopper_patience_one_stops_on_first_flat_eval():
-    stopper = EarlyStopper(patience=1)
-    assert not stopper.update(0.4)
-    assert stopper.update(0.4)  # equal is not strict improvement
-
-
-def test_early_stopper_never_stops_while_improving():
-    stopper = EarlyStopper(patience=1)
-    assert not any(stopper.update(v) for v in (0.1, 0.2, 0.3, 0.4))
-    assert stopper.improved
-
-
-def test_early_stopper_counter_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    for value in (0.5, 0.4, 0.6, 0.55):
-        stopped = stopper.update(value)
-    assert not stopped
-    assert stopper.best_value == 0.6
 
 
 # ------------------------------------------------------------------- eval
@@ -308,6 +272,13 @@ def test_evaluate_rejects_empty():
         evaluate(model, [])
 
 
+@pytest.mark.parametrize("batch_size", [-1, 0])
+def test_evaluate_rejects_a_batch_size_below_1(batch_size):
+    model, _, enc_valid = toy_setup(n_train=2, n_valid=2)
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        evaluate(model, enc_valid, batch_size)
+
+
 def test_most_frequent_candidate_baseline():
     one = EncodedExample([7, 7, 8], [GAP_ID], 7, [7, 8], {})
     two = EncodedExample([7, 8, 8], [GAP_ID], 7, [7, 8], {})
@@ -329,19 +300,24 @@ def test_most_frequent_candidate_baseline():
 
 
 def test_train_evaluates_by_example_count_and_epoch_end(tmp_path):
-    model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
-    config = TrainConfig(
-        learning_rate=0.001, batch_size=4, prefetch_batches=1,
-        eval_every=6, max_epochs=1, patience=10, rng_seed=0,
-    )
-    result = train(model, enc_train, enc_valid, config)
-    # Marks cross at 8 and 12 consumed examples (steps 2 and 3); the
-    # epoch end adds one more at step 4.
-    assert [int(line.split("\t")[0]) for line in result.log_lines] == [2, 3, 4]
-    assert result.steps == 4
-    assert result.epochs == 1
-    for line in result.log_lines:
-        assert LOG_LINE.match(line)
+    # Sixteen examples in batches of 4: the epoch ends at step 4.
+    schedules = {
+        6: [2, 3, 4],  # marks cross at 8 and 12 examples; the epoch end adds step 4
+        1: [1, 2, 3, 4],  # a step crossing four marks evaluates once
+        17: [4],  # no mark falls inside the epoch, so only its end evaluates
+    }
+    for eval_every, eval_steps in schedules.items():
+        model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
+        config = TrainConfig(
+            learning_rate=0.001, batch_size=4, prefetch_batches=1,
+            eval_every=eval_every, max_epochs=1, patience=10, rng_seed=0,
+        )
+        result = train(model, enc_train, enc_valid, config)
+        assert [int(line.split("\t")[0]) for line in result.log_lines] == eval_steps
+        assert result.steps == 4
+        assert result.epochs == 1
+        for line in result.log_lines:
+            assert LOG_LINE.match(line)
 
 
 def test_train_epoch_end_evaluation_not_duplicated():
@@ -402,12 +378,47 @@ def test_train_keeps_best_checkpoint_not_last(tmp_path, monkeypatch):
     assert len(result.log_lines) == 4  # stopped right after the 4th eval
     assert result.best_accuracy == 0.6
     assert result.best_step == 2
-    assert result.checkpoint_path == path
     restored, extra = load_checkpoint(path)
     assert extra["validation_accuracy"] == 0.6
     assert extra["step"] == 2
     # Steps 3 and 4 kept training the live model past the saved state.
     assert not np.array_equal(restored.embedding.data, model.embedding.data)
+
+
+@pytest.mark.parametrize("accuracies,patience,max_epochs,best", [
+    ([0.5, 0.6, 0.55, 0.58], 2, 10, 1),  # two evaluations without a new best stop
+    ([0.4, 0.4], 1, 10, 0),  # an equal accuracy is not an improvement
+    ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8], 1, 2, 7),  # always improving: runs to max_epochs
+    ([0.5, 0.4, 0.6, 0.55, 0.5], 2, 10, 2),  # 0.6 restarts the count: no stop at the 4th
+    ([0.0, 0.0], 1, 10, 0),  # the first evaluation is the best one even at 0
+], ids=["stops-at-4th", "equal-is-no-gain", "runs-to-max-epochs", "count-restarts",
+        "first-is-best-at-0"])
+def test_train_stops_after_patience_evaluations_without_a_new_best(
+        tmp_path, monkeypatch, accuracies, patience, max_epochs, best):
+    model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
+    script = iter(accuracies)
+    real_evaluate = evaluate
+
+    def scripted_evaluate(eval_model, examples, batch_size=128):
+        result = real_evaluate(eval_model, examples, batch_size)
+        result.accuracy = next(script)
+        return result
+
+    monkeypatch.setattr("clozereader.training.evaluate", scripted_evaluate)
+    path = str(tmp_path / "model.ckpt")
+    config = TrainConfig(
+        learning_rate=0.001, batch_size=4, prefetch_batches=1,
+        eval_every=4, max_epochs=max_epochs, patience=patience, rng_seed=0,
+    )
+    result = train(model, enc_train, enc_valid, config, checkpoint_path=path)
+
+    # One evaluation per step, and training stopped at the last scripted one.
+    assert len(result.log_lines) == result.steps == len(accuracies)
+    assert [line.split("\t")[2] for line in result.log_lines] == [f"{a:.6f}" for a in accuracies]
+    assert result.best_accuracy == accuracies[best]
+    assert result.best_step == best + 1
+    _, extra = load_checkpoint(path)
+    assert extra == {"validation_accuracy": accuracies[best], "step": best + 1}
 
 
 def test_train_diverges_loudly(tmp_path):
