@@ -72,8 +72,13 @@ class ModelConfig:
 
     def __post_init__(self):
         for key in ("embedding_dim", "hidden_units", "recurrent_layers"):
-            if getattr(self, key) < 1:
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{key} must be positive")
+        if not isinstance(self.query_init, bool):
+            raise ValueError(f"query_init must be true or false, got {self.query_init!r}")
 
 
 @dataclass
@@ -196,10 +201,8 @@ def as_predictions(predictions: Predictions | list[Prediction]) -> Predictions:
     return Predictions(candidate_ids, probabilities)
 
 
-def _step_masks(lengths: np.ndarray, steps: int) -> np.ndarray | None:
-    """(T, B, 1) boolean keep-mask; None when every row spans all steps."""
-    if lengths.min() == steps:
-        return None
+def _step_masks(lengths: np.ndarray, steps: int) -> np.ndarray:
+    """(T, B, 1) boolean keep-mask: step t of row b is real."""
     return (np.arange(steps)[:, None] < lengths[None, :])[:, :, None]
 
 

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
 import hashlib
+import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -262,6 +264,22 @@ def test_evaluate_missing_checkpoint_exits_1(cli_workspace, tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_checkpoint_with_a_float_model_size(cli_workspace, tmp_path, capsys):
+    _, _, valid_path, _, checkpoints = cli_workspace
+    raw = checkpoints["a"].read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    header = json.loads(raw[14 : 14 + blob_len].decode("utf-8"))
+    header["config"]["embedding_dim"] = float(header["config"]["embedding_dim"])
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "float.ckpt"
+    path.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob + raw[14 + blob_len :])
+    rc = main(["evaluate", "--model", str(path), "--data", str(valid_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "embedding_dim must be an integer, got 16.0" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_empty_dataset_exits_1(tmp_path, capsys):

@@ -366,8 +366,11 @@ def test_adam_frozen_rows_stay_bit_identical(rng):
     snapshot = p.data.copy()
     optimizer = Adam([p], lr=0.01)
     for _ in range(20):
-        p.grad = rng.normal(size=(6, 3))
+        grad = rng.normal(size=(6, 3))
+        p.grad = grad
         optimizer.step()
+        assert p.grad is grad
+        assert not p.grad[1:4].any()
     assert np.array_equal(p.data[1:4], snapshot[1:4])
     assert not np.array_equal(p.data[0], snapshot[0])
     assert not np.array_equal(p.data[4:], snapshot[4:])
@@ -379,7 +382,7 @@ def test_adam_matches_reference_formula(rng):
     reference = p.data.copy()
     m = np.zeros(4)
     v = np.zeros(4)
-    optimizer = Adam([p], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    optimizer = Adam([p], lr=lr)
     for t in range(1, 6):
         grad = rng.normal(size=(4,))
         p.grad = grad.copy()
@@ -390,6 +393,41 @@ def test_adam_matches_reference_formula(rng):
         v_hat = v / (1 - beta2 ** t)
         reference = reference - lr * m_hat / (np.sqrt(v_hat) + eps)
         np.testing.assert_allclose(p.data, reference, atol=1e-12)
+
+
+def test_adam_is_bitwise_a_plain_adam_per_parameter(rng):
+    """Frozen rows, a late first gradient and the bias correction together:
+    each parameter follows plain numpy Adam, counting only its own steps."""
+    lr = 0.01
+    frozen = Parameter(rng.normal(size=(4, 3)), frozen_rows=slice(1, 3))
+    late = Parameter(rng.normal(size=(5,)))
+    params = [frozen, late]
+    reference = [p.data.copy() for p in params]
+    m = [np.zeros_like(p.data) for p in params]
+    v = [np.zeros_like(p.data) for p in params]
+    t = [0, 0]
+    optimizer = Adam(params, lr=lr)
+    for step in range(20):
+        grads = [rng.normal(size=p.data.shape) for p in params]
+        if step == 0:
+            grads[1] = None
+        for p, grad in zip(params, grads):
+            p.grad = None if grad is None else grad.copy()
+        optimizer.step()
+        grads[0][1:3] = 0.0
+        for i, grad in enumerate(grads):
+            if grad is None:
+                continue
+            t[i] += 1
+            m[i] *= 0.9
+            m[i] += (1.0 - 0.9) * grad
+            v[i] *= 0.999
+            v[i] += (1.0 - 0.999) * grad * grad
+            m_hat = m[i] / (1.0 - 0.9 ** t[i])
+            v_hat = v[i] / (1.0 - 0.999 ** t[i])
+            reference[i] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, expected in zip(params, reference):
+            np.testing.assert_array_equal(p.data, expected)
 
 
 @settings(max_examples=50, deadline=None)

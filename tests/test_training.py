@@ -721,10 +721,20 @@ def test_checkpoint_names_a_negative_vocabulary_size(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_checkpoint_names_a_model_size_below_1(tmp_path):
-    path = checkpoint_with_header(tmp_path, lambda h: h["config"].update(hidden_units=0))
-    with pytest.raises(CheckpointError, match=re.escape(str(path))
-                       + ": bad header: hidden_units must be positive"):
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("hidden_units", 0, "hidden_units must be positive", id="hidden_units-0"),
+    pytest.param("embedding_dim", 4.0, "embedding_dim must be an integer, got 4.0",
+                 id="embedding_dim-4.0"),
+    pytest.param("embedding_dim", 1.5, "embedding_dim must be an integer, got 1.5",
+                 id="embedding_dim-1.5"),
+    pytest.param("recurrent_layers", True, "recurrent_layers must be an integer, got True",
+                 id="recurrent_layers-true"),
+    pytest.param("query_init", "no", "query_init must be true or false, got 'no'",
+                 id="query_init-no"),
+])
+def test_checkpoint_names_a_model_size_below_1(tmp_path, key, value, message):
+    path = checkpoint_with_header(tmp_path, lambda h: h["config"].update({key: value}))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad header: {message}")):
         load_checkpoint(str(path))
 
 
