@@ -336,7 +336,7 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
                     f"{path}: tensor {name!r} has shape {data.shape}, "
                     f"expected {named[name].data.shape}"
                 )
-            named[name].data = data.astype(named[name].data.dtype)
+            named[name].data = data.astype(named[name].data.dtype, copy=False)
             seen.add(name)
         missing = sorted(set(named) - seen)
         if missing:

@@ -3,8 +3,12 @@
 import gc
 import io
 import json
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -478,6 +482,64 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     assert alive_at_entry == [False, False, False]
 
 
+# One training step on a fixed (B=32, T=180) batch at E32/H32/L1, the
+# shape of a ``train-small`` step; the printed figure is the mean of
+# ``ru_minflt`` over five steps after three warm-up steps.  Under glibc's
+# default heap policy it is about 7,800; smaller shapes fault less.
+STEP_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from clozereader.asreader import Batch, Model, ModelConfig
+from clozereader.numerics import Adam, clip_gradients, zero_grads
+from clozereader.vocab import GAP_ID, EncodedExample, Vocabulary
+
+vocabulary = Vocabulary([f"w{i}" for i in range(60)], anon_count=10)
+start = vocabulary.word_start
+rng = np.random.default_rng(0)
+examples = []
+for i in range(32):
+    context = [int(x) for x in rng.integers(start, vocabulary.size, 180)]
+    answer, other = context[i], context[i + 7]
+    examples.append(EncodedExample(context, [start, GAP_ID], answer,
+                                   sorted({answer, other}), {}))
+batch = Batch.from_examples(examples)
+model = Model(vocabulary, ModelConfig(embedding_dim=32, hidden_units=32,
+                                      recurrent_layers=1))
+params = model.parameters()
+optimizer = Adam(params)
+
+
+def step():
+    zero_grads(params)
+    loss = model.loss(batch)
+    loss.backward()
+    clip_gradients([p.grad for p in params if p.grad is not None])
+    del loss
+    optimizer.step()
+
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is glibc's")
+def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in():
+    import clozereader
+
+    src = os.path.dirname(os.path.dirname(clozereader.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", STEP_FAULTS_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 50
+
+
 def test_train_rejects_empty_training_set():
     model, _, enc_valid = toy_setup(n_train=2, n_valid=2)
     with pytest.raises(ValueError, match="no training examples"):
@@ -550,6 +612,16 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     restored_params = restored.named_parameters()
     for name, param in model.named_parameters().items():
         assert np.array_equal(restored_params[name].data, param.data), name
+
+
+def test_loaded_parameters_are_writable_arrays_of_their_own(tmp_path):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    restored, _ = load_checkpoint(path)
+    for name, param in restored.named_parameters().items():
+        assert param.data.flags.writeable and param.data.flags.owndata, name
+        assert param.data.dtype == np.float64, name
 
 
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
