@@ -53,7 +53,6 @@ from .vocab import (
     EncodedCorpus,
     EncodedExample,
     Vocabulary,
-    as_corpus,
 )
 
 MASK_OFFSET = 1e9  # added as -MASK_OFFSET to scores at excluded positions
@@ -113,7 +112,7 @@ class Batch:
     def from_examples(cls, examples: list[EncodedExample], indices=None) -> "Batch":
         """Every example of the list; ``indices`` label the rows, 0..B-1
         by default."""
-        batch = cls.from_corpus(as_corpus(examples), np.arange(len(examples)))
+        batch = cls.from_corpus(EncodedCorpus.from_examples(examples), np.arange(len(examples)))
         if indices is not None:
             batch.indices = np.asarray(indices, dtype=np.int64)
         return batch

@@ -217,6 +217,12 @@ def parse_config_file(path: str | None) -> dict:
 
 
 def cmd_train(args) -> int:
+    # Fail now, not at the first save after a whole evaluation interval of training.
+    for path in map(Path, filter(None, (args.out, args.log))):
+        if not path.parent.is_dir():
+            raise CliError(f"{path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise CliError(f"{path}: is a directory")
     settings = parse_config_file(args.config)
     train_config = TrainConfig(
         rng_seed=args.seed,

@@ -38,8 +38,7 @@ from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grad
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError, read_exactly
 from .seeding import derive_seed
-from .vocab import (ANSWER, CANDIDATES, EncodedCorpus, EncodedExample, Vocabulary,
-                    VocabularyError, as_corpus)
+from .vocab import ANSWER, CANDIDATES, EncodedCorpus, Vocabulary, VocabularyError
 
 CHECKPOINT_MAGIC = b"CLZR"
 CHECKPOINT_VERSION = 1
@@ -81,15 +80,8 @@ class TrainConfig:
             raise ValueError("eval_every must be positive")
 
 
-def make_batches(
-    examples: EncodedCorpus | list[EncodedExample],
-    config: TrainConfig,
-    epoch_seed: int,
-) -> list[Batch]:
+def make_batches(corpus: EncodedCorpus, config: TrainConfig, epoch_seed: int) -> list[Batch]:
     """Length-bucketed batches over a seeded epoch shuffle."""
-    corpus = as_corpus(examples)
-    if not corpus:
-        return []
     rng = random.Random(epoch_seed)
     order = list(range(len(corpus)))
     rng.shuffle(order)
@@ -117,13 +109,9 @@ class EvalResult:
     predictions: Predictions  # without attention; Model.predict gives it
 
 
-def evaluate(
-    model: Model,
-    examples: EncodedCorpus | list[EncodedExample],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> EvalResult:
+def evaluate(model: Model, corpus: EncodedCorpus,
+             batch_size: int = DEFAULT_BATCH_SIZE) -> EvalResult:
     """Greedy accuracy plus the predictions, in input order."""
-    corpus = as_corpus(examples)
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -138,10 +126,9 @@ def evaluate(
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 
 
-def most_frequent_candidate_accuracy(examples: EncodedCorpus | list[EncodedExample]) -> float:
+def most_frequent_candidate_accuracy(corpus: EncodedCorpus) -> float:
     """Baseline: always pick the candidate occurring most often in the
     document (ties go to the earlier candidate in the list)."""
-    corpus = as_corpus(examples)
     flags = []
     for batch in _batches(corpus, np.arange(len(corpus))):
         # A padding slot counts 0 and follows the real candidates, so it never wins.
@@ -161,8 +148,8 @@ class TrainResult:
 
 def train(
     model: Model,
-    train_examples: EncodedCorpus | list[EncodedExample],
-    valid_examples: EncodedCorpus | list[EncodedExample],
+    train_examples: EncodedCorpus,
+    valid_examples: EncodedCorpus,
     config: TrainConfig,
     checkpoint_path: str | None = None,
     log_fh=None,
@@ -172,11 +159,10 @@ def train(
 
     A NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
-    parameters are updated.  Empty example lists and training examples
-    whose answer never occurs in the document are rejected before the
-    first step.
+    parameters are updated.  Empty corpora and training examples whose
+    answer never occurs in the document are rejected before the first
+    step.
     """
-    train_examples, valid_examples = as_corpus(train_examples), as_corpus(valid_examples)
     if not train_examples:
         raise ValueError("no training examples")
     if not valid_examples:

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import ClozereaderError
-from .cbtio import read_examples
 from .clozegen import GAP_TOKEN, ClozeExample
 from .seeding import derive_seed
 
@@ -86,37 +85,26 @@ class Vocabulary:
 
 
 def build_vocab(
-    sources: Sequence[str | Path] | Iterable[ClozeExample],
+    examples: list[ClozeExample],
     cap: int = DEFAULT_CAP,
     anon_count: int = DEFAULT_ANON_COUNT,
 ) -> Vocabulary:
-    """Count tokens over training examples (file paths or example objects)
-    and keep the ``cap`` most frequent, ties broken lexicographically."""
-    counts: Counter[str] = Counter()
-    examples: list[ClozeExample] = []
-    for source in sources:
-        if isinstance(source, (str, Path)):
-            _count_tokens(read_examples(source), counts)
-        else:
-            examples.append(source)
-    _count_tokens(examples, counts)
-    counts.pop(GAP_TOKEN, None)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    words = [w for w, _ in ranked[:cap]]
-    return Vocabulary(words=words, cap=cap, anon_count=anon_count)
-
-
-def _count_tokens(examples: list[ClozeExample], counts: Counter[str]) -> None:
-    """Add every context and question token of ``examples`` to ``counts``.
+    """Count every context and question token of the training examples
+    and keep the ``cap`` most frequent, ties broken lexicographically.
     A sentence list shared by several examples is counted once, weighted
     by the number of places that hold it."""
     sentences = list(chain.from_iterable(ex.context for ex in examples))
     keys = list(map(id, sentences))  # unique: ``sentences`` keeps every list alive
     distinct = dict(zip(keys, sentences))
+    counts: Counter[str] = Counter()
     for key, weight in Counter(keys).items():
         for form in distinct[key]:
             counts[form] += weight
     counts.update(chain.from_iterable(ex.question for ex in examples))
+    counts.pop(GAP_TOKEN, None)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    words = [w for w, _ in ranked[:cap]]
+    return Vocabulary(words=words, cap=cap, anon_count=anon_count)
 
 
 @dataclass
@@ -183,7 +171,7 @@ class EncodedCorpus:
 
     Every id sequence of an example is a piece of ``sentences``: each
     context sentence, the question, the candidates, the answer, and the
-    (k, anonymous id) pairs it drew, flattened.  Row i of
+    (k, anonymous id) pairs it drew, flattened in ascending k.  Row i of
     ``sentence_rows`` holds example i's piece numbers in that order.
     Overlapping examples share context sentences, so each distinct
     sentence is stored once.  Piece 0 is empty: it pads a shorter
@@ -205,9 +193,10 @@ class EncodedCorpus:
         forms: dict[str, int] = {}
         pieces: list[list[int]] = [[]]
         for ex in examples:
-            pairs = [v for form, i in ex.oov_map.items()
-                     for v in (forms.setdefault(form, len(forms)), i)]
-            pieces += (ex.context_ids, ex.question_ids, ex.candidate_ids, [ex.answer_id], pairs)
+            pairs = sorted((forms.setdefault(form, len(forms)), i)
+                           for form, i in ex.oov_map.items())
+            pieces += (ex.context_ids, ex.question_ids, ex.candidate_ids, [ex.answer_id],
+                       list(chain.from_iterable(pairs)))
         return cls(
             sentences=_Ragged.pack(_int32(list(chain.from_iterable(pieces))),
                                    list(map(len, pieces))),
@@ -258,19 +247,14 @@ class EncodedCorpus:
             at, counts = self.sentences.positions(rows[:, PAIRS])
             pairs = self.sentences.values[at].reshape(-1, 2)
             n = len(self.unknown_forms)
+            # Each line's pairs are stored in ascending k, so ``keys`` is sorted.
             keys = np.repeat(np.arange(len(counts)), counts // 2) * n + pairs[:, 0]
-            order = np.argsort(keys)
             for matrix, _ in read:
                 flat = matrix.reshape(-1)
                 unknown = np.flatnonzero(flat < 0)
                 wanted = unknown // matrix.shape[1] * n + ~flat[unknown]
-                flat[unknown] = pairs[order[np.searchsorted(keys, wanted, sorter=order)], 1]
+                flat[unknown] = pairs[np.searchsorted(keys, wanted), 1]
         return read
-
-
-def as_corpus(examples: EncodedCorpus | list[EncodedExample]) -> EncodedCorpus:
-    """A corpus as is, or a list of encoded examples packed into one."""
-    return examples if isinstance(examples, EncodedCorpus) else EncodedCorpus.from_examples(examples)
 
 
 def encode_example(
@@ -352,8 +336,8 @@ def _encode(
             slots = random.Random(seed_of(index)).sample(range(vocabulary.anon_count), len(order))
             sentence_rows[index, PAIRS] = len(lengths)
             lengths.append(2 * len(order))
-            for code, slot in zip(order, slots):
-                pairs += (~code, ANON_START + slot)
+            for k, slot in sorted(zip([~code for code in order], slots)):
+                pairs += (k, ANON_START + slot)
 
     return EncodedCorpus(
         sentences=_Ragged.pack(np.concatenate([tokens, _int32(pairs)]), lengths),

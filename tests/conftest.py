@@ -41,34 +41,6 @@ def recall_examples():
     return synthdata.associative_recall_examples(30, rng_seed=123)
 
 
-@pytest.fixture(scope="session")
-def fixture_dataset(fixture_books):
-    """Named-entity examples generated from the fixture books."""
-    from clozereader.clozegen import generate_from_book
-    from clozereader.tagger import WordType, default_config, tag_book
-
-    config = default_config()
-    examples = []
-    for book in fixture_books:
-        labels = tag_book(book, config)
-        generated, _ = generate_from_book(
-            book, labels, WordType.NAMED_ENTITY, rng_seed=7
-        )
-        examples.extend(generated)
-    assert examples
-    return examples
-
-
-@pytest.fixture(scope="session")
-def fixture_dataset_path(fixture_dataset, tmp_path_factory):
-    """The same examples written out as a question file."""
-    from clozereader.cbtio import write_examples
-
-    path = tmp_path_factory.mktemp("dataset") / "ne_train.txt"
-    write_examples(fixture_dataset, path)
-    return path
-
-
 @pytest.fixture(scope="module")
 def generated_splits(tmp_path_factory):
     """Splits as ``generate`` writes them and ``read_examples`` reads them:

@@ -171,6 +171,28 @@ def test_diverged_training_exits_2(cli_workspace, tmp_path, monkeypatch, capsys)
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "missing/m.ckpt"),
+    ("--out", "."),
+    ("--log", "missing/train.log"),
+])
+def test_train_rejects_an_unwritable_output_path_before_reading_data(
+        cli_workspace, tmp_path, monkeypatch, capsys, flag, path):
+    _, train_path, valid_path, _, _ = cli_workspace
+
+    def fail(*args, **kwargs):
+        raise AssertionError("read or trained before checking the output paths")
+
+    monkeypatch.setattr("clozereader.cli.read_examples", fail)
+    monkeypatch.setattr("clozereader.cli.run_training", fail)
+    paths = {"--out": str(tmp_path / "m.ckpt"), flag: str(tmp_path / path)}
+    rc = main(["train", "--train", str(train_path), "--valid", str(valid_path),
+               *(arg for item in paths.items() for arg in item)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / path}: ")
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------- evaluate
 
 

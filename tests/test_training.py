@@ -82,9 +82,9 @@ def test_train_config_rejects_eval_every_below_1(eval_every):
 
 
 def test_make_batches_is_a_permutation():
-    examples = [example_of_length(3 + i % 7, i) for i in range(50)]
+    corpus = EncodedCorpus.from_examples([example_of_length(3 + i % 7, i) for i in range(50)])
     config = TrainConfig(batch_size=8, prefetch_batches=2)
-    batches = make_batches(examples, config, epoch_seed=1)
+    batches = make_batches(corpus, config, epoch_seed=1)
     indices = [i for b in batches for i in b.indices.tolist()]
     assert sorted(indices) == list(range(50))
     assert all(b.size <= 8 for b in batches)
@@ -94,9 +94,9 @@ def test_make_batches_buckets_each_window_by_length():
     # One full window of unique lengths: every batch must then cover a
     # contiguous run of the sorted lengths.
     lengths = list(range(1, 33))
-    examples = [example_of_length(n) for n in lengths]
+    corpus = EncodedCorpus.from_examples([example_of_length(n) for n in lengths])
     config = TrainConfig(batch_size=8, prefetch_batches=4)
-    batches = make_batches(examples, config, epoch_seed=7)
+    batches = make_batches(corpus, config, epoch_seed=7)
     assert len(batches) == 4
     seen = []
     for batch in batches:
@@ -109,25 +109,25 @@ def test_make_batches_buckets_each_window_by_length():
 
 
 def test_make_batches_spec_sizes():
-    examples = [example_of_length(2 + i % 11, i) for i in range(1280)]
+    corpus = EncodedCorpus.from_examples([example_of_length(2 + i % 11, i) for i in range(1280)])
     config = TrainConfig(batch_size=128, prefetch_batches=10)
-    batches = make_batches(examples, config, epoch_seed=0)
+    batches = make_batches(corpus, config, epoch_seed=0)
     assert len(batches) == 10
     assert all(b.size == 128 for b in batches)
 
 
 def test_make_batches_order_changes_with_epoch_seed():
-    examples = [example_of_length(3 + i % 5, i) for i in range(40)]
+    corpus = EncodedCorpus.from_examples([example_of_length(3 + i % 5, i) for i in range(40)])
     config = TrainConfig(batch_size=8, prefetch_batches=2)
-    one = [b.indices.tolist() for b in make_batches(examples, config, 1)]
-    two = [b.indices.tolist() for b in make_batches(examples, config, 2)]
-    again = [b.indices.tolist() for b in make_batches(examples, config, 1)]
+    one = [b.indices.tolist() for b in make_batches(corpus, config, 1)]
+    two = [b.indices.tolist() for b in make_batches(corpus, config, 2)]
+    again = [b.indices.tolist() for b in make_batches(corpus, config, 1)]
     assert one == again
     assert one != two
 
 
 def test_make_batches_empty_input():
-    assert make_batches([], TrainConfig(), 0) == []
+    assert make_batches(EncodedCorpus.from_examples([]), TrainConfig(), 0) == []
 
 
 def test_make_batches_returns_a_list_from_a_corpus():
@@ -158,7 +158,7 @@ def test_evaluate_restores_input_order():
     # Unequal lengths force reordering inside evaluate.
     for i, ex in enumerate(enc_train):
         ex.context_ids = ex.context_ids[: len(ex.context_ids) - (i % 4)]
-    result = evaluate(model, enc_train, batch_size=2)
+    result = evaluate(model, EncodedCorpus.from_examples(enc_train), batch_size=2)
     assert len(result.predictions) == 9
     for ex, prediction in zip(enc_train, result.predictions):
         (single,) = model.predict(Batch.from_examples([ex]))
@@ -193,8 +193,9 @@ def test_predictions_do_not_depend_on_batch_size(monkeypatch):
         return real_predict(self, batch)
 
     monkeypatch.setattr(Model, "predict", recording_predict)
-    one_by_one = evaluate(model, examples, batch_size=1).predictions
-    result = evaluate(model, examples, batch_size=32).predictions
+    corpus = EncodedCorpus.from_examples(examples)
+    one_by_one = evaluate(model, corpus, batch_size=1).predictions
+    result = evaluate(model, corpus, batch_size=32).predictions
     np.testing.assert_allclose(result.probabilities, one_by_one.probabilities, rtol=0, atol=1e-12)
     # The result keeps no attention and pins no batch array.
     assert result.attention is None
@@ -210,7 +211,7 @@ def test_evaluate_pads_the_rows_of_batches_with_fewer_candidates():
     for i in np.argsort([len(ex.context_ids) for ex in examples], kind="stable")[:4]:
         ex = examples[i]
         ex.candidate_ids = [ex.answer_id] + [c for c in ex.candidate_ids if c != ex.answer_id][:1]
-    result = evaluate(model, examples, batch_size=4)
+    result = evaluate(model, EncodedCorpus.from_examples(examples), batch_size=4)
     width = max(len(ex.candidate_ids) for ex in examples)
     assert width > 2 and result.predictions.probabilities.shape == (8, width)
     for ex, prediction in zip(examples, result.predictions):
@@ -273,7 +274,7 @@ def test_evaluation_result_takes_at_most_2_bytes_per_context_token(generated_spl
 def test_evaluate_rejects_empty():
     model, _, _ = toy_setup(n_train=2)
     with pytest.raises(ValueError):
-        evaluate(model, [])
+        evaluate(model, EncodedCorpus.from_examples([]))
 
 
 @pytest.mark.parametrize("batch_size", [-1, 0])
@@ -284,20 +285,23 @@ def test_evaluate_rejects_a_batch_size_below_1(batch_size):
 
 
 def test_most_frequent_candidate_baseline():
+    def accuracy(*examples):
+        return most_frequent_candidate_accuracy(EncodedCorpus.from_examples(list(examples)))
+
     one = EncodedExample([7, 7, 8], [GAP_ID], 7, [7, 8], {})
     two = EncodedExample([7, 8, 8], [GAP_ID], 7, [7, 8], {})
     tie = EncodedExample([7, 8], [GAP_ID], 8, [8, 7], {})
-    assert most_frequent_candidate_accuracy([one]) == 1.0
-    assert most_frequent_candidate_accuracy([one, two]) == 0.5
+    assert accuracy(one) == 1.0
+    assert accuracy(one, two) == 0.5
     # Tie on counts goes to the earlier candidate in the list.
-    assert most_frequent_candidate_accuracy([tie]) == 1.0
+    assert accuracy(tie) == 1.0
     # Examples may differ in candidate count.
     three = EncodedExample([7, 9, 9], [GAP_ID], 9, [7, 8, 9], {})
     absent = EncodedExample([9], [GAP_ID], 7, [7, 8], {})
-    assert most_frequent_candidate_accuracy([one, three, two, absent]) == 0.75
+    assert accuracy(one, three, two, absent) == 0.75
     # One's padding candidate column counts none of its padding positions.
     wide = EncodedExample([9] * 6, [GAP_ID], 9, [9, 7, 8], {})
-    assert most_frequent_candidate_accuracy([one, wide]) == 1.0
+    assert accuracy(one, wide) == 1.0
 
 
 # ------------------------------------------------------------------- train
@@ -543,9 +547,9 @@ def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in():
 def test_train_rejects_empty_training_set():
     model, _, enc_valid = toy_setup(n_train=2, n_valid=2)
     with pytest.raises(ValueError, match="no training examples"):
-        train(model, [], enc_valid, TrainConfig())
+        train(model, EncodedCorpus.from_examples([]), enc_valid, TrainConfig())
     with pytest.raises(ValueError, match="no validation examples"):
-        train(model, enc_valid, [], TrainConfig())
+        train(model, enc_valid, EncodedCorpus.from_examples([]), TrainConfig())
 
 
 def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
@@ -573,7 +577,7 @@ def test_train_rejects_an_answer_missing_from_its_document(monkeypatch):
     monkeypatch.setattr(Model, "loss", no_step)
     with pytest.raises(AnswerNotInDocumentError,
                        match=rf"^example 5 \(source \('book-x', 42\)\): {message}$"):
-        train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
+        train(model, EncodedCorpus.from_examples(enc_train), enc_valid, TrainConfig(batch_size=4))
 
 
 def test_train_checks_answers_of_examples_with_mixed_candidate_counts():
@@ -588,7 +592,7 @@ def test_train_checks_answers_of_examples_with_mixed_candidate_counts():
         oov_map=bad.oov_map,
     )
     with pytest.raises(AnswerNotInDocumentError, match="example 3 "):
-        train(model, enc_train, enc_valid, TrainConfig(batch_size=4))
+        train(model, EncodedCorpus.from_examples(enc_train), enc_valid, TrainConfig(batch_size=4))
 
 
 # -------------------------------------------------------------- checkpoints

@@ -19,13 +19,13 @@ from clozereader.vocab import (
     ANON_START,
     GAP_ID,
     PAD_ID,
+    PAIRS,
     AnonymousSlotsExhausted,
     EncodedExample,
     Vocabulary,
     VocabularyError,
     build_vocab,
     EncodedCorpus,
-    as_corpus,
     decode_example,
     encode_dataset,
     encode_example,
@@ -114,12 +114,6 @@ def test_build_vocab_excludes_gap_token():
         context=[["a"]], question=[GAP_TOKEN, "a"], answer="a", candidates=["a"]
     )
     vocab = build_vocab([example], cap=10, anon_count=1)
-    assert GAP_TOKEN not in vocab.words
-
-
-def test_build_vocab_reads_files(tmp_path, fixture_dataset_path):
-    vocab = build_vocab([fixture_dataset_path], cap=500, anon_count=10)
-    assert len(vocab.words) > 0
     assert GAP_TOKEN not in vocab.words
 
 
@@ -406,6 +400,22 @@ def test_generated_splits_match_a_per_token_reference(generated_splits, cap, sha
                    for examples in splits.values())
 
 
+def test_each_row_stores_its_pairs_in_ascending_code_order(generated_splits):
+    # ``ids`` finds a row's (line, k) by binary search over the stored pairs.
+    examples = generated_splits["valid"]
+    hand = [EncodedExample([7], [GAP_ID], 7, [7], {"b": 3, "a": 2}),
+            EncodedExample([7], [GAP_ID], 7, [7], {"a": 4, "c": 5, "b": 6})]
+    for corpus in (encode_dataset(examples, build_vocab(examples, cap=40), 3),
+                   EncodedCorpus.from_examples(hand)):
+        (pieces,) = corpus.sentence_rows[:, PAIRS].T
+        codes = [corpus.sentences.values[start : start + length : 2].tolist()
+                 for start, length in zip(corpus.sentences.starts[pieces],
+                                          corpus.sentences.lengths[pieces])]
+        assert any(len(row) > 1 for row in codes)
+        assert all(row == sorted(set(row)) for row in codes)
+    assert list(corpus) == hand
+
+
 def test_a_slice_is_a_corpus_that_shares_the_arrays(generated_splits):
     examples = generated_splits["valid"]
     corpus = encode_dataset(examples, build_vocab(examples, cap=40), 3)
@@ -418,8 +428,6 @@ def test_a_slice_is_a_corpus_that_shares_the_arrays(generated_splits):
     assert corpus[-1] == rows[-1] and len(corpus[len(corpus):]) == 0
     with pytest.raises(IndexError):
         corpus[len(corpus)]
-    assert as_corpus(corpus) is corpus
-    assert list(as_corpus(rows)) == rows
 
 
 def no_repeated_line(examples):
