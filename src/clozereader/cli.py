@@ -9,6 +9,12 @@ Reports print as aligned key/value text; --tsv writes the same rows
 tab-separated for machine consumption.  Predictions files carry one line
 per example: ordinal id, predicted token, correct flag (1/0),
 tab-separated.
+
+Every output (--tsv and each subcommand's declared ``outputs``) is checked
+before the work: its parent must be a directory and it must not be one
+itself.  A failed check exits 1 and writes nothing.  generate --out is a
+directory that generate creates, so it is not pre-checked, and a --tsv
+inside it is accepted.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .clozegen import (
     generate_from_book,
     split_books,
 )
-from .corpus import ingest_books, tokenize_book
+from .corpus import ingest_books, read_wordlist, tokenize_book
 from .ensemble import (
     EnsembleMember,
     average_predictions,
@@ -67,7 +73,10 @@ class CliError(ClozereaderError):
 # ------------------------------------------------------------------ report
 
 
-def print_report(rows: list[tuple[str, object]], tsv_path: str | None = None) -> None:
+Report = list[tuple[str, object]]
+
+
+def print_report(rows: Report, tsv_path: str | None) -> None:
     width = max((len(key) for key, _ in rows), default=0) + 2
     for key, value in rows:
         print(f"{key:<{width}}{value}")
@@ -84,13 +93,6 @@ def _format_float(value: float) -> str:
 # ---------------------------------------------------------------- generate
 
 
-def _read_blocklist(path: str | None) -> list[str]:
-    if path is None:
-        return []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip() and not line.startswith("#")]
-
-
 def _parse_splits(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -102,28 +104,28 @@ def _parse_splits(text: str) -> tuple[float, float, float]:
     return train, valid, test
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Report:
+    train_frac, valid_frac, test_frac = _parse_splits(args.splits)
+    spec = SplitSpec(train=train_frac, valid=valid_frac, test=test_frac,
+                     rng_seed=args.seed)
+    blocklist = frozenset() if args.blocklist is None else read_wordlist(Path(args.blocklist))
     raw_books, errors = ingest_books(args.books)
     for error in errors:
         print(f"warning: skipped {error.path}: {error.reason}", file=sys.stderr)
     books = [tokenize_book(raw) for raw in raw_books]
-    blocklist = _read_blocklist(args.blocklist)
     books, removed = dedup_editions(books, blocklist)
     for book_id, title in removed:
         print(f"warning: dropped duplicate edition {book_id} ({title})",
               file=sys.stderr)
     if not books:
         raise CliError("no books left after deduplication")
-    train_frac, valid_frac, test_frac = _parse_splits(args.splits)
-    spec = SplitSpec(train=train_frac, valid=valid_frac, test=test_frac,
-                     rng_seed=args.seed)
     splits = split_books(books, spec)
     target_type = _WORD_TYPES[args.type]
     tagger_config = default_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: list[tuple[str, object]] = [("word_type", args.type)]
+    rows: Report = [("word_type", args.type)]
     for split_name, split_books_list in splits.items():
         examples: list[ClozeExample] = []
         report = GenerationReport()
@@ -147,28 +149,23 @@ def cmd_generate(args) -> int:
             (f"{split_name}.avg_tokens", _format_float(stats.avg_tokens)),
             (f"{split_name}.vocab_size", stats.vocab_size),
         ])
-    print_report(rows, args.tsv)
-    return 0
+    return rows
 
 
 # ------------------------------------------------------------------- stats
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> Report:
     examples = read_examples(args.data)
     stats = compute_stats(examples)
-    print_report(
-        [
-            ("dataset", Path(args.data).name),
-            ("n_queries", stats.n_queries),
-            ("max_options", stats.max_options),
-            ("avg_options", _format_float(stats.avg_options)),
-            ("avg_tokens", _format_float(stats.avg_tokens)),
-            ("vocab_size", stats.vocab_size),
-        ],
-        args.tsv,
-    )
-    return 0
+    return [
+        ("dataset", Path(args.data).name),
+        ("n_queries", stats.n_queries),
+        ("max_options", stats.max_options),
+        ("avg_options", _format_float(stats.avg_options)),
+        ("avg_tokens", _format_float(stats.avg_tokens)),
+        ("vocab_size", stats.vocab_size),
+    ]
 
 
 # ------------------------------------------------------------------- train
@@ -216,13 +213,7 @@ def parse_config_file(path: str | None) -> dict:
     return settings
 
 
-def cmd_train(args) -> int:
-    # Fail now, not at the first save after a whole evaluation interval of training.
-    for path in map(Path, filter(None, (args.out, args.log))):
-        if not path.parent.is_dir():
-            raise CliError(f"{path}: {path.parent} is not a directory")
-        if path.is_dir():
-            raise CliError(f"{path}: is a directory")
+def cmd_train(args) -> Report:
     settings = parse_config_file(args.config)
     train_config = TrainConfig(
         rng_seed=args.seed,
@@ -268,17 +259,13 @@ def cmd_train(args) -> int:
             log_fh.close()
     for line in result.log_lines:
         print(line)
-    print_report(
-        [
-            ("best_validation_accuracy", _format_float(result.best_accuracy)),
-            ("best_step", result.best_step),
-            ("steps", result.steps),
-            ("epochs", result.epochs),
-            ("checkpoint", args.out),
-        ],
-        args.tsv,
-    )
-    return 0
+    return [
+        ("best_validation_accuracy", _format_float(result.best_accuracy)),
+        ("best_step", result.best_step),
+        ("steps", result.steps),
+        ("epochs", result.epochs),
+        ("checkpoint", args.out),
+    ]
 
 
 # ---------------------------------------------------------------- evaluate
@@ -300,7 +287,7 @@ def _predict_with_checkpoint(
     return Predictions(positions, probabilities), encoded
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> Report:
     raw = read_examples(args.data)
     if not raw:
         raise CliError(f"{args.data}: no examples")
@@ -311,7 +298,7 @@ def cmd_evaluate(args) -> int:
     flags = correct_flags(predictions, _answer_positions(raw))
 
     accuracy = _format_float(hit_rate(flags))
-    rows: list[tuple[str, object]] = [
+    rows: Report = [
         ("dataset", Path(args.data).name),
         ("n_examples", len(raw)),
         ("accuracy", accuracy),
@@ -326,20 +313,19 @@ def cmd_evaluate(args) -> int:
     # distinct ids within an example.
     baseline = most_frequent_candidate_accuracy(runs[0][1])
     rows.append(("baseline_frequency", _format_float(baseline)))
-    print_report(rows, args.tsv)
 
     if args.predictions_out:
         with open(args.predictions_out, "w", encoding="utf-8", newline="\n") as fh:
             picks = predictions.predicted_ids.tolist()  # candidate positions
             for i, (ex, pick, flag) in enumerate(zip(raw, picks, flags), start=1):
                 fh.write(f"{i}\t{ex.candidates[pick]}\t{flag}\n")
-    return 0
+    return rows
 
 
 # ---------------------------------------------------------- select-ensemble
 
 
-def cmd_select_ensemble(args) -> int:
+def cmd_select_ensemble(args) -> Report:
     raw = read_examples(args.valid)
     if not raw:
         raise CliError(f"{args.valid}: no examples")
@@ -353,7 +339,7 @@ def cmd_select_ensemble(args) -> int:
     # candidate positions.
     selected, ensemble_accuracy = greedy_select(members, answers)
     write_ensemble_spec(args.out, [m.name for m in selected], ensemble_accuracy)
-    rows: list[tuple[str, object]] = [
+    rows: Report = [
         ("offered", len(members)),
         ("selected", len(selected)),
         ("ensemble_accuracy", _format_float(ensemble_accuracy)),
@@ -362,8 +348,7 @@ def cmd_select_ensemble(args) -> int:
     for i, member in enumerate(selected):
         rows.append((f"member{i}", f"{member.name}"
                      f" ({_format_float(member.validation_accuracy)})"))
-    print_report(rows, args.tsv)
-    return 0
+    return rows
 
 
 # ------------------------------------------------------------ predictions IO
@@ -401,7 +386,7 @@ def read_predictions_file(path: str) -> list[tuple[str, int]]:
 # ------------------------------------------------------------- export-errors
 
 
-def cmd_export_errors(args) -> int:
+def cmd_export_errors(args) -> Report:
     if args.n < 0:
         raise CliError(f"--n must be at least 0, got {args.n}")
     predictions = read_predictions_file(args.predictions)
@@ -426,21 +411,17 @@ def cmd_export_errors(args) -> int:
     with open(key_path, "w", encoding="utf-8", newline="\n") as fh:
         for i in chosen:
             fh.write(f"{i}\t{raw[i - 1].answer}\n")
-    print_report(
-        [
-            ("exported", len(chosen)),
-            ("study_file", str(study_path)),
-            ("answer_key", str(key_path)),
-        ],
-        args.tsv,
-    )
-    return 0
+    return [
+        ("exported", len(chosen)),
+        ("study_file", str(study_path)),
+        ("answer_key", str(key_path)),
+    ]
 
 
 # ------------------------------------------------------------ union-accuracy
 
 
-def cmd_union_accuracy(args) -> int:
+def cmd_union_accuracy(args) -> Report:
     a = read_predictions_file(args.predictions_a)
     b = read_predictions_file(args.predictions_b)
     if len(a) != len(b):
@@ -448,8 +429,7 @@ def cmd_union_accuracy(args) -> int:
     if args.data and len(a) != len(read_examples(args.data)):
         raise CliError("prediction files do not align with the dataset")
     accuracy = union_accuracy([[flag for _, flag in rows] for rows in (a, b)])
-    print_report([("union_accuracy", _format_float(accuracy))], args.tsv)
-    return 0
+    return [("union_accuracy", _format_float(accuracy))]
 
 
 # ------------------------------------------------------------------ parser
@@ -470,13 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", default="0.8,0.1,0.1")
     p.add_argument("--blocklist", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_generate)
+    # --out is a directory that generate creates, so it is not checked.
+    p.set_defaults(func=cmd_generate, outputs=())
 
     p = sub.add_parser("stats", help="summarize a dataset file")
     p.add_argument("--data", required=True)
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, outputs=())
 
     p = sub.add_parser("train", help="train a reader")
     p.add_argument("--train", required=True)
@@ -486,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", default=None, help="write training log here too")
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("out", "log"))
 
     p = sub.add_parser("evaluate", help="score a model or ensemble")
     group = p.add_mutually_exclusive_group(required=True)
@@ -497,16 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("ne", "cn"), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--predictions-out", default=None)
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, outputs=("predictions_out",))
 
     p = sub.add_parser("select-ensemble", help="greedy ensemble selection")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="ensemble spec path")
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_select_ensemble)
+    p.set_defaults(func=cmd_select_ensemble, outputs=("out",))
 
     p = sub.add_parser("export-errors", help="sample wrong answers for review")
     p.add_argument("--predictions", required=True)
@@ -518,30 +494,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="study file path: for human review, not a question file, since its "
              "answer field is blank; the answers go to OUT.key",
     )
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_export_errors)
+    p.set_defaults(func=cmd_export_errors, outputs=("out",))
 
     p = sub.add_parser("union-accuracy", help="either-source-correct rate")
     p.add_argument("--predictions-a", required=True)
     p.add_argument("--predictions-b", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--tsv", default=None)
-    p.set_defaults(func=cmd_union_accuracy)
+    p.set_defaults(func=cmd_union_accuracy, outputs=())
 
+    for p in sub.choices.values():
+        p.add_argument("--tsv", default=None)
     return parser
+
+
+def check_outputs(args) -> None:
+    """Reject, before any work, an output path that could not be written:
+    its parent must be a directory, or the --out directory that generate
+    creates, and the path itself must not be a directory."""
+    made = Path(args.out).resolve() if args.command == "generate" else None
+    names = (*args.outputs, "tsv")
+    for path in map(Path, filter(None, (getattr(args, name) for name in names))):
+        if not path.parent.is_dir() and path.parent.resolve() != made:
+            raise CliError(f"{path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise CliError(f"{path}: is a directory")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        check_outputs(args)
+        print_report(args.func(args), args.tsv)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClozereaderError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -238,12 +238,22 @@ def dedup_editions(
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Book-level split configuration: fractions and seed."""
+    """Book-level split configuration: fractions and seed.  The fractions
+    must be finite and non-negative and sum to 1."""
 
     train: float = 0.8
     valid: float = 0.1
     test: float = 0.1
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        fractions = self.fractions()
+        if not all(map(math.isfinite, fractions)):
+            raise SplitError(f"non-finite split fraction in {fractions}")
+        if any(f < 0 for f in fractions):
+            raise SplitError(f"negative split fraction in {fractions}")
+        if abs(sum(fractions) - 1.0) > 1e-9:
+            raise SplitError(f"split fractions {fractions} do not sum to 1")
 
     def fractions(self) -> tuple[float, float, float]:
         return (self.train, self.valid, self.test)
@@ -260,13 +270,6 @@ def split_books(
     least one book; too few books is an error.
     """
     fractions = spec.fractions()
-    if not all(map(math.isfinite, fractions)):
-        raise SplitError(f"non-finite split fraction in {fractions}")
-    if any(f < 0 for f in fractions):
-        raise SplitError(f"negative split fraction in {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SplitError(f"split fractions {fractions} do not sum to 1")
-
     names = ("train", "valid", "test")
     nonzero = [i for i, f in enumerate(fractions) if f > 0]
     if len(books) < len(nonzero):

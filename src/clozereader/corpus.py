@@ -59,17 +59,16 @@ class IngestError:
     reason: str
 
 
-def _load_wordlist(name: str) -> frozenset[str]:
-    text = resources.files("clozereader.data").joinpath(name).read_text("utf-8")
-    words = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
+def read_wordlist(path) -> frozenset[str]:
+    """The entries of a word or title list, one per line: each line is
+    stripped, then blank lines and ``#`` comment lines are skipped.
+    ``path`` is a ``Path`` or a package resource."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return frozenset(line for line in map(str.strip, lines) if line and not line.startswith("#"))
 
 
-DEFAULT_ABBREVIATIONS = _load_wordlist("abbreviations.txt")
+DATA = resources.files("clozereader.data")
+DEFAULT_ABBREVIATIONS = read_wordlist(DATA.joinpath("abbreviations.txt"))
 
 # Project Gutenberg-style section markers, matched per line.
 _START_MARKER = re.compile(r"\*\*\*\s*START", re.IGNORECASE)

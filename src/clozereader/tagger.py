@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import ClozereaderError
-from .corpus import TokenizedBook, _load_wordlist
+from .corpus import DATA, TokenizedBook, read_wordlist
 
 
 class WordType(enum.Enum):
@@ -53,9 +53,9 @@ class TaggerConfig:
 
 def default_config() -> TaggerConfig:
     return TaggerConfig(
-        noun_lexicon=_load_wordlist("nouns.txt"),
-        stopwords=_load_wordlist("stopwords.txt"),
-        honorifics=_load_wordlist("honorifics.txt"),
+        noun_lexicon=read_wordlist(DATA.joinpath("nouns.txt")),
+        stopwords=read_wordlist(DATA.joinpath("stopwords.txt")),
+        honorifics=read_wordlist(DATA.joinpath("honorifics.txt")),
     )
 
 

@@ -171,26 +171,39 @@ def test_diverged_training_exits_2(cli_workspace, tmp_path, monkeypatch, capsys)
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, path", [
-    ("--out", "missing/m.ckpt"),
-    ("--out", "."),
-    ("--log", "missing/train.log"),
-])
-def test_train_rejects_an_unwritable_output_path_before_reading_data(
-        cli_workspace, tmp_path, monkeypatch, capsys, flag, path):
-    _, train_path, valid_path, _, _ = cli_workspace
+# Each subcommand's required arguments, and the flags of its outputs.  The
+# inputs need not exist: the outputs are checked before any input is read.
+OUTPUT_CASES = {
+    "generate": (["--books", "books", "--type", "ne", "--out", "data"], ["--tsv"]),
+    "stats": (["--data", "d.txt"], ["--tsv"]),
+    "train": (["--train", "t.txt", "--valid", "v.txt", "--out", "m.ckpt"],
+              ["--out", "--log", "--tsv"]),
+    "evaluate": (["--model", "m.ckpt", "--data", "d.txt"], ["--predictions-out", "--tsv"]),
+    "select-ensemble": (["--models", "m.ckpt", "--valid", "v.txt", "--out", "spec.txt"],
+                        ["--out", "--tsv"]),
+    "export-errors": (["--predictions", "p.txt", "--data", "d.txt", "--out", "study.txt"],
+                      ["--out", "--tsv"]),
+    "union-accuracy": (["--predictions-a", "a.txt", "--predictions-b", "b.txt"], ["--tsv"]),
+}
 
-    def fail(*args, **kwargs):
-        raise AssertionError("read or trained before checking the output paths")
 
-    monkeypatch.setattr("clozereader.cli.read_examples", fail)
-    monkeypatch.setattr("clozereader.cli.run_training", fail)
-    paths = {"--out": str(tmp_path / "m.ckpt"), flag: str(tmp_path / path)}
-    rc = main(["train", "--train", str(train_path), "--valid", str(valid_path),
-               *(arg for item in paths.items() for arg in item)])
+@pytest.mark.parametrize("path", ["missing/out.txt", "taken"], ids=["missing_dir", "is_dir"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in OUTPUT_CASES.items() for flag in flags
+], ids=lambda value: value.lstrip("-"))
+def test_every_output_is_checked_before_the_work(tmp_path, monkeypatch, capsys,
+                                                  command, flag, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    calls = []
+    monkeypatch.setattr(f"clozereader.cli.cmd_{command.replace('-', '_')}", calls.append)
+    required, _ = OUTPUT_CASES[command]
+    rc = main([command, *required, flag, path])  # the last --out wins
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {tmp_path / path}: ")
-    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not calls
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not list((tmp_path / "taken").iterdir())
 
 
 # ---------------------------------------------------------------- evaluate
@@ -620,6 +633,21 @@ def test_generate_blocklist_drops_editions(tmp_path, capsys):
     assert captured.err.count("dropped duplicate edition") == 2
 
 
+def test_generate_blocklist_skips_indented_comment_lines(tmp_path, capsys):
+    books_dir = tmp_path / "books"
+    paths = write_fixture_library(books_dir, n_books=4, rng_seed=2, n_paragraphs=8)
+    title = paths[0].read_text(encoding="utf-8").split("Title: ")[1].splitlines()[0]
+    blocklist = tmp_path / "blocklist.txt"
+    blocklist.write_text(f"  # {title}\n\t#{title}\n", encoding="utf-8")
+    rc = main([
+        "generate", "--books", str(books_dir), "--type", "ne",
+        "--out", str(tmp_path / "data"), "--splits", "0.5,0.25,0.25",
+        "--blocklist", str(blocklist), "--stride", "4",
+    ])
+    assert rc == 0
+    assert "dropped duplicate edition" not in capsys.readouterr().err
+
+
 def test_generate_with_everything_blocked_exits_1(tmp_path, capsys):
     books_dir = tmp_path / "books"
     paths = write_fixture_library(books_dir, n_books=1, rng_seed=4, n_paragraphs=6)
@@ -641,6 +669,26 @@ def test_generate_rejects_bad_splits(fixture_library, tmp_path, capsys):
     ])
     assert rc == 1
     assert "three comma-separated fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("splits, message", [
+    ("0.5,0.2,0.2", "do not sum to 1"),
+    ("1.2,-0.2,0", "negative split fraction"),
+    ("nan,0.5,0.5", "non-finite split fraction"),
+], ids=["sum", "negative", "nan"])
+def test_generate_rejects_bad_split_fractions_before_reading_books(
+        tmp_path, monkeypatch, capsys, splits, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("read the books before checking --splits")
+
+    monkeypatch.setattr("clozereader.cli.ingest_books", fail)
+    rc = main([
+        "generate", "--books", str(tmp_path / "books"), "--type", "ne",
+        "--out", str(tmp_path / "data"), "--splits", splits,
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("stride", ["-1", "0"])

@@ -1,0 +1,26 @@
+"""The equivalence sweep in ``tools/equiv.py``, run on the working tree
+against itself."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "equiv", Path(__file__).resolve().parents[1] / "tools" / "equiv.py")
+equiv = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(equiv)
+
+
+def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
+    first = equiv.sweep(equiv.ROOT, tmp_path / "first")
+    second = equiv.sweep(equiv.ROOT, tmp_path / "second")
+    assert set(equiv.compare(first, second).values()) == {"equal"}
+    # Every command succeeded and wrote its --tsv, so equality is not vacuous.
+    for name, argv in equiv.commands():
+        assert first[f"exit {name}"] == 0, first[f"stderr {name}"]
+        assert argv[-2] == "--tsv" and f"file {argv[-1]}" in first
+
+
+def test_compare_marks_changed_and_one_sided_items_different():
+    assert equiv.compare({"a": 1, "b": 2}, {"a": 1, "b": 3, "c": None}) == {
+        "a": "equal", "b": "different", "c": "different",
+    }

@@ -1,0 +1,205 @@
+"""Equivalence sweep: run one fixed set of CLI commands against two source
+trees and compare everything they write.
+
+    python tools/equiv.py --parent REV
+
+unpacks REV with ``git archive`` (a local read, no network), runs the sweep
+once against REV's ``src/`` and once against the working tree's, and prints
+JSON that marks each item ``equal`` or ``different``.  It exits 1 if any
+item differs.
+
+The sweep writes a fixture library, then runs ``generate`` (NE and CN),
+``stats`` on both train splits, and ``train`` at E4/H4/L1 at vocabulary
+caps 200,000 and 40 (at 40 the anonymous ids are in use), each with and
+without ``query_init``.  Each checkpoint is scored by ``evaluate --model``
+with ``--predictions-out``; then come ``select-ensemble`` over the four,
+``evaluate --ensemble``, ``export-errors`` and ``union-accuracy``.  Every
+command writes ``--tsv``.  An item is the SHA-256 of a file the commands
+wrote, or a command's stdout, stderr or exit code.  The wall-time column of
+the training logs is blanked, in the log files and in stdout, because it is
+the one output that differs from run to run.
+
+Each tree runs in its own subprocess and directory, with relative paths,
+no bytecode written and BLAS pinned to one thread, so the two runs see the
+same inputs and differ only in the package they import.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRAIN_CONFIG = """\
+embedding_dim = 4
+hidden_units = 4
+recurrent_layers = 1
+batch_size = 32
+eval_every = 256
+max_epochs = 2
+patience = 2
+"""
+# Checkpoint name -> (vocab_cap, query_init).
+MODELS = {f"cap{cap}-q{query_init}": (cap, query_init)
+          for cap in (200000, 40) for query_init in (0, 1)}
+_WALL = re.compile(r"^(\d+\t[^\t]+\t[^\t]+\t)\d+\.\d{3}$", re.MULTILINE)
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) of each command of the sweep, in run order.  Paths are
+    relative to the run directory."""
+    sweep = []
+    for word_type in ("ne", "cn"):
+        sweep += [
+            (f"generate-{word_type}",
+             ["generate", "--books", "books", "--type", word_type, "--seed", "3",
+              "--splits", "0.6,0.2,0.2", "--out", word_type,
+              "--tsv", f"{word_type}/report.tsv"]),
+            (f"stats-{word_type}",
+             ["stats", "--data", f"{word_type}/{word_type}_train.txt",
+              "--tsv", f"stats-{word_type}.tsv"]),
+        ]
+    for model in MODELS:
+        sweep += [
+            (f"train-{model}",
+             ["train", "--train", "ne/ne_train.txt", "--valid", "ne/ne_valid.txt",
+              "--config", f"{model}.cfg", "--seed", "5", "--out", f"{model}.ckpt",
+              "--log", f"{model}.log", "--tsv", f"train-{model}.tsv"]),
+            (f"evaluate-{model}",
+             ["evaluate", "--model", f"{model}.ckpt", "--data", "ne/ne_test.txt",
+              "--type", "ne", "--predictions-out", f"{model}.pred",
+              "--tsv", f"evaluate-{model}.tsv"]),
+        ]
+    return sweep + [
+        ("select-ensemble",
+         ["select-ensemble", "--models", *(f"{model}.ckpt" for model in MODELS),
+          "--valid", "ne/ne_valid.txt", "--out", "ensemble.spec",
+          "--tsv", "select-ensemble.tsv"]),
+        ("evaluate-ensemble",
+         ["evaluate", "--ensemble", "ensemble.spec", "--data", "ne/ne_test.txt",
+          "--predictions-out", "ensemble.pred", "--tsv", "evaluate-ensemble.tsv"]),
+        ("export-errors",
+         ["export-errors", "--predictions", "ensemble.pred", "--data", "ne/ne_test.txt",
+          "--n", "20", "--seed", "1", "--out", "study.txt", "--tsv", "export-errors.tsv"]),
+        ("union-accuracy",
+         ["union-accuracy", "--predictions-a", "cap200000-q0.pred",
+          "--predictions-b", "cap40-q1.pred", "--data", "ne/ne_test.txt",
+          "--tsv", "union-accuracy.tsv"]),
+    ]
+
+
+def _write_inputs(run_dir: Path) -> set[Path]:
+    """The fixture library and the training configs, written by the working
+    tree's package so that both sweeps read the same inputs; returns their
+    paths."""
+    from clozereader.synthdata import write_fixture_library
+
+    inputs = set(write_fixture_library(run_dir / "books", n_books=6, rng_seed=0,
+                                       n_paragraphs=20))
+    for model, (cap, query_init) in MODELS.items():
+        path = run_dir / f"{model}.cfg"
+        path.write_text(f"{TRAIN_CONFIG}vocab_cap = {cap}\nquery_init = {query_init}\n",
+                        encoding="utf-8")
+        inputs.add(path)
+    return inputs
+
+
+def _run_commands() -> dict[str, object]:
+    """Run the sweep in the current directory with whichever ``clozereader``
+    is importable, and return each command's stdout, stderr and exit code."""
+    import clozereader
+    from clozereader.cli import main
+
+    results: dict[str, object] = {"package": clozereader.__file__}
+    for name, argv in commands():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code: object = main(argv)
+            except Exception as exc:  # recorded as this command's outcome
+                code = f"raised {type(exc).__name__}: {exc}"
+        results[f"stdout {name}"] = _WALL.sub(r"\1-", out.getvalue())
+        results[f"stderr {name}"] = err.getvalue()
+        results[f"exit {name}"] = code
+    return results
+
+
+def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
+    """Every item of the sweep, run in the new directory ``run_dir`` against
+    the package in ``tree``/src."""
+    run_dir.mkdir(parents=True)
+    inputs = _write_inputs(run_dir)
+    src = (tree / "src").resolve()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--run-commands"],
+        cwd=run_dir, env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"sweep of {tree} failed:\n{proc.stderr}")
+    items = json.loads(proc.stdout)
+    package = Path(items.pop("package"))
+    if not package.is_relative_to(src):
+        raise RuntimeError(f"sweep of {tree} imported {package}")
+    for path in sorted(run_dir.rglob("*")):
+        if path.is_file() and path not in inputs:
+            data = path.read_bytes()
+            if path.suffix == ".log":
+                data = _WALL.sub(r"\1-", data.decode("utf-8")).encode("utf-8")
+            items[f"file {path.relative_to(run_dir).as_posix()}"] = (
+                hashlib.sha256(data).hexdigest())
+    return items
+
+
+def compare(parent: dict[str, object], change: dict[str, object]) -> dict[str, str]:
+    """``equal`` or ``different`` for every item either sweep recorded."""
+    missing = object()
+    return {
+        key: "equal" if parent.get(key, missing) == change.get(key, missing) else "different"
+        for key in sorted(parent.keys() | change.keys())
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="git revision to compare the working tree with")
+    parser.add_argument("--run-commands", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_commands:
+        json.dump(_run_commands(), sys.stdout)
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.parent],
+            capture_output=True, check=True,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        items = compare(sweep(parent_tree, Path(tmp) / "run-parent"),
+                        sweep(ROOT, Path(tmp) / "run-change"))
+    all_equal = all(verdict == "equal" for verdict in items.values())
+    json.dump({"parent": args.parent, "all_equal": all_equal, "items": items},
+              sys.stdout, indent=1)
+    print()
+    return 0 if all_equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
