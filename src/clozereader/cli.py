@@ -10,11 +10,12 @@ tab-separated for machine consumption.  Predictions files carry one line
 per example: ordinal id, predicted token, correct flag (1/0),
 tab-separated.
 
-Every output (--tsv and each subcommand's declared ``outputs``) is checked
-before the work: its parent must be a directory and it must not be one
-itself.  A failed check exits 1 and writes nothing.  generate --out is a
-directory that generate creates, so it is not pre-checked, and a --tsv
-inside it is accepted.
+Every output (--tsv, each subcommand's declared ``outputs`` and the
+export-errors answer key) is checked before the work: its parent must be a
+directory and it must not be one itself.  A failed check exits 1 and
+writes nothing.  generate --out is a directory that generate creates, so
+it only has to be creatable (no file on its path), and a --tsv inside it
+is accepted.
 """
 
 from __future__ import annotations
@@ -386,6 +387,10 @@ def read_predictions_file(path: str) -> list[tuple[str, int]]:
 # ------------------------------------------------------------- export-errors
 
 
+def _key_path(study_path: Path) -> Path:
+    return study_path.with_suffix(study_path.suffix + ".key")
+
+
 def cmd_export_errors(args) -> Report:
     if args.n < 0:
         raise CliError(f"--n must be at least 0, got {args.n}")
@@ -404,7 +409,7 @@ def cmd_export_errors(args) -> Report:
     else:
         chosen = sorted(random.Random(args.seed).sample(wrong_ids, args.n))
     study_path = Path(args.out)
-    key_path = study_path.with_suffix(study_path.suffix + ".key")
+    key_path = _key_path(study_path)
     # The study file blanks the answer field; the key file restores it.
     withheld = [replace(raw[i - 1], answer="") for i in chosen]
     write_examples(withheld, study_path)
@@ -510,10 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
 def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
-    creates, and the path itself must not be a directory."""
-    made = Path(args.out).resolve() if args.command == "generate" else None
-    names = (*args.outputs, "tsv")
-    for path in map(Path, filter(None, (getattr(args, name) for name in names))):
+    creates, and the path itself must not be a directory.  generate --out
+    must be creatable: its nearest existing ancestor must be a directory."""
+    made = None
+    if args.command == "generate":
+        made = Path(args.out).resolve()
+        existing = next(p for p in (made, *made.parents) if p.exists())
+        if not existing.is_dir():
+            raise CliError(f"{args.out}: {existing} is not a directory")
+    paths = [Path(p) for p in (getattr(args, name) for name in (*args.outputs, "tsv")) if p]
+    if args.command == "export-errors":
+        paths.append(_key_path(Path(args.out)))
+    for path in paths:
         if not path.parent.is_dir() and path.parent.resolve() != made:
             raise CliError(f"{path}: {path.parent} is not a directory")
         if path.is_dir():

@@ -206,6 +206,39 @@ def test_every_output_is_checked_before_the_work(tmp_path, monkeypatch, capsys,
     assert not list((tmp_path / "taken").iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "afile"],
+    ["--out", "afile/data"],
+    ["--out", "afile", "--tsv", "afile/report.tsv"],
+], ids=["out-is_file", "out-under_file", "tsv-in-out-is_file"])
+def test_generate_rejects_an_out_path_through_a_file_before_the_work(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr("clozereader.cli.cmd_generate", calls.append)
+    rc = main(["generate", "--books", "books", "--type", "ne", *argv])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {argv[1]}: ")
+    assert not calls
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_export_errors_checks_its_answer_key_before_the_work(tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "study.txt.key").mkdir()
+    calls = []
+    monkeypatch.setattr("clozereader.cli.cmd_export_errors", calls.append)
+    rc = main(["export-errors", "--predictions", "p.txt", "--data", "d.txt",
+               "--out", "study.txt"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: study.txt.key: is a directory")
+    assert not calls
+    assert [p.name for p in tmp_path.iterdir()] == ["study.txt.key"]
+
+
 # ---------------------------------------------------------------- evaluate
 
 
