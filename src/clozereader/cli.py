@@ -10,12 +10,10 @@ tab-separated for machine consumption.  Predictions files carry one line
 per example: ordinal id, predicted token, correct flag (1/0),
 tab-separated.
 
-Every output (--tsv, each subcommand's declared ``outputs`` and the
-export-errors answer key) is checked before the work: its parent must be a
-directory and it must not be one itself.  A failed check exits 1 and
+Every output (--tsv, each subcommand's declared ``outputs``, the
+export-errors key) is checked before the work; a failed check exits 1 and
 writes nothing.  generate --out is a directory that generate creates, so
-it only has to be creatable (no file on its path), and a --tsv inside it
-is accepted.
+it need only have no file on its path, and a --tsv may go inside it.
 """
 
 from __future__ import annotations
@@ -455,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", default="0.8,0.1,0.1")
     p.add_argument("--blocklist", default=None)
     p.add_argument("--out", required=True)
-    # --out is a directory that generate creates, so it is not checked.
     p.set_defaults(func=cmd_generate, outputs=())
 
     p = sub.add_parser("stats", help="summarize a dataset file")
@@ -515,14 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
 def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
-    creates, and the path itself must not be a directory.  generate --out
-    must be creatable: its nearest existing ancestor must be a directory."""
-    made = None
-    if args.command == "generate":
-        made = Path(args.out).resolve()
-        existing = next(p for p in (made, *made.parents) if p.exists())
-        if not existing.is_dir():
-            raise CliError(f"{args.out}: {existing} is not a directory")
+    creates and whose nearest existing ancestor must be a directory, and
+    the path itself must not be a directory."""
+    made = Path(args.out).resolve() if args.command == "generate" else None
+    existing = made and next(p for p in (made, *made.parents) if p.exists())
+    if existing and not existing.is_dir():
+        raise CliError(f"{args.out}: {existing} is not a directory")
     paths = [Path(p) for p in (getattr(args, name) for name in (*args.outputs, "tsv")) if p]
     if args.command == "export-errors":
         paths.append(_key_path(Path(args.out)))

@@ -206,37 +206,32 @@ def test_every_output_is_checked_before_the_work(tmp_path, monkeypatch, capsys,
     assert not list((tmp_path / "taken").iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    ["--out", "afile"],
-    ["--out", "afile/data"],
-    ["--out", "afile", "--tsv", "afile/report.tsv"],
-], ids=["out-is_file", "out-under_file", "tsv-in-out-is_file"])
-def test_generate_rejects_an_out_path_through_a_file_before_the_work(
-        tmp_path, monkeypatch, capsys, argv):
+# Outputs the matrix above cannot take: generate --out may be missing or a
+# directory, but no regular file may lie on its path, and export-errors
+# also writes OUT.key.
+@pytest.mark.parametrize("argv, bad", [
+    (["generate", "--books", "b", "--type", "ne", "--out", "afile"], "afile"),
+    (["generate", "--books", "b", "--type", "ne", "--out", "afile/data"], "afile/data"),
+    (["generate", "--books", "b", "--type", "ne", "--out", "afile",
+      "--tsv", "afile/report.tsv"], "afile"),
+    (["export-errors", "--predictions", "p.txt", "--data", "d.txt",
+      "--out", "study.txt"], "study.txt.key"),
+], ids=["generate-out-is_file", "generate-out-under_file", "generate-tsv-in_file",
+        "export-errors-key-is_dir"])
+def test_generate_out_and_the_answer_key_are_checked_before_the_work(
+        tmp_path, monkeypatch, capsys, argv, bad):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
-    calls = []
-    monkeypatch.setattr("clozereader.cli.cmd_generate", calls.append)
-    rc = main(["generate", "--books", "books", "--type", "ne", *argv])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {argv[1]}: ")
-    assert not calls
-    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
-    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
-
-
-def test_export_errors_checks_its_answer_key_before_the_work(tmp_path, monkeypatch,
-                                                             capsys):
-    monkeypatch.chdir(tmp_path)
     (tmp_path / "study.txt.key").mkdir()
     calls = []
-    monkeypatch.setattr("clozereader.cli.cmd_export_errors", calls.append)
-    rc = main(["export-errors", "--predictions", "p.txt", "--data", "d.txt",
-               "--out", "study.txt"])
+    monkeypatch.setattr(f"clozereader.cli.cmd_{argv[0].replace('-', '_')}", calls.append)
+    rc = main(argv)
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: study.txt.key: is a directory")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not calls
-    assert [p.name for p in tmp_path.iterdir()] == ["study.txt.key"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "study.txt.key"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+    assert not list((tmp_path / "study.txt.key").iterdir())
 
 
 # ---------------------------------------------------------------- evaluate
