@@ -17,7 +17,10 @@ the document passes, layer by layer.
 A batch is read in one way each: ``occurrences`` is the one mask of where
 ids occur among a row's real context positions, ``Batch.answer_positions``
 is the one answer check, and ``Model._document_pass`` is the one run of
-the document encoder.
+the document encoder.  The loss and the attention leave out positions by
+one rule, the ``where=`` mask of the tape's ``logsumexp`` and ``softmax``:
+an excluded score is -inf before the max shift, so its mass and its
+gradient are exactly 0.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .numerics import (
     BiGru,
     Parameter,
     Tensor,
-    add,
     concat,
     logsumexp,
     mean,
     no_grad,
+    softmax,
     sub,
     take_rows,
     time_major_dot,
@@ -54,9 +57,6 @@ from .vocab import (
     EncodedExample,
     Vocabulary,
 )
-
-MASK_OFFSET = 1e9  # added as -MASK_OFFSET to scores at excluded positions
-
 
 class AnswerNotInDocumentError(ClozereaderError):
     """The loss is undefined when no document position holds the answer."""
@@ -200,11 +200,6 @@ def as_predictions(predictions: Predictions | list[Prediction]) -> Predictions:
     return Predictions(candidate_ids, probabilities)
 
 
-def _step_masks(lengths: np.ndarray, steps: int) -> np.ndarray:
-    """(T, B, 1) boolean keep-mask: step t of row b is real."""
-    return (np.arange(steps)[:, None] < lengths[None, :])[:, :, None]
-
-
 class Model:
     """Embedding table plus document and question encoders."""
 
@@ -246,16 +241,13 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
-    def _embed_flat(self, ids: np.ndarray) -> Tensor:
-        """(B, T) int ids -> time-major (T*B, E) embeddings."""
-        flat = np.ascontiguousarray(ids.T).reshape(-1)
-        return take_rows(self.embedding, flat)
-
     def _run_encoder(self, encoder: BiGru, ids: np.ndarray, lengths: np.ndarray,
                      init_states=None):
+        """``encoder`` over (B, T) ids, time-major: input row t*B + b embeds
+        ids[b, t], and the (T, B, 1) keep-mask says step t of row b is real."""
         b, t = ids.shape
-        emb = self._embed_flat(ids)
-        masks = _step_masks(lengths, t)
+        emb = take_rows(self.embedding, np.ascontiguousarray(ids.T).reshape(-1))
+        masks = (np.arange(t)[:, None] < lengths[None, :])[:, :, None]
         return encoder.run(emb, t, b, masks, init_states)
 
     def question_vector(self, batch: Batch) -> Tensor:
@@ -287,21 +279,14 @@ class Model:
         return time_major_dot(self.document_states(batch), self.question_vector(batch))
 
     def loss(self, batch: Batch) -> Tensor:
-        """Mean negative log of the answer's aggregated attention mass.
-
-        Computed in log space: logsumexp over all real positions minus
-        logsumexp over the answer's positions.
-        """
+        """Mean negative log of the answer's aggregated attention mass, in
+        log space: logsumexp over the real positions minus logsumexp over
+        the answer's positions, each selected by the op's ``where=`` mask."""
         answer_positions = batch.answer_positions()
         scores = self.forward_scores(batch)
         real = np.arange(scores.shape[1])[None, :] < batch.context_lengths[:, None]
-        all_masked = add(scores, Tensor((real.astype(float) - 1.0) * MASK_OFFSET))
-        answer_masked = add(
-            scores, Tensor((answer_positions.astype(float) - 1.0) * MASK_OFFSET)
-        )
-        per_example = sub(logsumexp(all_masked, axis=1),
-                          logsumexp(answer_masked, axis=1))
-        return mean(per_example)
+        return mean(sub(logsumexp(scores, 1, where=real),
+                        logsumexp(scores, 1, where=answer_positions)))
 
     def predict(self, batch: Batch) -> Predictions:
         """Candidate-renormalized probabilities, argmax answers and attention."""
@@ -319,10 +304,7 @@ def predictions_from_scores(
     candidates: np.ndarray,
 ) -> Predictions:
     real = np.arange(scores.shape[1])[None, :] < context_lengths[:, None]
-    masked = np.where(real, scores, -np.inf)
-    shift = masked.max(axis=1, keepdims=True)
-    exps = np.exp(masked - shift)
-    attention = exps / exps.sum(axis=1, keepdims=True)
+    attention = softmax(Tensor(scores), 1, where=real).data
 
     occurs = occurrences(context, context_lengths, candidates)
     masses = (attention[:, None, :] * occurs).sum(axis=2)

@@ -371,10 +371,13 @@ def mean(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """log(sum(exp(x))) along one axis, max-shifted for stability."""
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    exps = np.exp(a.data - shift)
+def logsumexp(a: Tensor, axis: int = -1, where=True) -> Tensor:
+    """log(sum(exp(x))) along one axis, max-shifted for stability.  An
+    entry where the mask ``where`` is False is -inf before the shift, so
+    its exp and its gradient are exactly 0."""
+    x = np.where(where, a.data, -np.inf)
+    shift = np.max(x, axis=axis, keepdims=True)
+    exps = np.exp(x - shift)
     total = exps.sum(axis=axis, keepdims=True)
     data = np.squeeze(np.log(total) + shift, axis=axis)
 
@@ -384,10 +387,12 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along one axis, max-shifted for stability."""
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    exps = np.exp(a.data - shift)
+def softmax(a: Tensor, axis: int = -1, where=True) -> Tensor:
+    """Normalized exponentials along one axis, max-shifted for stability,
+    with ``logsumexp``'s mask: an entry where ``where`` is False gets 0."""
+    x = np.where(where, a.data, -np.inf)
+    shift = np.max(x, axis=axis, keepdims=True)
+    exps = np.exp(x - shift)
     data = exps / exps.sum(axis=axis, keepdims=True)
 
     def backward(g):

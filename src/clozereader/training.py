@@ -296,9 +296,14 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
                 anon_count=vocab_info["anon_count"],
             )
             config = ModelConfig(**header["config"])
+            rng_seed, extra = header["rng_seed"], header["extra"]
+            if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
+                raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
+            if not isinstance(extra, dict):
+                raise ValueError(f"extra must be an object, got {extra!r}")
         except (KeyError, TypeError, ValueError, VocabularyError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc}") from exc
-        model = Model(vocabulary, config, header.get("rng_seed", 0))
+        model = Model(vocabulary, config, rng_seed)
         (count,) = struct.unpack("<I", read(fh, 4, "tensor table"))
         named = model.named_parameters()
         seen = set()
@@ -327,4 +332,4 @@ def load_checkpoint(path: str) -> tuple[Model, dict]:
         missing = sorted(set(named) - seen)
         if missing:
             raise CheckpointError(f"{path}: missing tensors {missing}")
-    return model, header.get("extra", {})
+    return model, extra

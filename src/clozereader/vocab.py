@@ -51,8 +51,13 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         for name, value in (("cap", self.cap), ("anon_count", self.anon_count)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise VocabularyError(f"vocabulary {name} must be an integer, got {value!r}")
             if value < 0:
                 raise VocabularyError(f"vocabulary {name} must be at least 0, got {value}")
+        for word in self.words:
+            if not isinstance(word, str):
+                raise VocabularyError(f"vocabulary word must be a string, got {word!r}")
         self._lookup = dict(zip(self.words, range(self.word_start, self.size)))
         if len(self._lookup) != len(self.words):
             raise VocabularyError("duplicate words in vocabulary")

@@ -18,6 +18,8 @@ def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
     for name, argv in equiv.commands():
         assert first[f"exit {name}"] == 0, first[f"stderr {name}"]
         assert argv[-2] == "--tsv" and f"file {argv[-1]}" in first
+    for model in equiv.MODELS:
+        assert f"probabilities {model}" in first and f"attention {model}" in first
 
 
 def test_compare_marks_changed_and_one_sided_items_different():

@@ -179,6 +179,24 @@ def case_softmax(rng):
     return lambda: mean(mul(softmax(a, axis=-1), c)), [a]
 
 
+# Each row keeps at least one entry; the middle row keeps exactly one.
+MASK = np.array([[True, False, True, True, False],
+                 [False, False, True, False, False],
+                 [True, True, True, True, True]])
+
+
+def case_logsumexp_masked(rng):
+    (a,) = params_from(rng, (3, 5))
+    c = Tensor(rng.normal(size=(3,)))
+    return lambda: mean(mul(logsumexp(a, axis=-1, where=MASK), c)), [a]
+
+
+def case_softmax_masked(rng):
+    (a,) = params_from(rng, (3, 5))
+    c = Tensor(rng.normal(size=(3, 5)))
+    return lambda: mean(mul(softmax(a, axis=-1, where=MASK), c)), [a]
+
+
 def case_time_major_dot(rng):
     states, query = params_from(rng, (4 * 3, 5), (3, 5))
     c = Tensor(rng.normal(size=(3, 4)))
@@ -212,7 +230,7 @@ OP_CASES = [
     case_slice_rows, case_slice_cols, case_take_rows_repeated,
     case_reshape, case_sum_all, case_sum_axis_keepdims, case_mean,
     case_logsumexp, case_softmax, case_time_major_dot,
-    case_gru_forward, case_gru_reverse,
+    case_gru_forward, case_gru_reverse, case_logsumexp_masked, case_softmax_masked,
 ]
 
 
@@ -257,6 +275,17 @@ def test_logsumexp_hand_values():
     assert abs(logsumexp(Tensor(np.zeros(2)), axis=-1).item() - np.log(2)) < 1e-12
     big = logsumexp(Tensor(np.array([1000.0, 1000.0])), axis=-1).item()
     assert abs(big - (1000.0 + np.log(2))) < 1e-9
+
+
+def test_masked_ops_match_the_ops_over_the_kept_entries(rng):
+    logits = rng.normal(size=MASK.shape) * 3.0
+    attention = softmax(Tensor(logits), axis=-1, where=MASK).data
+    totals = logsumexp(Tensor(logits), axis=-1, where=MASK).data
+    for row, keep in enumerate(MASK):
+        kept = Tensor(logits[row, keep])
+        np.testing.assert_array_equal(attention[row, keep], softmax(kept).data)
+        assert (attention[row, ~keep] == 0.0).all()
+        assert totals[row] == logsumexp(kept).item()
 
 
 def test_forward_values_match_numpy(rng):

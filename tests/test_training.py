@@ -814,6 +814,30 @@ def test_checkpoint_names_a_model_size_below_1(tmp_path, key, value, message):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda h: h.update(rng_seed="x"), "rng_seed must be an integer, got 'x'",
+                 id="rng_seed-x"),
+    pytest.param(lambda h: h.update(rng_seed=True), "rng_seed must be an integer, got True",
+                 id="rng_seed-true"),
+    pytest.param(lambda h: h.pop("rng_seed"), "'rng_seed'", id="rng_seed-missing"),
+    pytest.param(lambda h: h.pop("extra"), "'extra'", id="extra-missing"),
+    pytest.param(lambda h: h.update(extra=[1]), "extra must be an object, got [1]",
+                 id="extra-list"),
+    pytest.param(lambda h: h["vocab"].update(cap=1.5),
+                 "vocabulary cap must be an integer, got 1.5", id="cap-1.5"),
+    pytest.param(lambda h: h["vocab"].update(cap=True),
+                 "vocabulary cap must be an integer, got True", id="cap-true"),
+    pytest.param(lambda h: h["vocab"].update(anon_count=True),
+                 "vocabulary anon_count must be an integer, got True", id="anon_count-true"),
+    pytest.param(lambda h: h["vocab"]["words"].append(7),
+                 "vocabulary word must be a string, got 7", id="word-7"),
+])
+def test_checkpoint_names_a_header_value_of_the_wrong_type(tmp_path, edit, message):
+    path = checkpoint_with_header(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad header: {message}")):
+        load_checkpoint(str(path))
+
+
 def test_resumed_model_predicts_like_the_original(tmp_path):
     model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=4)
     config = TrainConfig(

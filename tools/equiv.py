@@ -15,9 +15,12 @@ without ``query_init``.  Each checkpoint is scored by ``evaluate --model``
 with ``--predictions-out``; then come ``select-ensemble`` over the four,
 ``evaluate --ensemble``, ``export-errors`` and ``union-accuracy``.  Every
 command writes ``--tsv``.  An item is the SHA-256 of a file the commands
-wrote, or a command's stdout, stderr or exit code.  The wall-time column of
-the training logs is blanked, in the log files and in stdout, because it is
-the one output that differs from run to run.
+wrote, or a command's stdout, stderr or exit code.  A predictions file
+holds only each argmax, so for each checkpoint the sweep also digests
+``training.evaluate``'s probabilities and ``Model.predict``'s attention
+rows, through the package's API.  The wall-time column of the training
+logs is blanked, in the log files and in stdout, because it is the one
+output that differs from run to run.
 
 Each tree runs in its own subprocess and directory, with relative paths,
 no bytecode written and BLAS pinned to one thread, so the two runs see the
@@ -52,6 +55,7 @@ patience = 2
 # Checkpoint name -> (vocab_cap, query_init).
 MODELS = {f"cap{cap}-q{query_init}": (cap, query_init)
           for cap in (200000, 40) for query_init in (0, 1)}
+ATTENTION_ROWS = 32
 _WALL = re.compile(r"^(\d+\t[^\t]+\t[^\t]+\t)\d+\.\d{3}$", re.MULTILINE)
 
 
@@ -131,7 +135,34 @@ def _run_commands() -> dict[str, object]:
         results[f"stdout {name}"] = _WALL.sub(r"\1-", out.getvalue())
         results[f"stderr {name}"] = err.getvalue()
         results[f"exit {name}"] = code
+    results.update(_api_digests())
     return results
+
+
+def _api_digests() -> dict[str, str]:
+    """For each checkpoint, the SHA-256 of ``training.evaluate``'s
+    probabilities on the NE test split, encoded as ``evaluate --model``
+    encodes it at its default ``--seed`` 0, and of ``Model.predict``'s
+    attention rows on its first ``ATTENTION_ROWS`` examples: numbers that
+    no CLI output shows."""
+    import numpy as np
+    from clozereader.asreader import Batch
+    from clozereader.cbtio import read_examples
+    from clozereader.seeding import derive_seed
+    from clozereader.training import evaluate, load_checkpoint
+    from clozereader.vocab import encode_dataset
+
+    raw = read_examples("ne/ne_test.txt")
+    digests = {}
+    for model_name in MODELS:
+        model, _ = load_checkpoint(f"{model_name}.ckpt")
+        encoded = encode_dataset(raw, model.vocabulary, derive_seed(0, "eval"))
+        probabilities = evaluate(model, encoded).predictions.probabilities
+        batch = Batch.from_corpus(encoded, np.arange(len(encoded))[:ATTENTION_ROWS])
+        attention = np.concatenate(model.predict(batch).attention)
+        digests[f"probabilities {model_name}"] = hashlib.sha256(probabilities).hexdigest()
+        digests[f"attention {model_name}"] = hashlib.sha256(attention).hexdigest()
+    return digests
 
 
 def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
