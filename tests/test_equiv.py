@@ -19,7 +19,8 @@ def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
         assert first[f"exit {name}"] == 0, first[f"stderr {name}"]
         assert argv[-2] == "--tsv" and f"file {argv[-1]}" in first
     for model in equiv.MODELS:
-        assert f"probabilities {model}" in first and f"attention {model}" in first
+        for item in ("probabilities", "attention", "batches", "gradients"):
+            assert f"{item} {model}" in first
 
 
 def test_compare_marks_changed_and_one_sided_items_different():

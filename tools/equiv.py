@@ -18,9 +18,12 @@ command writes ``--tsv``.  An item is the SHA-256 of a file the commands
 wrote, or a command's stdout, stderr or exit code.  A predictions file
 holds only each argmax, so for each checkpoint the sweep also digests
 ``training.evaluate``'s probabilities and ``Model.predict``'s attention
-rows, through the package's API.  The wall-time column of the training
-logs is blanked, in the log files and in stdout, because it is the one
-output that differs from run to run.
+rows, through the package's API.  For each training config it digests
+the first epoch's ``make_batches`` arrays and the loss and every
+parameter gradient of the first batches at the initial weights, which
+no output shows before the optimizer has mixed them.  The wall-time
+column of the training logs is blanked, in the log files and in stdout,
+because it is the one output that differs from run to run.
 
 Each tree runs in its own subprocess and directory, with relative paths,
 no bytecode written and BLAS pinned to one thread, so the two runs see the
@@ -55,7 +58,9 @@ patience = 2
 # Checkpoint name -> (vocab_cap, query_init).
 MODELS = {f"cap{cap}-q{query_init}": (cap, query_init)
           for cap in (200000, 40) for query_init in (0, 1)}
+TRAIN_SEED = 5
 ATTENTION_ROWS = 32
+GRADIENT_BATCHES = 3
 _WALL = re.compile(r"^(\d+\t[^\t]+\t[^\t]+\t)\d+\.\d{3}$", re.MULTILINE)
 
 
@@ -77,7 +82,7 @@ def commands() -> list[tuple[str, list[str]]]:
         sweep += [
             (f"train-{model}",
              ["train", "--train", "ne/ne_train.txt", "--valid", "ne/ne_valid.txt",
-              "--config", f"{model}.cfg", "--seed", "5", "--out", f"{model}.ckpt",
+              "--config", f"{model}.cfg", "--seed", str(TRAIN_SEED), "--out", f"{model}.ckpt",
               "--log", f"{model}.log", "--tsv", f"train-{model}.tsv"]),
             (f"evaluate-{model}",
              ["evaluate", "--model", f"{model}.ckpt", "--data", "ne/ne_test.txt",
@@ -162,7 +167,52 @@ def _api_digests() -> dict[str, str]:
         attention = np.concatenate(model.predict(batch).attention)
         digests[f"probabilities {model_name}"] = hashlib.sha256(probabilities).hexdigest()
         digests[f"attention {model_name}"] = hashlib.sha256(attention).hexdigest()
+        digests.update(_training_digests(model_name, model))
     return digests
+
+
+def _training_digests(model_name: str, trained) -> dict[str, str]:
+    """The SHA-256 of the epoch-0 ``make_batches`` arrays that ``train``
+    draws for ``model_name``'s config, and of the loss and every parameter
+    gradient of the first ``GRADIENT_BATCHES`` of them, each taken at the
+    initial weights.  The trained checkpoint supplies the vocabulary and
+    the model config."""
+    from dataclasses import fields
+
+    from clozereader.asreader import Batch, Model
+    from clozereader.cbtio import read_examples
+    from clozereader.cli import parse_config_file
+    from clozereader.numerics import zero_grads
+    from clozereader.seeding import derive_seed
+    from clozereader.training import TrainConfig, make_batches
+    from clozereader.vocab import encode_dataset
+
+    settings = parse_config_file(f"{model_name}.cfg")
+    config = TrainConfig(rng_seed=TRAIN_SEED, **{
+        f.name: settings[f.name] for f in fields(TrainConfig) if f.name in settings})
+    encoded = encode_dataset(read_examples("ne/ne_train.txt"), trained.vocabulary,
+                             derive_seed(TRAIN_SEED, "train"))
+    batches = make_batches(encoded, config, derive_seed(TRAIN_SEED, "epoch", 0))
+    arrays = hashlib.sha256()
+    for batch in batches:
+        for field in fields(Batch):
+            array = getattr(batch, field.name)
+            arrays.update(f"{field.name} {array.dtype} {array.shape}".encode())
+            arrays.update(array.tobytes())
+    model = Model(trained.vocabulary, trained.config, rng_seed=TRAIN_SEED)
+    params = model.parameters()
+    gradients = hashlib.sha256()
+    for batch in batches[:GRADIENT_BATCHES]:
+        zero_grads(params)
+        loss = model.loss(batch)
+        gradients.update(repr(loss.item()).encode())
+        loss.backward()
+        for param in params:
+            gradients.update(param.name.encode())
+            if param.grad is not None:
+                gradients.update(param.grad.tobytes())
+    return {f"batches {model_name}": arrays.hexdigest(),
+            f"gradients {model_name}": gradients.hexdigest()}
 
 
 def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
