@@ -18,15 +18,24 @@ whole sequence with one matrix product into a buffer of its own, halves
 the r|z columns there, and then runs a plain numpy loop over the T steps
 that applies U_r and U_z together as one (H, 2H) product and computes
 every gate in place into preallocated buffers.  Only while a graph is
-being recorded does it keep each step's gates in (T, B, .) buffers for
-the backward pass; under ``no_grad`` one (B, .) slot is reused.
+being recorded does it keep each step's r|z gates and candidates in
+(T, B, .) buffers for the backward pass; under ``no_grad`` one (B, .)
+slot is reused.  r * h always goes through one (B, H) slot, and the
+projection buffer is freed when the forward pass returns, so until its
+backward pass a recorded node holds only its gates, candidates and
+states: what is cheap to recompute is not stored (Chen et al.,
+arXiv:1604.06174).
 
-The backward pass walks the steps in reverse carrying only the state
-gradient dh, and writes each step's pre-activation gradient over the
-projection buffer, which it never reads.  All weight gradients stay out
-of the loop: dW, db, dU_r|dU_z, dU_c and the input gradient dx are each
-one product or sum over all T*B rows once the loop is done (Appleyard et
-al., arXiv:1604.01946).
+The backward pass writes the pre-activation gradients into a (T, B, 3H)
+buffer of its own, fresh on every call.  Before its loop it fills in,
+for all steps at once, the two factors that do not depend on the state
+gradient: 1 - c^2 in the candidate columns and c - h in the update
+columns.  The loop then walks the steps in reverse carrying only the
+state gradient dh and scales those columns by it.  All weight gradients
+stay out of the loop: dW, db, dU_r|dU_z, dU_c and the input gradient dx
+are each one product or sum over all T*B rows once the loop is done
+(Appleyard et al., arXiv:1604.01946).  dU_c reads r * h, recomputed
+there by the forward pass's multiply over all steps at once.
 
 A (T, B, 1) keep-mask freezes the state of finished rows.  Under
 right-padding every row's per-position states are therefore those of the
@@ -145,8 +154,8 @@ def run_direction(
     history = 1 if record else 0
     slots = steps if record else 1
     rz = np.empty((slots, batch, h2))
-    rh = np.empty((slots, batch, hidden))
     cand = np.empty((slots, batch, hidden))
+    rh = np.empty((batch, hidden))
     # Masking work is spent only on steps where some row has finished.
     stopped = np.zeros((steps, batch, 1), dtype=bool) if keep is None else ~keep
     ragged = stopped.any(axis=(1, 2))
@@ -158,8 +167,8 @@ def run_direction(
         np.tanh(g, out=g)
         g *= 0.5
         g += 0.5
-        np.multiply(g[:, :hidden], h, out=rh[i])
-        np.matmul(rh[i], u_c, out=c)
+        np.multiply(g[:, :hidden], h, out=rh)
+        np.matmul(rh, u_c, out=c)
         c += pre[t, :, h2:]
         np.tanh(c, out=c)
         np.subtract(c, h, out=o)
@@ -169,9 +178,12 @@ def run_direction(
             np.copyto(o, h, where=stopped[t])
 
     def backward(grad):
-        # Each step's pre-activation gradient overwrites the projection,
-        # which the backward pass never reads.
-        d_pre = pre
+        # The factors that do not depend on dh, for every step at once:
+        # 1 - c^2 in the candidate slot and c - h in the update slot.
+        d_pre = np.empty((steps, batch, 3 * hidden))
+        np.multiply(cand, cand, out=d_pre[:, :, h2:])
+        np.subtract(1.0, d_pre[:, :, h2:], out=d_pre[:, :, h2:])
+        np.subtract(cand, prev, out=d_pre[:, :, hidden:h2])
         d_out = grad.reshape(steps, batch, hidden)
         dh = np.zeros((batch, hidden))
         dh_z = np.empty((batch, hidden))
@@ -183,17 +195,14 @@ def run_direction(
             if ragged[t]:
                 carried = np.where(stopped[t], dh, 0.0)
                 np.copyto(dh, 0.0, where=stopped[t])
-            h, g, c = prev[t], rz[t], cand[t]
+            h, g = prev[t], rz[t]
             z = g[:, hidden:]
             d_rz = d_pre[t, :, :h2]
             d_c = d_pre[t, :, h2:]
             np.multiply(dh, z, out=dh_z)
-            np.multiply(c, c, out=d_c)
-            np.subtract(1.0, d_c, out=d_c)
             d_c *= dh_z
             np.matmul(d_c, u_c.T, out=d_rh)
             np.multiply(d_rh, h, out=d_rz[:, :hidden])
-            np.subtract(c, h, out=d_rz[:, hidden:])
             d_rz[:, hidden:] *= dh
             np.subtract(1.0, g, out=slope)
             slope *= g
@@ -212,7 +221,8 @@ def run_direction(
         _accumulate(weights.b, d_flat.sum(axis=0), fresh=True)
         _accumulate(weights.u_r, d_u_rz[:, :hidden])
         _accumulate(weights.u_z, d_u_rz[:, hidden:])
-        _accumulate(weights.u_c, rh.reshape(rows, hidden).T @ d_flat[:, h2:], fresh=True)
+        r_h = rz[:, :, :hidden] * prev
+        _accumulate(weights.u_c, r_h.reshape(rows, hidden).T @ d_flat[:, h2:], fresh=True)
         if h0 is not None:
             _accumulate(h0, dh, fresh=True)
 

@@ -14,10 +14,11 @@ parent array safely.
 The logistic sigmoid is computed as 0.5 * tanh(0.5 * x) + 0.5 here and
 in the recurrent kernel alike (``logistic``).
 
-A training step builds and frees about 35 MB of tape at E32/H32 with
-B = 32, T = 180.  glibc would trim that from the heap top and the next
-step fault it back in page by page; importing this module keeps it mapped
-instead (``_keep_heap_mapped``).  Only where arrays live changes.
+A training step builds and frees a traced peak of about 27 MB of tape
+at E32/H32 with B = 32, T = 180.  glibc would trim that from the heap top
+and the next step fault it back in page by page; importing this module
+keeps it mapped instead (``_keep_heap_mapped``).  Only where arrays live
+changes.
 """
 
 from __future__ import annotations

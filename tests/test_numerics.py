@@ -6,6 +6,7 @@ passes are held against plain numpy expressions computed independently.
 
 import io
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -557,13 +558,36 @@ def test_run_direction_never_mutates_its_inputs(rng, reverse):
     loss.backward()
     assert [p.data.tobytes() for p in inputs] == before
     first = [p.grad.copy() for p in inputs]
-    # The backward pass overwrites the node's own projection buffer, never
+    # Each backward pass writes into a gradient buffer of its own, never
     # an input, so a second pass over the same graph adds the same
     # gradients again.
     loss.backward()
     assert [p.data.tobytes() for p in inputs] == before
     for p, grad in zip(inputs, first):
         np.testing.assert_array_equal(p.grad, 2 * grad)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_a_recorded_direction_keeps_only_its_gates_candidates_and_states(rng, reverse):
+    # Between the forward and the backward pass the node may hold its r|z
+    # gates (T, B, 2H), candidates (T, B, H) and states (T+1, B, H), plus
+    # weight-sized and mask-sized arrays; no (T, B, .) projection or r*h.
+    steps, batch, in_dim, hidden = 60, 8, 4, 32
+    weights = random_gru_weights(rng, in_dim, hidden)
+    x = Parameter(rng.normal(size=(steps * batch, in_dim)))
+    keep = (np.arange(steps)[:, None] < rng.integers(1, steps + 1, batch))[:, :, None]
+    kept_floats = (2 + 1) * steps * batch * hidden + (steps + 1) * batch * hidden
+    slack = 8 * 3 * hidden * hidden + 4 * steps * batch + 16_384
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run_direction(x, weights, steps, keep, reverse=reverse)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * kept_floats + slack
+    tensor_sum(out).backward()
+    assert x.grad.shape == x.data.shape
 
 
 def test_bigru_stacks_and_returns_finals(rng):
