@@ -30,16 +30,15 @@ class Adam:
     def step(self) -> None:
         """One moment update per parameter, in place.
 
-        Parameters without a gradient are left untouched.  Gradient rows
-        listed in ``param.frozen_rows`` are zeroed in ``param.grad``, so
-        those rows and their moments stay bit-identical forever.
+        Parameters without a gradient are left untouched.  The frozen
+        rows of every gradient are zeroed first (``zero_frozen_rows``),
+        so those rows and their moments stay bit-identical forever.
         """
+        zero_frozen_rows(self.params)
         for i, (param, m, v) in enumerate(zip(self.params, self.m, self.v)):
             grad = param.grad
             if grad is None:
                 continue
-            if param.frozen_rows is not None:
-                grad[param.frozen_rows] = 0.0
             self.t[i] += 1
             t = self.t[i]
             m *= M_DECAY
@@ -49,6 +48,14 @@ class Adam:
             m_hat = m / (1.0 - M_DECAY ** t)
             v_hat = v / (1.0 - V_DECAY ** t)
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def zero_frozen_rows(params: list[Parameter]) -> None:
+    """Zero, in place, the rows listed in each parameter's ``frozen_rows``
+    of its gradient: the gradient that no update may apply."""
+    for param in params:
+        if param.grad is not None and param.frozen_rows is not None:
+            param.grad[param.frozen_rows] = 0.0
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

@@ -34,7 +34,9 @@ import numpy as np
 from . import ClozereaderError
 from .asreader import Batch, Model, ModelConfig, Predictions, occurrences
 from .ensemble import correct_flags, hit_rate, prediction_accuracy
-from .numerics import Adam, clip_gradients, write_tensor, read_tensor, zero_grads
+from .numerics import (
+    Adam, clip_gradients, read_tensor, write_tensor, zero_frozen_rows, zero_grads,
+)
 from .numerics.optim import DEFAULT_LEARNING_RATE
 from .numerics.serialize import TensorFormatError, read_exactly
 from .seeding import derive_seed
@@ -186,6 +188,8 @@ def train(
             extra = {"step": result.steps, "loss": loss_value}
             if math.isfinite(loss_value):
                 loss.backward()
+                # Gradient that Adam would discard must not count towards the clip.
+                zero_frozen_rows(params)
                 extra["grad_norm"] = clip_gradients([p.grad for p in params if p.grad is not None])
             # Free this step's graph before the next forward pass builds one.
             del loss

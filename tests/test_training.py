@@ -22,7 +22,7 @@ from clozereader.asreader import (
     ModelConfig,
     predictions_from_scores,
 )
-from clozereader.numerics import Tensor, no_grad, write_tensor
+from clozereader.numerics import Tensor, clip_gradients, no_grad, write_tensor
 from clozereader.numerics.serialize import TENSOR_MAGIC, read_tensor
 from clozereader.seeding import derive_seed
 from clozereader.synthdata import associative_recall_examples
@@ -462,6 +462,25 @@ def test_train_refuses_a_non_finite_gradient_norm(tmp_path, monkeypatch):
     for name, param in model.named_parameters().items():
         assert np.array_equal(param.data, before[name]), name
     assert (tmp_path / "model.ckpt.diverged").exists()
+
+
+def test_train_clips_without_the_gradient_of_frozen_anonymous_rows(monkeypatch):
+    # The first batch holds 507 anonymous tokens.  Their frozen rows' gradient,
+    # which Adam discards, would raise the pre-clip norm from 0.0805 to 0.0821.
+    raw = associative_recall_examples(64, rng_seed=0)
+    vocabulary = build_vocab(raw, cap=10, anon_count=60)
+    encoded = encode_dataset(raw, vocabulary, derive_seed(0, "train"))
+    model = Model(vocabulary, ModelConfig(embedding_dim=16, hidden_units=16,
+                                          recurrent_layers=1), rng_seed=0)
+    norms = []
+
+    def recording_clip(grads):
+        norms.append(clip_gradients(grads))
+        return norms[-1]
+
+    monkeypatch.setattr("clozereader.training.clip_gradients", recording_clip)
+    train(model, encoded, encoded, TrainConfig(batch_size=32, max_epochs=1))
+    assert norms[0] == pytest.approx(0.0805, abs=5e-5)
 
 
 def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
