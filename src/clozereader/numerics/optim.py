@@ -51,8 +51,8 @@ class Adam:
 
 
 def zero_frozen_rows(params: list[Parameter]) -> None:
-    """Zero, in place, the rows listed in each parameter's ``frozen_rows``
-    of its gradient: the gradient that no update may apply."""
+    """Zero each gradient's ``frozen_rows`` in place: gradient that no
+    update may apply."""
     for param in params:
         if param.grad is not None and param.frozen_rows is not None:
             param.grad[param.frozen_rows] = 0.0

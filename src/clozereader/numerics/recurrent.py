@@ -23,8 +23,7 @@ being recorded does it keep each step's r|z gates and candidates in
 slot is reused.  r * h always goes through one (B, H) slot, and the
 projection buffer is freed when the forward pass returns, so until its
 backward pass a recorded node holds only its gates, candidates and
-states: what is cheap to recompute is not stored (Chen et al.,
-arXiv:1604.06174).
+states (store less, recompute the rest: Chen et al., arXiv:1604.06174).
 
 The backward pass writes the pre-activation gradients into a (T, B, 3H)
 buffer of its own, fresh on every call.  Before its loop it fills in,
@@ -34,8 +33,8 @@ columns.  The loop then walks the steps in reverse carrying only the
 state gradient dh and scales those columns by it.  All weight gradients
 stay out of the loop: dW, db, dU_r|dU_z, dU_c and the input gradient dx
 are each one product or sum over all T*B rows once the loop is done
-(Appleyard et al., arXiv:1604.01946).  dU_c reads r * h, recomputed
-there by the forward pass's multiply over all steps at once.
+(Appleyard et al., arXiv:1604.01946).  The r * h that dU_c reads is
+recomputed there by the forward pass's multiply, over all steps at once.
 
 A (T, B, 1) keep-mask freezes the state of finished rows.  Under
 right-padding every row's per-position states are therefore those of the

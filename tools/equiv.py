@@ -21,9 +21,9 @@ holds only each argmax, so for each checkpoint the sweep also digests
 rows, through the package's API.  For each training config it digests
 the first epoch's ``make_batches`` arrays and the loss and every
 parameter gradient of the first batches at the initial weights, which
-no output shows before the optimizer has mixed them.  The wall-time
-column of the training logs is blanked, in the log files and in stdout,
-because it is the one output that differs from run to run.
+the CLI outputs show only after the optimizer has mixed them.  The
+wall-time column of the training logs is blanked, in the log files and
+in stdout, because it is the one output that differs from run to run.
 
 Each tree runs in its own subprocess and directory, with relative paths,
 no bytecode written and BLAS pinned to one thread, so the two runs see the
@@ -82,8 +82,9 @@ def commands() -> list[tuple[str, list[str]]]:
         sweep += [
             (f"train-{model}",
              ["train", "--train", "ne/ne_train.txt", "--valid", "ne/ne_valid.txt",
-              "--config", f"{model}.cfg", "--seed", str(TRAIN_SEED), "--out", f"{model}.ckpt",
-              "--log", f"{model}.log", "--tsv", f"train-{model}.tsv"]),
+              "--config", f"{model}.cfg", "--seed", str(TRAIN_SEED),
+              "--out", f"{model}.ckpt", "--log", f"{model}.log",
+              "--tsv", f"train-{model}.tsv"]),
             (f"evaluate-{model}",
              ["evaluate", "--model", f"{model}.ckpt", "--data", "ne/ne_test.txt",
               "--type", "ne", "--predictions-out", f"{model}.pred",
