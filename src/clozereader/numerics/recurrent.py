@@ -149,7 +149,8 @@ def run_direction(
         order = range(steps)
         prev, out = states[:-1], states[1:]
     prev[order[0]] = 0.0 if h0 is None else h0.data
-    # Gate history for the backward pass; one reused slot when there is none.
+    # Gate and candidate history for the backward pass, one reused slot
+    # when there is none; r * h is never kept.
     history = 1 if record else 0
     slots = steps if record else 1
     rz = np.empty((slots, batch, h2))
