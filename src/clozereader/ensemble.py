@@ -90,19 +90,13 @@ def greedy_select(
     """Pick members greedily; returns (selected, ensemble accuracy)."""
     if not members:
         raise EnsembleError("no members to select from")
-    ordered = sorted(members, key=lambda m: (-m.validation_accuracy, m.name))
-    selected = [ordered[0]]
-    best = prediction_accuracy(
-        average_predictions([m.predictions for m in selected]), answer_ids
-    )
-    for member in ordered[1:]:
+    selected, best = [], -1.0  # below any accuracy: the best-ranked member is always kept
+    for member in sorted(members, key=lambda m: (-m.validation_accuracy, m.name)):
         trial = selected + [member]
-        accuracy = prediction_accuracy(
-            average_predictions([m.predictions for m in trial]), answer_ids
-        )
+        accuracy = prediction_accuracy(average_predictions([m.predictions for m in trial]),
+                                       answer_ids)
         if accuracy > best:
-            selected = trial
-            best = accuracy
+            selected, best = trial, accuracy
     return selected, best
 
 

@@ -239,7 +239,6 @@ class BiGru:
     def __init__(self, in_dim: int, hidden: int, n_layers: int, rng_seed: int, name: str):
         if n_layers < 1:
             raise ValueError("need at least one layer")
-        self.hidden = hidden
         self.layers: list[tuple[GruWeights, GruWeights]] = []
         dim = in_dim
         for k in range(n_layers):

@@ -147,17 +147,11 @@ def recording(parents) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
+    out = Tensor(data)
     if recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
     return out
 
 
@@ -372,13 +366,19 @@ def mean(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _masked_exp(x: np.ndarray, axis: int, where) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x - max) along ``axis`` and the max, with x taken as -inf where
+    the mask ``where`` is False, so that entry's exp is exactly 0."""
+    x = np.where(where, x, -np.inf)
+    shift = np.max(x, axis=axis, keepdims=True)
+    return np.exp(x - shift), shift
+
+
 def logsumexp(a: Tensor, axis: int = -1, where=True) -> Tensor:
     """log(sum(exp(x))) along one axis, max-shifted for stability.  An
     entry where the mask ``where`` is False is -inf before the shift, so
     its exp and its gradient are exactly 0."""
-    x = np.where(where, a.data, -np.inf)
-    shift = np.max(x, axis=axis, keepdims=True)
-    exps = np.exp(x - shift)
+    exps, shift = _masked_exp(a.data, axis, where)
     total = exps.sum(axis=axis, keepdims=True)
     data = np.squeeze(np.log(total) + shift, axis=axis)
 
@@ -391,9 +391,7 @@ def logsumexp(a: Tensor, axis: int = -1, where=True) -> Tensor:
 def softmax(a: Tensor, axis: int = -1, where=True) -> Tensor:
     """Normalized exponentials along one axis, max-shifted for stability,
     with ``logsumexp``'s mask: an entry where ``where`` is False gets 0."""
-    x = np.where(where, a.data, -np.inf)
-    shift = np.max(x, axis=axis, keepdims=True)
-    exps = np.exp(x - shift)
+    exps, _ = _masked_exp(a.data, axis, where)
     data = exps / exps.sum(axis=axis, keepdims=True)
 
     def backward(g):

@@ -35,10 +35,10 @@ from . import ClozereaderError
 from .asreader import Batch, Model, ModelConfig, Predictions, occurrences
 from .ensemble import correct_flags, hit_rate, prediction_accuracy
 from .numerics import (
-    Adam, clip_gradients, read_tensor, write_tensor, zero_frozen_rows, zero_grads,
+    DEFAULT_LEARNING_RATE, Adam, TensorFormatError, clip_gradients, read_tensor,
+    write_tensor, zero_frozen_rows, zero_grads,
 )
-from .numerics.optim import DEFAULT_LEARNING_RATE
-from .numerics.serialize import TensorFormatError, read_exactly
+from .numerics.serialize import read_exactly
 from .seeding import derive_seed
 from .vocab import ANSWER, CANDIDATES, EncodedCorpus, Vocabulary, VocabularyError
 
@@ -83,7 +83,8 @@ class TrainConfig:
 
 
 def make_batches(corpus: EncodedCorpus, config: TrainConfig, epoch_seed: int) -> list[Batch]:
-    """Length-bucketed batches over a seeded epoch shuffle."""
+    """Length-bucketed batches over a seeded epoch shuffle, each checked in
+    epoch order by ``Batch.answer_positions``, which names a bad example's source."""
     rng = random.Random(epoch_seed)
     order = list(range(len(corpus)))
     rng.shuffle(order)
@@ -96,6 +97,8 @@ def make_batches(corpus: EncodedCorpus, config: TrainConfig, epoch_seed: int) ->
         window_batches = list(_batches(corpus, window, config.batch_size))
         rng.shuffle(window_batches)
         batches += window_batches
+    for batch in batches:
+        batch.answer_positions(corpus.sources)
     return batches
 
 
@@ -161,16 +164,14 @@ def train(
 
     A NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
-    parameters are updated.  Empty corpora and training examples whose
-    answer never occurs in the document are rejected before the first
-    step.
+    parameters are updated.  Empty corpora are rejected before the first
+    step, and so, through ``make_batches``, are training examples whose
+    answer never occurs in the document: epoch 0's batches cover them all.
     """
     if not train_examples:
         raise ValueError("no training examples")
     if not valid_examples:
         raise ValueError("no validation examples")
-    for batch in _batches(train_examples, np.arange(len(train_examples))):
-        batch.answer_positions(train_examples.sources)
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)
     result = TrainResult(best_accuracy=-math.inf, best_step=0, steps=0, epochs=0)

@@ -220,12 +220,9 @@ class EncodedCorpus:
         if isinstance(key, slice):
             return replace(self, sentence_rows=self.sentence_rows[key], sources=self.sources[key])
         i = range(len(self))[key]
-        # The joined row splits where the context and each later piece end.
-        pieces = self.sentences.lengths[self.sentence_rows[i]]
-        ends = np.cumsum([pieces[CONTEXT].sum(), *pieces[-4:-1]])
-        [(joined, _)] = self.ids([i], slice(None))
-        context, question, candidates, answer, pairs = map(np.ndarray.tolist,
-                                                           np.split(joined[0], ends))
+        context, question, candidates, answer, pairs = (
+            matrix[0].tolist()
+            for matrix, _ in self.ids([i], CONTEXT, QUESTION, CANDIDATES, ANSWER, PAIRS))
         return EncodedExample(
             context_ids=context,
             question_ids=question,
