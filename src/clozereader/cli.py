@@ -11,8 +11,9 @@ per example: ordinal id, predicted token, correct flag (1/0),
 tab-separated.
 
 Every output (--tsv, each subcommand's declared ``outputs``, the
-export-errors key) is checked before the work; a failed check exits 1 and
-writes nothing.  generate --out is a directory that generate creates, so
+export-errors key, generate's split files) is checked before the work,
+and no two may name the same file; a failed check exits 1 and writes
+nothing.  generate --out is a directory that generate creates, so
 it need only have no file on its path, and a --tsv may go inside it.
 """
 
@@ -103,6 +104,10 @@ def _parse_splits(text: str) -> tuple[float, float, float]:
     return train, valid, test
 
 
+def _split_file(out: str, word_type: str, split: str) -> Path:
+    return Path(out) / f"{word_type}_{split}.txt"
+
+
 def cmd_generate(args) -> Report:
     train_frac, valid_frac, test_frac = _parse_splits(args.splits)
     spec = SplitSpec(train=train_frac, valid=valid_frac, test=test_frac,
@@ -135,7 +140,7 @@ def cmd_generate(args) -> Report:
             )
             examples.extend(book_examples)
             report.merge(book_report)
-        path = out_dir / f"{args.type}_{split_name}.txt"
+        path = _split_file(args.out, args.type, split_name)
         write_examples(examples, path)
         stats = compute_stats(examples)
         rows.extend([
@@ -512,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
-    creates and whose nearest existing ancestor must be a directory, and
-    the path itself must not be a directory."""
+    creates and whose nearest existing ancestor must be a directory; the
+    path itself must not be a directory, nor the file of another output."""
     made = Path(args.out).resolve() if args.command == "generate" else None
     existing = made and next(p for p in (made, *made.parents) if p.exists())
     if existing and not existing.is_dir():
@@ -521,11 +526,17 @@ def check_outputs(args) -> None:
     paths = [Path(p) for p in (getattr(args, name) for name in (*args.outputs, "tsv")) if p]
     if args.command == "export-errors":
         paths.append(_key_path(Path(args.out)))
+    if made:
+        paths += [_split_file(args.out, args.type, split) for split in ("train", "valid", "test")]
+    written = set()
     for path in paths:
         if not path.parent.is_dir() and path.parent.resolve() != made:
             raise CliError(f"{path}: {path.parent} is not a directory")
         if path.is_dir():
             raise CliError(f"{path}: is a directory")
+        if path.resolve() in written:
+            raise CliError(f"{path}: is also another output of this command")
+        written.add(path.resolve())
 
 
 def main(argv=None) -> int:

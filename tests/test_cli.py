@@ -234,6 +234,32 @@ def test_generate_out_and_the_answer_key_are_checked_before_the_work(
     assert not list((tmp_path / "study.txt.key").iterdir())
 
 
+# Two outputs of one command that name one file: the later write would
+# silently replace the earlier one.
+@pytest.mark.parametrize("argv, bad", [
+    (["train", "--train", "t.txt", "--valid", "v.txt", "--out", "m.ckpt",
+      "--tsv", "m.ckpt"], "m.ckpt"),
+    (["train", "--train", "t.txt", "--valid", "v.txt", "--out", "X", "--log", "./X"], "X"),
+    (["generate", "--books", "b", "--type", "ne", "--out", "g",
+      "--tsv", "g/ne_train.txt"], "g/ne_train.txt"),
+    (["export-errors", "--predictions", "p.txt", "--data", "d.txt", "--out", "s.txt",
+      "--tsv", "s.txt.key"], "s.txt.key"),
+    (["evaluate", "--model", "m.ckpt", "--data", "d.txt", "--predictions-out", "q.txt",
+      "--tsv", "q.txt"], "q.txt"),
+], ids=["train-out-tsv", "train-out-log", "generate-tsv-split", "export-errors-tsv-key",
+        "evaluate-predictions-tsv"])
+def test_two_outputs_that_name_one_file_are_rejected_before_the_work(
+        tmp_path, monkeypatch, capsys, argv, bad):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(f"clozereader.cli.cmd_{argv[0].replace('-', '_')}", calls.append)
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: is also another output of this command\n"
+    assert not calls
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------- evaluate
 
 
