@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,6 +613,32 @@ def test_train_checks_answers_of_examples_with_mixed_candidate_counts():
     )
     with pytest.raises(AnswerNotInDocumentError, match="example 3 "):
         train(model, EncodedCorpus.from_examples(enc_train), enc_valid, TrainConfig(batch_size=4))
+
+
+def test_train_names_the_first_bad_example_in_epoch_order():
+    model, enc_train, enc_valid = toy_setup(n_train=8, n_valid=2)
+    config = TrainConfig(batch_size=4)
+    order = [int(i) for batch in make_batches(enc_train, config, derive_seed(0, "epoch", 0))
+             for i in batch.indices]
+    first, later = order[0], min(order[1:])  # a lower index that comes later
+    assert later < first
+    examples = list(enc_train)
+    for i in (first, later):
+        examples[i] = replace(examples[i], answer_id=max(examples[i].context_ids) + 1)
+    with pytest.raises(AnswerNotInDocumentError, match=f"^example {first} "):
+        train(model, EncodedCorpus.from_examples(examples), enc_valid, config)
+
+
+def test_train_batches_its_training_set_once_per_epoch(monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=20, n_valid=6)
+    config = TrainConfig(batch_size=4, prefetch_batches=2, max_epochs=1, patience=5)
+    built = []
+    from_corpus = Batch.from_corpus
+    monkeypatch.setattr(Batch, "from_corpus", staticmethod(
+        lambda corpus, indices: built.append(corpus) or from_corpus(corpus, indices)))
+    train(model, enc_train, enc_valid, config)
+    # Five training batches, then one evaluation at the epoch's end: two batches.
+    assert built == [enc_train] * 5 + [enc_valid] * 2
 
 
 # -------------------------------------------------------------- checkpoints
