@@ -19,8 +19,13 @@ def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
         assert first[f"exit {name}"] == 0, first[f"stderr {name}"]
         assert argv[-2] == "--tsv" and f"file {argv[-1]}" in first
     for model in equiv.MODELS:
-        for item in ("probabilities", "attention", "batches", "gradients"):
+        for item in ("probabilities", "attention", "batches", "gradients", "clipped"):
             assert f"{item} {model}" in first
+    for eval_every, patience in equiv.SCHEDULES:
+        assert f"schedule eval_every={eval_every} patience={patience}" in first
+    # Both divergence cases raised and saved a diagnostic checkpoint.
+    for case in ("loss", "grad_norm"):
+        assert len(first[f"diverged {case}"]) == 64
 
 
 def test_compare_marks_changed_and_one_sided_items_different():

@@ -19,9 +19,13 @@ wrote, or a command's stdout, stderr or exit code.  A predictions file
 holds only each argmax, so for each checkpoint the sweep also digests
 ``training.evaluate``'s probabilities and ``Model.predict``'s attention
 rows, through the package's API.  For each training config it digests
-the first epoch's ``make_batches`` arrays and the loss and every
-parameter gradient of the first batches at the initial weights, which
-the CLI outputs show only after the optimizer has mixed them.  The
+the first epoch's ``make_batches`` arrays, the loss and every parameter
+gradient of the first batches at the initial weights, which the CLI
+outputs show only after the optimizer has mixed them, and the first
+batch's gradients clipped to half their norm, since no sweep training
+reaches the clip threshold.  On a fixed 16-example pointing set it also
+runs a small ``TrainConfig`` grid of evaluation schedules and patiences,
+and two divergences: a NaN loss and a NaN gradient norm.  The
 wall-time column of the training logs is blanked, in the log files and
 in stdout, because it is the one output that differs from run to run.
 
@@ -61,6 +65,8 @@ MODELS = {f"cap{cap}-q{query_init}": (cap, query_init)
 TRAIN_SEED = 5
 ATTENTION_ROWS = 32
 GRADIENT_BATCHES = 3
+# (eval_every, patience) of each schedule item; each trains with prefetch_batches 1.
+SCHEDULES = [(eval_every, patience) for eval_every in (1, 17) for patience in (1, 2)]
 _WALL = re.compile(r"^(\d+\t[^\t]+\t[^\t]+\t)\d+\.\d{3}$", re.MULTILINE)
 
 
@@ -169,6 +175,7 @@ def _api_digests() -> dict[str, str]:
         digests[f"probabilities {model_name}"] = hashlib.sha256(probabilities).hexdigest()
         digests[f"attention {model_name}"] = hashlib.sha256(attention).hexdigest()
         digests.update(_training_digests(model_name, model))
+    digests.update(_schedule_digests())
     return digests
 
 
@@ -183,7 +190,7 @@ def _training_digests(model_name: str, trained) -> dict[str, str]:
     from clozereader.asreader import Batch, Model
     from clozereader.cbtio import read_examples
     from clozereader.cli import parse_config_file
-    from clozereader.numerics import zero_grads
+    from clozereader.numerics import clip_gradients, global_norm, zero_frozen_rows, zero_grads
     from clozereader.seeding import derive_seed
     from clozereader.training import TrainConfig, make_batches
     from clozereader.vocab import encode_dataset
@@ -212,8 +219,83 @@ def _training_digests(model_name: str, trained) -> dict[str, str]:
             gradients.update(param.name.encode())
             if param.grad is not None:
                 gradients.update(param.grad.tobytes())
+    # The first batch's gradients as ``train`` clips them, at half their norm.
+    zero_grads(params)
+    model.loss(batches[0]).backward()
+    zero_frozen_rows(params)
+    grads = [param.grad for param in params if param.grad is not None]
+    clipped = hashlib.sha256(repr(clip_gradients(grads, global_norm(grads) / 2)).encode())
+    for grad in grads:
+        clipped.update(grad.tobytes())
     return {f"batches {model_name}": arrays.hexdigest(),
-            f"gradients {model_name}": gradients.hexdigest()}
+            f"gradients {model_name}": gradients.hexdigest(),
+            f"clipped {model_name}": clipped.hexdigest()}
+
+
+def _schedule_digests() -> dict[str, str]:
+    """On 16 pointing examples (8 to validate), the SHA-256 of ``train``'s
+    log lines, wall column blanked, and of its result for each of
+    ``SCHEDULES``; and for a NaN loss (NaN embedding) and a NaN gradient
+    norm (one gradient entry poisoned), of the message ``train`` raises
+    and the ``extra`` of the ``.diverged`` checkpoint it saves."""
+    from clozereader.asreader import Model, ModelConfig
+    from clozereader.numerics import Tensor
+    from clozereader.seeding import derive_seed
+    from clozereader.synthdata import associative_recall_examples
+    from clozereader.training import TrainConfig, TrainingDivergedError, load_checkpoint, train
+    from clozereader.vocab import build_vocab, encode_dataset
+
+    train_raw = associative_recall_examples(16, rng_seed=TRAIN_SEED)
+    vocabulary = build_vocab(train_raw, cap=200, anon_count=50)
+    train_set, valid_set = (
+        encode_dataset(raw, vocabulary, derive_seed(TRAIN_SEED, split)) for split, raw in (
+            ("train", train_raw),
+            ("valid", associative_recall_examples(8, rng_seed=TRAIN_SEED + 1))))
+
+    def model():
+        return Model(vocabulary, ModelConfig(embedding_dim=4, hidden_units=4,
+                                             recurrent_layers=1), rng_seed=TRAIN_SEED)
+
+    digests = {}
+    for eval_every, patience in SCHEDULES:
+        config = TrainConfig(learning_rate=0.05, batch_size=4, prefetch_batches=1,
+                             eval_every=eval_every, max_epochs=3, patience=patience,
+                             rng_seed=TRAIN_SEED)
+        log = io.StringIO()
+        result = train(model(), train_set, valid_set, config, log_fh=log)
+        text = _WALL.sub(r"\1-", log.getvalue()) + repr(
+            (result.best_accuracy, result.best_step, result.steps, result.epochs))
+        digests[f"schedule eval_every={eval_every} patience={patience}"] = (
+            hashlib.sha256(text.encode()).hexdigest())
+
+    config = TrainConfig(batch_size=4, prefetch_batches=1, max_epochs=1, rng_seed=TRAIN_SEED)
+
+    def diverged(diverging) -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pointing.ckpt")
+            try:
+                train(diverging, train_set, valid_set, config, checkpoint_path=path)
+            except TrainingDivergedError as exc:
+                extra = load_checkpoint(path + ".diverged")[1]
+                return hashlib.sha256(f"{exc}\n{extra!r}".encode()).hexdigest()
+        return "did not diverge"
+
+    nan_loss = model()
+    nan_loss.embedding.data[:] = float("nan")
+    digests["diverged loss"] = diverged(nan_loss)
+    nan_grad = model()
+    real_backward = Tensor.backward
+
+    def poisoned_backward(self):
+        real_backward(self)
+        nan_grad.embedding.grad[vocabulary.word_start] = float("nan")
+
+    Tensor.backward = poisoned_backward
+    try:
+        digests["diverged grad_norm"] = diverged(nan_grad)
+    finally:
+        Tensor.backward = real_backward
+    return digests
 
 
 def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
