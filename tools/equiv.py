@@ -247,10 +247,9 @@ def _schedule_digests() -> dict[str, str]:
 
     train_raw = associative_recall_examples(16, rng_seed=TRAIN_SEED)
     vocabulary = build_vocab(train_raw, cap=200, anon_count=50)
-    train_set, valid_set = (
-        encode_dataset(raw, vocabulary, derive_seed(TRAIN_SEED, split)) for split, raw in (
-            ("train", train_raw),
-            ("valid", associative_recall_examples(8, rng_seed=TRAIN_SEED + 1))))
+    train_set = encode_dataset(train_raw, vocabulary, derive_seed(TRAIN_SEED, "train"))
+    valid_set = encode_dataset(associative_recall_examples(8, rng_seed=TRAIN_SEED + 1),
+                               vocabulary, derive_seed(TRAIN_SEED, "valid"))
 
     def model():
         return Model(vocabulary, ModelConfig(embedding_dim=4, hidden_units=4,
