@@ -93,8 +93,9 @@ def greedy_select(
     selected, best = [], -1.0  # below any accuracy: the best-ranked member is always kept
     for member in sorted(members, key=lambda m: (-m.validation_accuracy, m.name)):
         trial = selected + [member]
-        accuracy = prediction_accuracy(average_predictions([m.predictions for m in trial]),
-                                       answer_ids)
+        accuracy = prediction_accuracy(
+            average_predictions([m.predictions for m in trial]), answer_ids
+        )
         if accuracy > best:
             selected, best = trial, accuracy
     return selected, best
