@@ -458,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", default="0.8,0.1,0.1")
     p.add_argument("--blocklist", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate, outputs=())
+    p.set_defaults(func=cmd_generate, outputs=(), inputs=("blocklist",))
 
     p = sub.add_parser("stats", help="summarize a dataset file")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_stats, outputs=())
+    p.set_defaults(func=cmd_stats, outputs=(), inputs=("data",))
 
     p = sub.add_parser("train", help="train a reader")
     p.add_argument("--train", required=True)
@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", default=None, help="write training log here too")
-    p.set_defaults(func=cmd_train, outputs=("out", "log"))
+    p.set_defaults(func=cmd_train, outputs=("out", "log"),
+                   inputs=("train", "valid", "config", "resume"))
 
     p = sub.add_parser("evaluate", help="score a model or ensemble")
     group = p.add_mutually_exclusive_group(required=True)
@@ -482,14 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("ne", "cn"), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--predictions-out", default=None)
-    p.set_defaults(func=cmd_evaluate, outputs=("predictions_out",))
+    p.set_defaults(func=cmd_evaluate, outputs=("predictions_out",),
+                   inputs=("model", "ensemble", "data"))
 
     p = sub.add_parser("select-ensemble", help="greedy ensemble selection")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="ensemble spec path")
-    p.set_defaults(func=cmd_select_ensemble, outputs=("out",))
+    p.set_defaults(func=cmd_select_ensemble, outputs=("out",), inputs=("models", "valid"))
 
     p = sub.add_parser("export-errors", help="sample wrong answers for review")
     p.add_argument("--predictions", required=True)
@@ -501,13 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="study file path: for human review, not a question file, since its "
              "answer field is blank; the answers go to OUT.key",
     )
-    p.set_defaults(func=cmd_export_errors, outputs=("out",))
+    p.set_defaults(func=cmd_export_errors, outputs=("out",), inputs=("predictions", "data"))
 
     p = sub.add_parser("union-accuracy", help="either-source-correct rate")
     p.add_argument("--predictions-a", required=True)
     p.add_argument("--predictions-b", required=True)
     p.add_argument("--data", default=None)
-    p.set_defaults(func=cmd_union_accuracy, outputs=())
+    p.set_defaults(func=cmd_union_accuracy, outputs=(),
+                   inputs=("predictions_a", "predictions_b", "data"))
 
     for p in sub.choices.values():
         p.add_argument("--tsv", default=None)
@@ -518,7 +521,9 @@ def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
     creates and whose nearest existing ancestor must be a directory; the
-    path itself must not be a directory, nor the file of another output."""
+    path itself must not be a directory, nor the file of another output or
+    of an input.  The one output that may replace an input is train's
+    --out, over the --resume checkpoint it continues from."""
     made = Path(args.out).resolve() if args.command == "generate" else None
     existing = made and next(p for p in (made, *made.parents) if p.exists())
     if existing and not existing.is_dir():
@@ -528,6 +533,11 @@ def check_outputs(args) -> None:
         paths.append(_key_path(Path(args.out)))
     if made:
         paths += [_split_file(args.out, args.type, split) for split in ("train", "valid", "test")]
+    read = {}
+    for name in args.inputs:
+        value = getattr(args, name) or []
+        for p in value if isinstance(value, list) else [value]:
+            read[Path(p).resolve()] = name
     written = set()
     for path in paths:
         if not path.parent.is_dir() and path.parent.resolve() != made:
@@ -536,6 +546,10 @@ def check_outputs(args) -> None:
             raise CliError(f"{path}: is a directory")
         if path.resolve() in written:
             raise CliError(f"{path}: is also another output of this command")
+        source = read.get(path.resolve())
+        if source and not (source == "resume" and path == Path(args.out)):
+            raise CliError(f"{path}: is also the --{source.replace('_', '-')} input "
+                           f"of this command")
         written.add(path.resolve())
 
 

@@ -14,19 +14,27 @@ Sequences are flattened (T*B, D) blocks in time-major order.
 
 Each layer and direction is a single tape node, ``run_direction``, that
 owns its input projection.  Its forward pass computes x W + b for the
-whole sequence with one matrix product into a buffer of its own, halves
-the r|z columns there, and then runs a plain numpy loop over the T steps
-that applies U_r and U_z together as one (H, 2H) product and computes
-every gate in place into preallocated buffers.  Only while a graph is
-being recorded does it keep each step's r|z gates and candidates in
-(T, B, .) buffers for the backward pass; under ``no_grad`` one (B, .)
-slot is reused.  r * h always goes through one (B, H) slot, and the
-projection buffer is freed when the forward pass returns, so until its
-backward pass a recorded node holds only its gates, candidates and
-states (store less, recompute the rest: Chen et al., arXiv:1604.06174).
+whole sequence as two matrix products, from column slices of the fused
+W and b, into two buffers of its own: the r|z pre-activations as a
+(T, B, 2H) buffer, halved in place, and the candidate's as a (T, B, H)
+one.  Each step thus adds one contiguous (B, .) block, where a slice of a
+single (T, B, 3H) buffer would be strided, and the stored parameters
+keep their fused layout.  A plain numpy loop over the T steps then
+applies U_r and U_z together as one (H, 2H) product and computes every
+gate in place into preallocated buffers; each per-step product, here
+and in the backward pass, is a direct ``np.dot`` into its output
+(Appleyard et al., arXiv:1604.01946).  Only while a graph is being
+recorded does it keep each step's r|z gates and candidates in (T, B, .)
+buffers for the backward pass; under ``no_grad`` one (B, .) slot is
+reused.  r * h always goes through one (B, H) slot, and both projection
+buffers are freed when the forward pass returns, so until its backward
+pass a recorded node holds only its gates, candidates and states (store
+less, recompute the rest: Chen et al., arXiv:1604.06174).
 
 The backward pass writes the pre-activation gradients into a (T, B, 3H)
-buffer of its own, fresh on every call.  Before its loop it fills in,
+buffer of its own, fresh on every call.  It stays fused so that dx is
+one product over all 3H columns; two buffers would need a joined copy
+of the same size for it.  Before its loop it fills in,
 for all steps at once, the two factors that do not depend on the state
 gradient: 1 - c^2 in the candidate columns and c - h in the update
 columns.  The loop then walks the steps in reverse carrying only the
@@ -128,13 +136,15 @@ def run_direction(
         parents += (h0,)
     record = recording(parents)
 
-    # The projection buffer is this node's own, so its r|z columns are
-    # halved in place; with a halved copy of U_r|U_z each step's r|z
-    # pre-activation comes out halved and its gate is 0.5 * tanh(.) + 0.5.
-    flat_pre = x.data @ weights.w.data
-    flat_pre += weights.b.data
-    flat_pre[:, :h2] *= 0.5
-    pre = flat_pre.reshape(steps, batch, 3 * hidden)
+    # The input projection goes into two buffers of this node's own, r|z
+    # and candidate, so each step adds one contiguous block.  The r|z
+    # buffer is halved in place; with a halved copy of U_r|U_z each step's
+    # r|z pre-activation comes out halved and its gate is 0.5 * tanh(.) + 0.5.
+    pre_rz = (x.data @ weights.w.data[:, :h2]).reshape(steps, batch, h2)
+    pre_rz += weights.b.data[:h2]
+    pre_rz *= 0.5
+    pre_c = (x.data @ weights.w.data[:, h2:]).reshape(steps, batch, hidden)
+    pre_c += weights.b.data[h2:]
     u_rz = np.concatenate([weights.u_r.data, weights.u_z.data], axis=1)
     half_u_rz = 0.5 * u_rz
     u_c = weights.u_c.data
@@ -162,14 +172,14 @@ def run_direction(
     for t in order:
         i = t * history
         h, g, c, o = prev[t], rz[i], cand[i], out[t]
-        np.matmul(h, half_u_rz, out=g)
-        g += pre[t, :, :h2]
+        np.dot(h, half_u_rz, out=g)
+        g += pre_rz[t]
         np.tanh(g, out=g)
         g *= 0.5
         g += 0.5
         np.multiply(g[:, :hidden], h, out=rh)
-        np.matmul(rh, u_c, out=c)
-        c += pre[t, :, h2:]
+        np.dot(rh, u_c, out=c)
+        c += pre_c[t]
         np.tanh(c, out=c)
         np.subtract(c, h, out=o)
         o *= g[:, hidden:]
@@ -201,13 +211,13 @@ def run_direction(
             d_c = d_pre[t, :, h2:]
             np.multiply(dh, z, out=dh_z)
             d_c *= dh_z
-            np.matmul(d_c, u_c.T, out=d_rh)
+            np.dot(d_c, u_c.T, out=d_rh)
             np.multiply(d_rh, h, out=d_rz[:, :hidden])
             d_rz[:, hidden:] *= dh
             np.subtract(1.0, g, out=slope)
             slope *= g
             d_rz *= slope
-            np.matmul(d_rz, u_rz.T, out=via_rz)
+            np.dot(d_rz, u_rz.T, out=via_rz)
             dh -= dh_z
             d_rh *= g[:, :hidden]
             dh += d_rh

@@ -260,6 +260,54 @@ def test_two_outputs_that_name_one_file_are_rejected_before_the_work(
     assert not list(tmp_path.iterdir())
 
 
+# An output that names one of the command's input files would replace the
+# input; train --out over its --resume checkpoint is the one exception.
+@pytest.mark.parametrize("argv, bad, flag", [
+    (["export-errors", "--predictions", "p.txt", "--data", "d.txt", "--out", "p.txt"],
+     "p.txt", "predictions"),
+    (["export-errors", "--predictions", "s.txt.key", "--data", "d.txt", "--out", "s.txt"],
+     "s.txt.key", "predictions"),
+    (["evaluate", "--model", "m.ckpt", "--data", "d.txt", "--predictions-out", "./d.txt"],
+     "d.txt", "data"),
+    (["evaluate", "--ensemble", "e.spec", "--data", "d.txt", "--tsv", "e.spec"],
+     "e.spec", "ensemble"),
+    (["select-ensemble", "--models", "a.ckpt", "m.ckpt", "--valid", "v.txt",
+      "--out", "m.ckpt"], "m.ckpt", "models"),
+    (["train", "--train", "t.txt", "--valid", "v.txt", "--out", "v.txt"], "v.txt", "valid"),
+    (["train", "--train", "t.txt", "--valid", "v.txt", "--resume", "m.ckpt",
+      "--out", "n.ckpt", "--log", "m.ckpt"], "m.ckpt", "resume"),
+    (["stats", "--data", "d.txt", "--tsv", "d.txt"], "d.txt", "data"),
+    (["union-accuracy", "--predictions-a", "a.txt", "--predictions-b", "b.txt",
+      "--tsv", "b.txt"], "b.txt", "predictions-b"),
+    (["generate", "--books", "b", "--type", "ne", "--blocklist", "g/ne_test.txt",
+      "--out", "g"], "g/ne_test.txt", "blocklist"),
+], ids=["export-errors-out", "export-errors-key", "evaluate-predictions", "evaluate-tsv",
+        "select-ensemble-out", "train-out", "train-log", "stats-tsv", "union-accuracy-tsv",
+        "generate-split"])
+def test_an_output_that_names_an_input_is_rejected_before_the_work(
+        tmp_path, monkeypatch, capsys, argv, bad, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g").mkdir()
+    (tmp_path / bad).write_bytes(b"input\tbytes\n")
+    calls = []
+    monkeypatch.setattr(f"clozereader.cli.cmd_{argv[0].replace('-', '_')}", calls.append)
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: is also the --{flag} input of this command\n"
+    assert not calls
+    assert (tmp_path / bad).read_bytes() == b"input\tbytes\n"
+
+
+def test_train_may_replace_the_checkpoint_it_resumes_from(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr("clozereader.cli.cmd_train", lambda args: calls.append(args) or [])
+    rc = main(["train", "--train", "t.txt", "--valid", "v.txt", "--resume", "m.ckpt",
+               "--out", "./m.ckpt"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- evaluate
 
 

@@ -590,6 +590,107 @@ def test_a_recorded_direction_keeps_only_its_gates_candidates_and_states(rng, re
     assert x.grad.shape == x.data.shape
 
 
+def fused_projection_direction(x, w, u_r, u_z, u_c, b, steps, keep, h0, reverse, grad):
+    """``run_direction``'s arithmetic with the whole (T*B, 3H) input
+    projection in one buffer and ``np.matmul`` for every product; returns
+    the (T*B, H) states and the gradients of x, w, u_r, u_z, u_c, b and
+    h0 for the upstream gradient ``grad``."""
+    rows, hidden = x.shape[0], u_r.shape[0]
+    batch, h2 = rows // steps, 2 * hidden
+    flat_pre = x @ w
+    flat_pre += b
+    flat_pre[:, :h2] *= 0.5
+    pre = flat_pre.reshape(steps, batch, 3 * hidden)
+    u_rz = np.concatenate([u_r, u_z], axis=1)
+    half_u_rz = 0.5 * u_rz
+    states = np.empty((steps + 1, batch, hidden))
+    if reverse:
+        order = range(steps - 1, -1, -1)
+        prev, out = states[1:], states[:-1]
+    else:
+        order = range(steps)
+        prev, out = states[:-1], states[1:]
+    prev[order[0]] = h0
+    rz = np.empty((steps, batch, h2))
+    cand = np.empty((steps, batch, hidden))
+    rh = np.empty((batch, hidden))
+    stopped = ~keep
+    for t in order:
+        h, g, c, o = prev[t], rz[t], cand[t], out[t]
+        np.matmul(h, half_u_rz, out=g)
+        g += pre[t, :, :h2]
+        np.tanh(g, out=g)
+        g *= 0.5
+        g += 0.5
+        np.multiply(g[:, :hidden], h, out=rh)
+        np.matmul(rh, u_c, out=c)
+        c += pre[t, :, h2:]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=o)
+        o *= g[:, hidden:]
+        o += h
+        np.copyto(o, h, where=stopped[t])
+
+    d_pre = np.empty((steps, batch, 3 * hidden))
+    np.multiply(cand, cand, out=d_pre[:, :, h2:])
+    np.subtract(1.0, d_pre[:, :, h2:], out=d_pre[:, :, h2:])
+    np.subtract(cand, prev, out=d_pre[:, :, hidden:h2])
+    d_out = grad.reshape(steps, batch, hidden)
+    dh = np.zeros((batch, hidden))
+    dh_z = np.empty((batch, hidden))
+    d_rh = np.empty((batch, hidden))
+    via_rz = np.empty((batch, hidden))
+    slope = np.empty((batch, h2))
+    for t in reversed(order):
+        dh += d_out[t]
+        carried = np.where(stopped[t], dh, 0.0)
+        np.copyto(dh, 0.0, where=stopped[t])
+        h, g = prev[t], rz[t]
+        d_rz = d_pre[t, :, :h2]
+        d_c = d_pre[t, :, h2:]
+        np.multiply(dh, g[:, hidden:], out=dh_z)
+        d_c *= dh_z
+        np.matmul(d_c, u_c.T, out=d_rh)
+        np.multiply(d_rh, h, out=d_rz[:, :hidden])
+        d_rz[:, hidden:] *= dh
+        np.subtract(1.0, g, out=slope)
+        slope *= g
+        d_rz *= slope
+        np.matmul(d_rz, u_rz.T, out=via_rz)
+        dh -= dh_z
+        d_rh *= g[:, :hidden]
+        dh += d_rh
+        dh += via_rz
+        dh += carried
+    d_flat = d_pre.reshape(rows, 3 * hidden)
+    d_u_rz = prev.reshape(rows, hidden).T @ d_flat[:, :h2]
+    r_h = (rz[:, :, :hidden] * prev).reshape(rows, hidden)
+    grads = [d_flat @ w.T, x.T @ d_flat, d_u_rz[:, :hidden], d_u_rz[:, hidden:],
+             r_h.T @ d_flat[:, h2:], d_flat.sum(axis=0), dh]
+    return out.reshape(rows, hidden), grads
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_run_direction_is_byte_equal_to_the_fused_projection_loop(rng, reverse):
+    # At the benchmark's width the products are 32, 64 and 96 columns
+    # wide, which the small gradient-check sizes never reach.
+    steps, batch, in_dim, hidden = 9, 5, 32, 32
+    weights = random_gru_weights(rng, in_dim, hidden)
+    x = Parameter(rng.normal(size=(steps * batch, in_dim)))
+    h0 = Parameter(rng.normal(size=(batch, hidden)) * 0.5)
+    keep = (np.arange(steps)[:, None] < np.array([9, 4, 1, 9, 6])[None, :])[:, :, None]
+    upstream = rng.normal(size=(steps * batch, hidden))
+    out = run_direction(x, weights, steps, keep, h0, reverse)
+    tensor_sum(mul(out, Tensor(upstream))).backward()
+
+    expected_out, expected_grads = fused_projection_direction(
+        x.data, *(p.data for p in weights.parameters()), steps, keep, h0.data,
+        reverse, upstream)
+    assert out.data.tobytes() == expected_out.tobytes()
+    for param, expected in zip([x, *weights.parameters(), h0], expected_grads):
+        assert param.grad.tobytes() == expected.tobytes(), param.name
+
+
 def test_bigru_stacks_and_returns_finals(rng):
     encoder = BiGru(in_dim=3, hidden=4, n_layers=2, rng_seed=0, name="enc")
     sequence = Tensor(rng.normal(size=(6, 3)))

@@ -23,7 +23,11 @@ the first epoch's ``make_batches`` arrays, the loss and every parameter
 gradient of the first batches at the initial weights, which the CLI
 outputs show only after the optimizer has mixed them, and the first
 batch's gradients clipped to half their norm, since no sweep training
-reaches the clip threshold.  On a fixed 16-example pointing set it also
+reaches the clip threshold.  The E4/H4 models multiply only 8- and
+12-column blocks, so at the benchmark's model size, E32/H32/L1, the
+sweep also digests the first batch's loss and gradients and
+``training.evaluate``'s probabilities, which take the 32-, 64- and
+96-column products.  On a fixed 16-example pointing set it also
 runs a small ``TrainConfig`` grid of evaluation schedules and patiences,
 and two divergences: a NaN loss and a NaN gradient norm.  The
 wall-time column of the training logs is blanked, in the log files and
@@ -175,6 +179,7 @@ def _api_digests() -> dict[str, str]:
         digests[f"probabilities {model_name}"] = hashlib.sha256(probabilities).hexdigest()
         digests[f"attention {model_name}"] = hashlib.sha256(attention).hexdigest()
         digests.update(_training_digests(model_name, model))
+    digests.update(_benchmark_size_digest(raw))
     digests.update(_schedule_digests())
     return digests
 
@@ -230,6 +235,37 @@ def _training_digests(model_name: str, trained) -> dict[str, str]:
     return {f"batches {model_name}": arrays.hexdigest(),
             f"gradients {model_name}": gradients.hexdigest(),
             f"clipped {model_name}": clipped.hexdigest()}
+
+
+def _benchmark_size_digest(test_raw) -> dict[str, str]:
+    """The SHA-256 of the loss and every parameter gradient of the first
+    epoch-0 batch of the NE train split, and of ``training.evaluate``'s
+    probabilities on ``test_raw``, for an E32/H32/L1 model (the benchmark's
+    size) at its initial weights, over the ``cap200000-q0`` checkpoint's
+    vocabulary."""
+    from clozereader.asreader import Model, ModelConfig
+    from clozereader.cbtio import read_examples
+    from clozereader.seeding import derive_seed
+    from clozereader.training import TrainConfig, evaluate, load_checkpoint, make_batches
+    from clozereader.vocab import encode_dataset
+
+    vocabulary = load_checkpoint("cap200000-q0.ckpt")[0].vocabulary
+    config = ModelConfig(embedding_dim=32, hidden_units=32, recurrent_layers=1)
+    model = Model(vocabulary, config, rng_seed=TRAIN_SEED)
+    encoded = encode_dataset(read_examples("ne/ne_train.txt"), vocabulary,
+                             derive_seed(TRAIN_SEED, "train"))
+    batch = make_batches(encoded, TrainConfig(rng_seed=TRAIN_SEED),
+                         derive_seed(TRAIN_SEED, "epoch", 0))[0]
+    loss = model.loss(batch)
+    digest = hashlib.sha256(repr(loss.item()).encode())
+    loss.backward()
+    for param in model.parameters():
+        digest.update(param.name.encode())
+        if param.grad is not None:
+            digest.update(param.grad.tobytes())
+    test = encode_dataset(test_raw, vocabulary, derive_seed(0, "eval"))
+    digest.update(evaluate(model, test).predictions.probabilities.tobytes())
+    return {"model E32/H32/L1": digest.hexdigest()}
 
 
 def _schedule_digests() -> dict[str, str]:
