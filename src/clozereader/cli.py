@@ -11,10 +11,11 @@ per example: ordinal id, predicted token, correct flag (1/0),
 tab-separated.
 
 Every output (--tsv, each subcommand's declared ``outputs``, the
-export-errors key, generate's split files) is checked before the work,
-and no two may name the same file; a failed check exits 1 and writes
-nothing.  generate --out is a directory that generate creates, so
-it need only have no file on its path, and a --tsv may go inside it.
+export-errors key, generate's split files) is checked before the work:
+none may name another output, an input, or a checkpoint that evaluate's
+--ensemble spec lists, and a failed check exits 1 and writes nothing.
+generate --out is a directory that generate creates, so it need only
+have no file on its path, and a --tsv may go inside it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import ClozereaderError
 from .asreader import Model, ModelConfig, Predictions
 from .cbtio import read_examples, write_examples
 from .clozegen import (
+    SPLITS,
     ClozeExample,
     GenerationReport,
     SplitSpec,
@@ -98,10 +100,9 @@ def _parse_splits(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise CliError(f"--splits needs three comma-separated fractions, got {text!r}")
     try:
-        train, valid, test = (float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"bad --splits value: {exc}") from exc
-    return train, valid, test
 
 
 def _split_file(out: str, word_type: str, split: str) -> Path:
@@ -109,9 +110,7 @@ def _split_file(out: str, word_type: str, split: str) -> Path:
 
 
 def cmd_generate(args) -> Report:
-    train_frac, valid_frac, test_frac = _parse_splits(args.splits)
-    spec = SplitSpec(train=train_frac, valid=valid_frac, test=test_frac,
-                     rng_seed=args.seed)
+    spec = SplitSpec(*_parse_splits(args.splits), rng_seed=args.seed)
     blocklist = frozenset() if args.blocklist is None else read_wordlist(Path(args.blocklist))
     raw_books, errors = ingest_books(args.books)
     for error in errors:
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="build cloze datasets from books")
     p.add_argument("--books", required=True, help="directory of .txt books")
-    p.add_argument("--type", required=True, choices=("ne", "cn"))
+    p.add_argument("--type", required=True, choices=_WORD_TYPES)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", default="0.8,0.1,0.1")
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", default=None, help="checkpoint path")
     group.add_argument("--ensemble", default=None, help="ensemble spec path")
     p.add_argument("--data", required=True)
-    p.add_argument("--type", choices=("ne", "cn"), default=None)
+    p.add_argument("--type", choices=_WORD_TYPES, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--predictions-out", default=None)
     p.set_defaults(func=cmd_evaluate, outputs=("predictions_out",),
@@ -521,9 +520,10 @@ def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
     creates and whose nearest existing ancestor must be a directory; the
-    path itself must not be a directory, nor the file of another output or
-    of an input.  The one output that may replace an input is train's
-    --out, over the --resume checkpoint it continues from."""
+    path itself must not be a directory, nor the file of another output,
+    of an input or of a checkpoint that evaluate's --ensemble spec lists.
+    The one output that may replace an input is train's --out, over the
+    --resume checkpoint it continues from."""
     made = Path(args.out).resolve() if args.command == "generate" else None
     existing = made and next(p for p in (made, *made.parents) if p.exists())
     if existing and not existing.is_dir():
@@ -532,7 +532,7 @@ def check_outputs(args) -> None:
     if args.command == "export-errors":
         paths.append(_key_path(Path(args.out)))
     if made:
-        paths += [_split_file(args.out, args.type, split) for split in ("train", "valid", "test")]
+        paths += [_split_file(args.out, args.type, split) for split in SPLITS]
     read = {}
     for name in args.inputs:
         value = getattr(args, name) or []
@@ -551,6 +551,11 @@ def check_outputs(args) -> None:
             raise CliError(f"{path}: is also the --{source.replace('_', '-')} input "
                            f"of this command")
         written.add(path.resolve())
+    if args.command == "evaluate" and args.ensemble:
+        listed = {Path(p).resolve() for p in read_ensemble_spec(args.ensemble)[0]}
+        for path in paths:
+            if path.resolve() in listed:
+                raise CliError(f"{path}: is also a checkpoint that {args.ensemble} lists")
 
 
 def main(argv=None) -> int:

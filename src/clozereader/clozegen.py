@@ -37,6 +37,7 @@ from .tagger import WordType
 GAP_TOKEN = "XXXXX"
 DEFAULT_WINDOW = 20
 N_CANDIDATES = 10
+SPLITS = ("train", "valid", "test")
 
 
 class ExampleInvariantError(ClozereaderError):
@@ -270,7 +271,6 @@ def split_books(
     least one book; too few books is an error.
     """
     fractions = spec.fractions()
-    names = ("train", "valid", "test")
     nonzero = [i for i, f in enumerate(fractions) if f > 0]
     if len(books) < len(nonzero):
         raise SplitError(
@@ -296,7 +296,7 @@ def split_books(
 
     result: dict[str, list[TokenizedBook]] = {}
     start = 0
-    for name, count in zip(names, counts):
+    for name, count in zip(SPLITS, counts):
         result[name] = ordered[start:start + count]
         start += count
     return result

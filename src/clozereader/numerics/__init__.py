@@ -38,44 +38,3 @@ from .tensor import (
     time_major_dot,
     zero_grads,
 )
-
-__all__ = [
-    "Adam",
-    "BiGru",
-    "DEFAULT_CLIP_THRESHOLD",
-    "DEFAULT_LEARNING_RATE",
-    "DTYPE",
-    "GruWeights",
-    "Parameter",
-    "ShapeMismatchError",
-    "Tensor",
-    "TensorFormatError",
-    "add",
-    "clip_gradients",
-    "concat",
-    "finite_difference_check",
-    "global_norm",
-    "init_gru_weights",
-    "logsumexp",
-    "matmul",
-    "mean",
-    "mul",
-    "neg",
-    "no_grad",
-    "orthogonal_init",
-    "read_tensor",
-    "reshape",
-    "sigmoid",
-    "slice_cols",
-    "slice_rows",
-    "softmax",
-    "sub",
-    "take_rows",
-    "tanh",
-    "tensor_sum",
-    "time_major_dot",
-    "uniform_init",
-    "write_tensor",
-    "zero_frozen_rows",
-    "zero_grads",
-]

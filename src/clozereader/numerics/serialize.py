@@ -31,11 +31,7 @@ _DTYPE_CODES = {
     np.dtype("float32"): 2,
     np.dtype("int64"): 3,
 }
-_CODE_DTYPES = {
-    1: np.dtype("<f8"),
-    2: np.dtype("<f4"),
-    3: np.dtype("<i8"),
-}
+_CODE_DTYPES = {code: dtype.newbyteorder("<") for dtype, code in _DTYPE_CODES.items()}
 
 
 class TensorFormatError(ClozereaderError):

@@ -183,21 +183,14 @@ def write_fixture_library(
     combos = title_rng.sample(
         [(a, n) for a in TITLE_ADJECTIVES for n in TITLE_NOUNS], n_books
     )
-    paths = []
-    for b, (adjective, noun) in enumerate(combos):
-        title = f"The {adjective} {noun}"
-        rng = stream(rng_seed, "book", b)
-        path = directory / f"book_{b:02d}.txt"
-        path.write_text(render_fixture_book(title, rng, n_paragraphs),
-                        encoding="utf-8")
-        paths.append(path)
+    books = [(f"{b:02d}", f"The {adjective} {noun}", b)
+             for b, (adjective, noun) in enumerate(combos)]
     if duplicate_edition:
-        adjective, noun = combos[0]
-        rng = stream(rng_seed, "book", 0)
-        path = directory / "book_dup.txt"
-        path.write_text(
-            render_fixture_book(f"A {adjective} {noun}", rng, n_paragraphs),
-            encoding="utf-8",
-        )
+        books.append(("dup", f"A {combos[0][0]} {combos[0][1]}", 0))
+    paths = []
+    for stem, title, b in books:
+        path = directory / f"book_{stem}.txt"
+        path.write_text(render_fixture_book(title, stream(rng_seed, "book", b), n_paragraphs),
+                        encoding="utf-8")
         paths.append(path)
     return paths

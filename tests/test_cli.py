@@ -308,6 +308,24 @@ def test_train_may_replace_the_checkpoint_it_resumes_from(tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
+# evaluate --ensemble reads its spec before the work, so no output may
+# replace a checkpoint the spec lists either.
+@pytest.mark.parametrize("output", [["--predictions-out", "./m.ckpt"], ["--tsv", "m.ckpt"]],
+                         ids=["predictions-out", "tsv"])
+def test_an_output_that_names_a_listed_checkpoint_is_rejected_before_the_work(
+        tmp_path, monkeypatch, capsys, output):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.ckpt").write_bytes(b"checkpoint bytes")
+    write_ensemble_spec("e.spec", ["a.ckpt", "m.ckpt"], 0.5)
+    calls = []
+    monkeypatch.setattr("clozereader.cli.cmd_evaluate", lambda args: calls.append(args) or [])
+    rc = main(["evaluate", "--ensemble", "e.spec", "--data", "d.txt", *output])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: m.ckpt: is also a checkpoint that e.spec lists\n"
+    assert not calls
+    assert (tmp_path / "m.ckpt").read_bytes() == b"checkpoint bytes"
+
+
 # ---------------------------------------------------------------- evaluate
 
 

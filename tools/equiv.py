@@ -29,9 +29,12 @@ sweep also digests the first batch's loss and gradients and
 ``training.evaluate``'s probabilities, which take the 32-, 64- and
 96-column products.  On a fixed 16-example pointing set it also
 runs a small ``TrainConfig`` grid of evaluation schedules and patiences,
-and two divergences: a NaN loss and a NaN gradient norm.  The
-wall-time column of the training logs is blanked, in the log files and
-in stdout, because it is the one output that differs from run to run.
+and two divergences: a NaN loss and a NaN gradient norm.  The sweep's
+books are written by the working tree's package, so each tree also
+digests a small fixture library of its own, written with and without a
+duplicate edition.  The wall-time column of the training logs is
+blanked, in the log files and in stdout, because it is the one output
+that differs from run to run.
 
 Each tree runs in its own subprocess and directory, with relative paths,
 no bytecode written and BLAS pinned to one thread, so the two runs see the
@@ -181,6 +184,7 @@ def _api_digests() -> dict[str, str]:
         digests.update(_training_digests(model_name, model))
     digests.update(_benchmark_size_digest(raw))
     digests.update(_schedule_digests())
+    digests.update(_library_digest())
     return digests
 
 
@@ -331,6 +335,24 @@ def _schedule_digests() -> dict[str, str]:
     finally:
         Tensor.backward = real_backward
     return digests
+
+
+def _library_digest() -> dict[str, str]:
+    """The SHA-256 of the paths ``write_fixture_library`` returns and of the
+    name and bytes of every file it writes, for a small library without and
+    with ``duplicate_edition``.  The sweep's own books are written by the
+    working tree's package, so this item is the one that sees ``synthdata``."""
+    from clozereader.synthdata import write_fixture_library
+
+    digest = hashlib.sha256()
+    for duplicate_edition in (False, True):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_fixture_library(tmp, n_books=3, rng_seed=0, n_paragraphs=6,
+                                          duplicate_edition=duplicate_edition)
+            digest.update(repr([path.name for path in paths]).encode())
+            for path in sorted(Path(tmp).iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {"fixture library": digest.hexdigest()}
 
 
 def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
