@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines, write_lines
 from .clozegen import DEFAULT_WINDOW as N_CONTEXT_LINES, N_CANDIDATES, ClozeExample
 
 CANDIDATE_SEP = "|"
@@ -44,7 +44,6 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
     """Write a question file.  Every context must be N_CONTEXT_LINES
     non-empty sentences, or no file is written: the reader splits examples
     by that layout."""
-    path = Path(path)
     for index, example in enumerate(examples):
         empty = sum(not sentence for sentence in example.context)
         if len(example.context) != N_CONTEXT_LINES or empty:
@@ -53,10 +52,7 @@ def write_examples(examples: list[ClozeExample], path: str | Path) -> None:
                 f"{len(example.context)} sentences ({empty} empty), expected "
                 f"{N_CONTEXT_LINES} non-empty"
             )
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for example in examples:
-            fh.write("\n".join(example_lines(example)))
-            fh.write("\n")
+    write_lines(path, ("\n".join(example_lines(example)) for example in examples))
 
 
 def read_examples(path: str | Path) -> list[ClozeExample]:
@@ -91,7 +87,7 @@ def validate_file(path: str | Path) -> list[str]:
 def _blocks(path: Path):
     """Yield each run of non-blank lines as (number of its first line,
     lines), trailing whitespace removed."""
-    lines = [line.rstrip() for line in path.read_text("utf-8").splitlines()]
+    lines = [line.rstrip() for line in read_lines(path)]
     lines.append("")
     start = 0
     while start < len(lines):

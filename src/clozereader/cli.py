@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines, write_lines
 from .asreader import Model, ModelConfig, Predictions
 from .cbtio import read_examples, write_examples
 from .clozegen import (
@@ -83,9 +83,7 @@ def print_report(rows: Report, tsv_path: str | None) -> None:
     for key, value in rows:
         print(f"{key:<{width}}{value}")
     if tsv_path:
-        with open(tsv_path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in rows:
-                fh.write(f"{key}\t{value}\n")
+        write_lines(tsv_path, (f"{key}\t{value}" for key, value in rows))
 
 
 def _format_float(value: float) -> str:
@@ -197,9 +195,7 @@ def parse_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     settings: dict = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -318,10 +314,10 @@ def cmd_evaluate(args) -> Report:
     rows.append(("baseline_frequency", _format_float(baseline)))
 
     if args.predictions_out:
-        with open(args.predictions_out, "w", encoding="utf-8", newline="\n") as fh:
-            picks = predictions.predicted_ids.tolist()  # candidate positions
-            for i, (ex, pick, flag) in enumerate(zip(raw, picks, flags), start=1):
-                fh.write(f"{i}\t{ex.candidates[pick]}\t{flag}\n")
+        picks = predictions.predicted_ids.tolist()  # candidate positions
+        write_lines(args.predictions_out, (
+            f"{i}\t{ex.candidates[pick]}\t{flag}"
+            for i, (ex, pick, flag) in enumerate(zip(raw, picks, flags), start=1)))
     return rows
 
 
@@ -361,9 +357,7 @@ def read_predictions_file(path: str) -> list[tuple[str, int]]:
     """(predicted token, correct flag) per example, in id order; the ids
     must run 1..n."""
     out: dict[int, tuple[str, int]] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -415,9 +409,7 @@ def cmd_export_errors(args) -> Report:
     # The study file blanks the answer field; the key file restores it.
     withheld = [replace(raw[i - 1], answer="") for i in chosen]
     write_examples(withheld, study_path)
-    with open(key_path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in chosen:
-            fh.write(f"{i}\t{raw[i - 1].answer}\n")
+    write_lines(key_path, (f"{i}\t{raw[i - 1].answer}" for i in chosen))
     return [
         ("exported", len(chosen)),
         ("study_file", str(study_path)),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines
 
 
 class EmptyCorpusError(ClozereaderError):
@@ -63,7 +63,7 @@ def read_wordlist(path) -> frozenset[str]:
     """The entries of a word or title list, one per line: each line is
     stripped, then blank lines and ``#`` comment lines are skipped.
     ``path`` is a ``Path`` or a package resource."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     return frozenset(line for line in map(str.strip, lines) if line and not line.startswith("#"))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines, write_lines
 from .asreader import Prediction, Predictions, as_predictions
 
 
@@ -117,17 +117,13 @@ def write_ensemble_spec(
 ) -> None:
     if not member_paths:
         raise EnsembleError("refusing to write an empty ensemble")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SPEC_HEADER + "\n")
-        fh.write(f"# validation_accuracy={validation_accuracy:.6f}\n")
-        for member in member_paths:
-            fh.write(member + "\n")
+    write_lines(path, [SPEC_HEADER, f"# validation_accuracy={validation_accuracy:.6f}",
+                       *member_paths])
 
 
 def read_ensemble_spec(path: str) -> tuple[list[str], float]:
     """Returns (member paths, recorded validation accuracy)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = read_lines(path)
     if not lines or lines[0].strip() != SPEC_HEADER:
         raise EnsembleError(f"{path}: not an ensemble spec file")
     accuracy = float("nan")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines
 from .corpus import DATA, TokenizedBook, read_wordlist
 
 
@@ -106,8 +106,7 @@ def read_pretagged(path: str | Path, book: TokenizedBook) -> list[list[WordType]
     """Read ``token/TAG`` lines (one line per sentence, TAG in NE/CN/O) and
     return labels aligned with the book.  Misalignment is an error naming
     the book and the offending sentence."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text("utf-8").splitlines()]
+    lines = read_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != len(book.sentences):

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import ClozereaderError
+from . import ClozereaderError, read_lines, write_lines
 from .clozegen import GAP_TOKEN, ClozeExample
 from .seeding import derive_seed
 
@@ -369,18 +369,17 @@ def decode_example(
 
 def save_vocab(vocabulary: Vocabulary, path: str | Path) -> None:
     """One word per line in id order, after a 3-line reserved-block header."""
-    lines = [
+    header = [
         f"# vocabulary: pad={PAD_ID} gap={GAP_ID} gap_token={GAP_TOKEN}",
         f"# anonymous: start={ANON_START} count={vocabulary.anon_count}",
         f"# words: start={vocabulary.word_start} count={len(vocabulary.words)} "
         f"cap={vocabulary.cap}",
     ]
-    lines.extend(vocabulary.words)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, chain(header, vocabulary.words))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = read_lines(path)
     if len(lines) < 3 or not all(lines[i].startswith("#") for i in range(3)):
         raise VocabularyError(f"{path}: missing 3-line reserved-block header")
 

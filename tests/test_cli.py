@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from clozereader import ClozereaderError
 from clozereader.cbtio import read_examples
 from clozereader.cli import (
     CliError,
@@ -15,9 +16,12 @@ from clozereader.cli import (
     parse_config_file,
     read_predictions_file,
 )
+from clozereader.corpus import TokenizedBook
 from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
 from clozereader.synthdata import write_fixture_library
+from clozereader.tagger import read_pretagged
 from clozereader.training import TrainingDivergedError
+from clozereader.vocab import load_vocab
 
 LOG_LINE = re.compile(r"^\d+\t[^\t]+\t\d\.\d{6}\t\d+\.\d{3}$")
 PREDICTION_LINE = re.compile(r"^\d+\t\S+\t[01]$")
@@ -840,6 +844,58 @@ def test_stats_on_missing_file_exits_1(tmp_path, capsys):
     rc = main(["stats", "--data", str(tmp_path / "absent.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- text files
+
+
+# Each input: its name, its bytes with one byte that is not UTF-8, the line
+# that byte is on, and the command that reads it; every other input is
+# valid, and every output goes under {out}.
+UNDECODABLE_INPUTS = {
+    "stats": ("q.txt", b"1 caf\xc3\xa9 .\n2 two .\n3 th\xe9 .\n", 3,
+              ["stats", "--data", "{bad}"]),
+    "union-accuracy": ("p.txt", b"1\tx\t1\n2\t\xff\t0\n", 2,
+                       ["union-accuracy", "--predictions-a", "{bad}",
+                        "--predictions-b", "{predictions}"]),
+    "evaluate-ensemble": ("e.spec", b"# ensemble spec v1\nm\x80.ckpt\n", 2,
+                          ["evaluate", "--ensemble", "{bad}", "--data", "{questions}",
+                           "--predictions-out", "{out}/p.txt"]),
+    "train-config": ("c.cfg", b"# caf\xc3\xa9\nembedding_dim = 4\xc3\n", 2,
+                     ["train", "--train", "{questions}", "--valid", "{questions}",
+                      "--config", "{bad}", "--out", "{out}/m.ckpt", "--log", "{out}/log"]),
+    "generate-blocklist": ("block.txt", b"# titles\nThe \xe2\x82 Cat\n", 2,
+                           ["generate", "--books", "{books}", "--type", "ne",
+                            "--blocklist", "{bad}", "--out", "{out}/data"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_INPUTS))
+def test_an_undecodable_byte_is_named_by_file_and_line(
+        cli_workspace, fixture_library, tmp_path, capsys, case):
+    name, data, line, command = UNDECODABLE_INPUTS[case]
+    bad, predictions, out = tmp_path / name, tmp_path / "predictions.txt", tmp_path / "out"
+    bad.write_bytes(data)
+    questions = cli_workspace[2]
+    write_prediction_file(predictions, [1, 0])
+    out.mkdir()
+    argv = [arg.format(bad=bad, questions=questions, predictions=predictions,
+                       books=fixture_library, out=out) for arg in command]
+    assert main([*argv, "--tsv", str(out / "report.tsv")]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}:{line}: not valid UTF-8 \(.+\)", last)
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("read", [
+    load_vocab, lambda path: read_pretagged(path, TokenizedBook("b", "T", [["x"]])),
+], ids=["load_vocab", "read_pretagged"])
+def test_a_library_reader_names_an_undecodable_byte_by_file_and_line(tmp_path, read):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"# header\nfirst\nsec\xffond\n")
+    message = rf"{re.escape(str(path))}:3: not valid UTF-8 \(invalid start byte\)"
+    with pytest.raises(ClozereaderError, match=rf"^{message}$"):
+        read(path)
 
 
 # ----------------------------------------------------------- config parsing

@@ -299,6 +299,12 @@ def test_spec_file_round_trip(tmp_path):
     assert accuracy == pytest.approx(0.8125)
 
 
+def test_spec_file_lines_split_as_str_splitlines_splits(tmp_path):
+    path = tmp_path / "e.spec"
+    path.write_bytes(b"# ensemble spec v1\na.ckpt\x0bb.ckpt\n")
+    assert read_ensemble_spec(str(path))[0] == ["a.ckpt", "b.ckpt"]
+
+
 def test_spec_file_rejects_foreign_text(tmp_path):
     path = tmp_path / "nonsense.txt"
     path.write_text("just some text\n", encoding="utf-8")

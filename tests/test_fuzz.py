@@ -1,9 +1,10 @@
-"""Fuzz of the text files the CLI reads: a question file, an ensemble spec
-and a predictions file.  Each example mutates one valid file (drops,
-duplicates, swaps or truncates lines, edits tokens, flips bytes, breaks
-the UTF-8) and runs every command that reads it through ``main``, which
-must return 0 or 1 and raise nothing.  An exit 1 prints exactly one
-``error:`` line and leaves no output behind."""
+"""Fuzz of the text files the CLI reads: a question file, an ensemble spec,
+a predictions file and a blocklist.  Each example mutates one valid file
+(drops, duplicates, swaps or truncates lines, edits tokens, flips bytes,
+breaks the UTF-8) and runs every command that reads it through ``main``,
+which must return 0 or 1 and raise nothing.  An exit 1 prints exactly one
+``error:`` line and leaves no output behind, and a file that is not UTF-8
+exits 1 with an error that names it."""
 
 import io
 import re
@@ -19,12 +20,13 @@ from clozereader.cbtio import write_examples
 from clozereader.cli import main
 from clozereader.clozegen import generate_from_book
 from clozereader.ensemble import write_ensemble_spec
+from clozereader.synthdata import write_fixture_library
 from clozereader.tagger import WordType, default_config, tag_book
 from clozereader.training import save_checkpoint
 from clozereader.vocab import build_vocab
 
-# Each command names the files it reads as {questions}, {spec} and
-# {predictions}, and writes only under {out}.
+# Each command names the files it reads as {questions}, {spec},
+# {predictions}, {blocklist} and {books}, and writes only under {out}.
 COMMANDS = [
     ["stats", "--data", "{questions}"],
     ["evaluate", "--ensemble", "{spec}", "--data", "{questions}",
@@ -33,6 +35,8 @@ COMMANDS = [
      "--n", "2", "--out", "{out}/study.txt"],
     ["union-accuracy", "--predictions-a", "{predictions}",
      "--predictions-b", "{predictions}", "--data", "{questions}"],
+    ["generate", "--books", "{books}", "--type", "ne", "--blocklist", "{blocklist}",
+     "--out", "{out}/data"],
 ]
 TOKENS = ["", "0", "1", "2", "-1", "99", "0.5", "nan", "inf", "XXXXX", "|", "#",
           "validation_accuracy=x", "\t", " ", "é", "\x00", "1\t1", "a|b"]
@@ -80,8 +84,10 @@ def mutate(data: bytes, mutations) -> bytes:
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory, fixture_books):
-    """A question file, an ensemble spec over one E4/H4 checkpoint and that
-    checkpoint's predictions file, each one that every command accepts."""
+    """A question file, an ensemble spec over one E4/H4 checkpoint, that
+    checkpoint's predictions file and a blocklist, each one that every
+    command accepts, and a 3-book library with a duplicate edition.  The
+    blocklist names no book but holds the duplicate's title commented out."""
     root = tmp_path_factory.mktemp("fuzz")
     book = fixture_books[0]
     examples = generate_from_book(book, tag_book(book, default_config()),
@@ -96,7 +102,14 @@ def valid_inputs(tmp_path_factory, fixture_books):
     predictions = root / "predictions.txt"
     assert main(["evaluate", "--ensemble", str(spec), "--data", str(questions),
                  "--predictions-out", str(predictions)]) == 0
-    return {"questions": questions, "spec": spec, "predictions": predictions}
+    books = root / "books"
+    write_fixture_library(books, n_books=3, rng_seed=0, n_paragraphs=14,
+                          duplicate_edition=True)
+    blocklist = root / "blocklist.txt"
+    blocklist.write_text("# known duplicate editions\n# A Faded Orchard\n\nThe Lost Harbour\n",
+                         encoding="utf-8")
+    return {"questions": questions, "spec": spec, "predictions": predictions,
+            "blocklist": blocklist, "books": books}
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -112,14 +125,21 @@ def test_every_command_accepts_the_unmutated_files(valid_inputs, tmp_path):
         assert run([*argv, "--tsv", str(tmp_path / "report.tsv")]) == (0, "")
 
 
-@pytest.mark.parametrize("kind", ["questions", "spec", "predictions"])
+@pytest.mark.parametrize("kind", ["questions", "spec", "predictions", "blocklist"])
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(mutations=MUTATIONS)
 def test_a_mutated_input_exits_0_or_1_and_a_failure_writes_nothing(
         valid_inputs, kind, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / f"mutated-{kind}"
-        mutated.write_bytes(mutate(valid_inputs[kind].read_bytes(), mutations))
+        data = mutate(valid_inputs[kind].read_bytes(), mutations)
+        mutated.write_bytes(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            named = f"error: {mutated}:"  # the start of the one error line
+        else:
+            named = ""
         files = {**valid_inputs, kind: mutated}
         for command in (c for c in COMMANDS if f"{{{kind}}}" in c):
             out = Path(tmp) / command[0]
@@ -130,6 +150,7 @@ def test_a_mutated_input_exits_0_or_1_and_a_failure_writes_nothing(
             assert code in (0, 1), (argv, err)
             if code == 1:
                 assert errors == [err.splitlines()[-1]], err
+                assert errors[0].startswith(named), (argv, err)
                 assert not list(out.iterdir()), (argv, err)
             else:
-                assert not errors, err
+                assert not errors and not named, err
