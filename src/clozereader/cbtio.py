@@ -16,6 +16,7 @@ examples do; copy a sentence before changing it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import ClozereaderError, read_lines, write_lines
@@ -59,29 +60,31 @@ def read_examples(path: str | Path) -> list[ClozeExample]:
     """Parse a question file, raising on the first violation.  Equal
     tokens within the file share one string object, and a context line
     equal to one of the previous example's shares its token list."""
-    path = Path(path)
-    forms: dict[str, str] = {}
-    sentences: dict[str, list[str]] = {}
     examples = []
-    for ordinal, block in enumerate(_blocks(path)):
-        example, sentences = _parse_block(block, path, ordinal, forms, sentences)
-        examples.append(example)
+    for parsed in _parse(Path(path)):
+        if isinstance(parsed, CbtFormatError):
+            raise parsed
+        examples.append(parsed)
     return examples
 
 
 def validate_file(path: str | Path) -> list[str]:
     """Collect every violation in the file instead of stopping at the
     first.  An empty list means the file is clean."""
-    path = Path(path)
+    return [str(parsed) for parsed in _parse(Path(path)) if isinstance(parsed, CbtFormatError)]
+
+
+def _parse(path: Path) -> Iterator[ClozeExample | CbtFormatError]:
+    """Each block's example, or the CbtFormatError of its first violation.
+    A block that fails does not replace the previous example's sentence map."""
     forms: dict[str, str] = {}
     sentences: dict[str, list[str]] = {}
-    violations: list[str] = []
     for ordinal, block in enumerate(_blocks(path)):
         try:
-            _, sentences = _parse_block(block, path, ordinal, forms, sentences)
+            example, sentences = _parse_block(block, path, ordinal, forms, sentences)
         except CbtFormatError as exc:
-            violations.append(str(exc))
-    return violations
+            example = exc
+        yield example
 
 
 def _blocks(path: Path):

@@ -212,6 +212,14 @@ def parse_config_file(path: str | None) -> dict:
     return settings
 
 
+def _read_questions(path: str, what: str = "examples") -> list[ClozeExample]:
+    """A question file's examples; a file that holds none exits 1."""
+    examples = read_examples(path)
+    if not examples:
+        raise CliError(f"{path}: no {what}")
+    return examples
+
+
 def cmd_train(args) -> Report:
     settings = parse_config_file(args.config)
     train_config = TrainConfig(
@@ -219,12 +227,8 @@ def cmd_train(args) -> Report:
         **{k: v for k, v in settings.items() if k in _TRAIN_KEYS},
     )
     model_config = ModelConfig(**{k: v for k, v in settings.items() if k in _MODEL_KEYS})
-    train_raw = read_examples(args.train)
-    valid_raw = read_examples(args.valid)
-    if not train_raw:
-        raise CliError(f"{args.train}: no training examples")
-    if not valid_raw:
-        raise CliError(f"{args.valid}: no validation examples")
+    train_raw = _read_questions(args.train, "training examples")
+    valid_raw = _read_questions(args.valid, "validation examples")
 
     if args.resume:
         model, _ = load_checkpoint(args.resume)
@@ -287,9 +291,7 @@ def _predict_with_checkpoint(
 
 
 def cmd_evaluate(args) -> Report:
-    raw = read_examples(args.data)
-    if not raw:
-        raise CliError(f"{args.data}: no examples")
+    raw = _read_questions(args.data)
     # A model is scored as the ensemble of itself.
     paths = [args.model] if args.model else read_ensemble_spec(args.ensemble)[0]
     runs = [_predict_with_checkpoint(path, raw, args.seed) for path in paths]
@@ -325,9 +327,7 @@ def cmd_evaluate(args) -> Report:
 
 
 def cmd_select_ensemble(args) -> Report:
-    raw = read_examples(args.valid)
-    if not raw:
-        raise CliError(f"{args.valid}: no examples")
+    raw = _read_questions(args.valid)
     answers = _answer_positions(raw)
     members = []
     for path in args.models:
@@ -512,8 +512,8 @@ def check_outputs(args) -> None:
     """Reject, before any work, an output path that could not be written:
     its parent must be a directory, or the --out directory that generate
     creates and whose nearest existing ancestor must be a directory; the
-    path itself must not be a directory, nor the file of another output,
-    of an input or of a checkpoint that evaluate's --ensemble spec lists.
+    path itself, if it exists, must be a regular file, and no other output,
+    input or checkpoint that evaluate's --ensemble spec lists.
     The one output that may replace an input is train's --out, over the
     --resume checkpoint it continues from."""
     made = Path(args.out).resolve() if args.command == "generate" else None
@@ -534,8 +534,9 @@ def check_outputs(args) -> None:
     for path in paths:
         if not path.parent.is_dir() and path.parent.resolve() != made:
             raise CliError(f"{path}: {path.parent} is not a directory")
-        if path.is_dir():
-            raise CliError(f"{path}: is a directory")
+        if path.exists() and not path.is_file():
+            kind = "a directory" if path.is_dir() else "not a regular file"
+            raise CliError(f"{path}: is {kind}")
         if path.resolve() in written:
             raise CliError(f"{path}: is also another output of this command")
         source = read.get(path.resolve())

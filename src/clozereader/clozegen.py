@@ -25,6 +25,7 @@ import math
 import random
 import re
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -313,27 +314,31 @@ class DatasetStats:
     vocab_size: int
 
 
+def count_forms(examples: list[ClozeExample]) -> Counter[str]:
+    """How often each form occurs in the examples' contexts and questions,
+    the gap tag included.  A sentence list shared by several examples is
+    walked once, weighted by the number of places that hold it."""
+    sentences = list(chain.from_iterable(ex.context for ex in examples))
+    keys = list(map(id, sentences))  # unique: ``sentences`` keeps every list alive
+    distinct = dict(zip(keys, sentences))
+    counts: Counter[str] = Counter()
+    for key, weight in Counter(keys).items():
+        for form in distinct[key]:
+            counts[form] += weight
+    counts.update(chain.from_iterable(ex.question for ex in examples))
+    return counts
+
+
 def compute_stats(examples: list[ClozeExample]) -> DatasetStats:
     if not examples:
         return DatasetStats(0, 0, 0.0, 0.0, 0)
-    vocab: set[str] = set()
-    total_tokens = 0
-    total_options = 0
-    max_options = 0
-    for ex in examples:
-        n_tokens = len(ex.question) + sum(len(s) for s in ex.context)
-        total_tokens += n_tokens
-        total_options += len(ex.candidates)
-        max_options = max(max_options, len(ex.candidates))
-        for sentence in ex.context:
-            vocab.update(sentence)
-        vocab.update(ex.question)
-    vocab.discard(GAP_TOKEN)
+    counts = count_forms(examples)
+    options = [len(ex.candidates) for ex in examples]
     n = len(examples)
     return DatasetStats(
         n_queries=n,
-        max_options=max_options,
-        avg_options=total_options / n,
-        avg_tokens=total_tokens / n,
-        vocab_size=len(vocab),
+        max_options=max(options),
+        avg_options=sum(options) / n,
+        avg_tokens=sum(counts.values()) / n,
+        vocab_size=len(counts) - (GAP_TOKEN in counts),
     )

@@ -150,8 +150,7 @@ def _split_paragraph(paragraph: str) -> list[str]:
         if run[0] == "." and "." not in run[1:]:
             before = _WORD_BEFORE.search(paragraph, max(0, m.start() - 40), m.start())
             if before is not None:
-                word = before.group()
-                if word + "." in DEFAULT_ABBREVIATIONS or (len(word) == 1 and word.isupper()):
+                if _keeps_period(before.group() + "."):
                     continue
         bounds.append(m.end())
 

@@ -21,15 +21,15 @@ one.  Each step thus adds one contiguous (B, .) block, where a slice of a
 single (T, B, 3H) buffer would be strided, and the stored parameters
 keep their fused layout.  A plain numpy loop over the T steps then
 applies U_r and U_z together as one (H, 2H) product and computes every
-gate in place into preallocated buffers; each per-step product, here
-and in the backward pass, is a direct ``np.dot`` into its output
-(Appleyard et al., arXiv:1604.01946).  Only while a graph is being
-recorded does it keep each step's r|z gates and candidates in (T, B, .)
-buffers for the backward pass; under ``no_grad`` one (B, .) slot is
-reused.  r * h always goes through one (B, H) slot, and both projection
-buffers are freed when the forward pass returns, so until its backward
-pass a recorded node holds only its gates, candidates and states (store
-less, recompute the rest: Chen et al., arXiv:1604.06174).
+gate in place into preallocated buffers.  Each per-step product writes
+into its output (Appleyard et al., arXiv:1604.01946), by ``np.matmul``
+where an operand is a strided slice, which ``np.dot`` would copy.  Only
+while a graph is being recorded does it keep each step's r|z gates and
+candidates in (T, B, .) buffers for the backward pass; under ``no_grad``
+one (B, .) slot is reused.  r * h always goes through one (B, H) slot, and
+both projection buffers are freed when the forward pass returns, so until
+its backward pass a recorded node holds only its gates, candidates and
+states (store less, recompute the rest: Chen et al., arXiv:1604.06174).
 
 The backward pass writes the pre-activation gradients into a (T, B, 3H)
 buffer of its own, fresh on every call.  It stays fused so that dx is
@@ -211,13 +211,13 @@ def run_direction(
             d_c = d_pre[t, :, h2:]
             np.multiply(dh, z, out=dh_z)
             d_c *= dh_z
-            np.dot(d_c, u_c.T, out=d_rh)
+            np.matmul(d_c, u_c.T, out=d_rh)
             np.multiply(d_rh, h, out=d_rz[:, :hidden])
             d_rz[:, hidden:] *= dh
             np.subtract(1.0, g, out=slope)
             slope *= g
             d_rz *= slope
-            np.dot(d_rz, u_rz.T, out=via_rz)
+            np.matmul(d_rz, u_rz.T, out=via_rz)
             dh -= dh_z
             d_rh *= g[:, :hidden]
             dh += d_rh

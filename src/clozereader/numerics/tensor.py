@@ -223,9 +223,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
         raise ShapeMismatchError(
-            f"matmul supports 1-D and 2-D operands, got {a.data.shape} @ {b.data.shape}"
+            f"matmul takes (m, k) or (k,) @ (k, n), got {a.data.shape} @ {b.data.shape}"
         )
     inner_a = a.data.shape[-1]
     inner_b = b.data.shape[0]
@@ -236,18 +236,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.data.ndim == 2 and b.data.ndim == 2:
+        if a.data.ndim == 2:
             _accumulate(a, g @ b.data.T)
             _accumulate(b, a.data.T @ g)
-        elif a.data.ndim == 2:  # (m,k) @ (k,) -> (m,)
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        elif b.data.ndim == 2:  # (k,) @ (k,n) -> (n,)
+        else:  # (k,) @ (k,n) -> (n,)
             _accumulate(a, b.data @ g)
             _accumulate(b, np.outer(a.data, g))
-        else:  # (k,) @ (k,) -> scalar
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
 
     return _make(data, (a, b), backward)
 
@@ -296,16 +290,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def _select(a: Tensor, index) -> Tensor:
-    """``a.data[index]``; the gradient scatter-adds back, so repeated
-    rows each contribute."""
+    """``a.data[index]`` for a slice or a tuple of slices, which selects
+    each element at most once, so the gradient adds back in place."""
     data = a.data[index]
 
     def backward(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, index, g)
+        a.grad[index] += g
 
     return _make(data, (a,), backward)
 
@@ -324,8 +316,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     data = a.data[index]
 
     def backward(g):
-        if not a.requires_grad:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         # numpy's fast ``np.add.at`` path is 1-D only.  Each bin still adds

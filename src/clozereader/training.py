@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ClozereaderError
 from .asreader import Batch, Model, ModelConfig, Predictions, occurrences
-from .ensemble import correct_flags, hit_rate, prediction_accuracy
+from .ensemble import prediction_accuracy
 from .numerics import (
     DEFAULT_LEARNING_RATE, Adam, TensorFormatError, clip_gradients, read_tensor,
     write_tensor, zero_frozen_rows, zero_grads,
@@ -117,6 +117,20 @@ class EvalResult:
 def evaluate(model: Model, corpus: EncodedCorpus,
              batch_size: int = DEFAULT_BATCH_SIZE) -> EvalResult:
     """Greedy accuracy plus the predictions, in input order."""
+    return _score(corpus, lambda batch: model.predict(batch).probabilities, batch_size)
+
+
+def most_frequent_candidate_accuracy(corpus: EncodedCorpus) -> float:
+    """Baseline: always pick the candidate occurring most often in the
+    document (ties go to the earlier candidate in the list)."""
+    # A padding slot counts 0 and follows the real candidates, so it never wins.
+    return _score(corpus, lambda batch: occurrences(
+        batch.context, batch.context_lengths, batch.candidates).sum(axis=2)).accuracy
+
+
+def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -> EvalResult:
+    """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
+    as predictions in input order; batches go in context-length order."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -125,21 +139,10 @@ def evaluate(model: Model, corpus: EncodedCorpus,
     probabilities = np.zeros(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
     for batch in _batches(corpus, order, batch_size):
-        rows = model.predict(batch).probabilities
+        rows = score(batch)
         probabilities[batch.indices, : rows.shape[1]] = rows
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
-
-
-def most_frequent_candidate_accuracy(corpus: EncodedCorpus) -> float:
-    """Baseline: always pick the candidate occurring most often in the
-    document (ties go to the earlier candidate in the list)."""
-    flags = []
-    for batch in _batches(corpus, np.arange(len(corpus))):
-        # A padding slot counts 0 and follows the real candidates, so it never wins.
-        occurs = occurrences(batch.context, batch.context_lengths, batch.candidates)
-        flags += correct_flags(Predictions(batch.candidates, occurs.sum(axis=2)), batch.answers)
-    return hit_rate(flags)
 
 
 @dataclass

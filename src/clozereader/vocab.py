@@ -12,7 +12,6 @@ so these ids carry no cross-example meaning on purpose.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
@@ -22,7 +21,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import ClozereaderError, read_lines, write_lines
-from .clozegen import GAP_TOKEN, ClozeExample
+from .clozegen import GAP_TOKEN, ClozeExample, count_forms
 from .seeding import derive_seed
 
 PAD_ID = 0
@@ -94,18 +93,10 @@ def build_vocab(
     cap: int = DEFAULT_CAP,
     anon_count: int = DEFAULT_ANON_COUNT,
 ) -> Vocabulary:
-    """Count every context and question token of the training examples
-    and keep the ``cap`` most frequent, ties broken lexicographically.
-    A sentence list shared by several examples is counted once, weighted
-    by the number of places that hold it."""
-    sentences = list(chain.from_iterable(ex.context for ex in examples))
-    keys = list(map(id, sentences))  # unique: ``sentences`` keeps every list alive
-    distinct = dict(zip(keys, sentences))
-    counts: Counter[str] = Counter()
-    for key, weight in Counter(keys).items():
-        for form in distinct[key]:
-            counts[form] += weight
-    counts.update(chain.from_iterable(ex.question for ex in examples))
+    """Count every context and question token of the training examples,
+    as ``count_forms`` does, and keep the ``cap`` most frequent, ties
+    broken lexicographically."""
+    counts = count_forms(examples)
     counts.pop(GAP_TOKEN, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     words = [w for w, _ in ranked[:cap]]

@@ -161,6 +161,21 @@ def test_violations_are_reported(tmp_path, mutate, message):
     assert message.split("\\")[0] in violations[0] or message in violations[0]
 
 
+@pytest.mark.parametrize("question_line, message", [
+    ("12 the XXXXX spoke\tcrow\t\tcrow|a|b|c|d|e|f|g|h|i",
+     "expected line number 21, got '12'"),
+    ("21 \tcrow\t\tcrow|a|b|c|d|e|f|g|h|i", "empty question"),
+], ids=["line-number", "empty-question"])
+def test_a_bad_question_line_is_named_by_file_and_line(tmp_path, question_line, message):
+    bad = sample_block()
+    bad[20] = question_line
+    path = write_text(tmp_path, "\n".join(sample_block() + bad))
+    # The second example's question is line 22 + 21 of the file.
+    assert validate_file(path) == [f"data.txt:43: {message}"]
+    with pytest.raises(CbtFormatError, match=f"^{re.escape(f'data.txt:43: {message}')}$"):
+        read_examples(path)
+
+
 def test_validate_collects_all_violations(tmp_path):
     bad_one = sample_block()
     bad_one[0] = "7 out of order"

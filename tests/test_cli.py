@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -208,6 +210,26 @@ def test_every_output_is_checked_before_the_work(tmp_path, monkeypatch, capsys,
     assert not calls
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert not list((tmp_path / "taken").iterdir())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in OUTPUT_CASES.items() for flag in flags
+], ids=lambda value: value.lstrip("-"))
+def test_an_output_that_is_not_a_regular_file_is_rejected_before_the_work(
+        tmp_path, monkeypatch, capsys, command, flag):
+    # A FIFO stands for any special file: a checkpoint saved over it would
+    # replace it, and a report written to it would block without a reader.
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    calls = []
+    monkeypatch.setattr(f"clozereader.cli.cmd_{command.replace('-', '_')}", calls.append)
+    required, _ = OUTPUT_CASES[command]
+    assert main([command, *required, flag, "fifo"]) == 1  # the last --out wins
+    assert capsys.readouterr().err == "error: fifo: is not a regular file\n"
+    assert not calls
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
 
 
 # Outputs the matrix above cannot take: generate --out may be missing or a
@@ -447,6 +469,24 @@ def test_evaluate_empty_dataset_exits_1(tmp_path, capsys):
     rc = main(["evaluate", "--model", "m.ckpt", "--data", str(empty)])
     assert rc == 1
     assert "no examples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--train", "{empty}", "--valid", "{valid}", "--out", "m.ckpt"],
+     "no training examples"),
+    (["train", "--train", "{valid}", "--valid", "{empty}", "--out", "m.ckpt"],
+     "no validation examples"),
+    (["select-ensemble", "--models", "m.ckpt", "--valid", "{empty}", "--out", "e.spec"],
+     "no examples"),
+], ids=["train-train", "train-valid", "select-ensemble"])
+def test_an_empty_question_file_exits_1_naming_it(cli_workspace, tmp_path, monkeypatch,
+                                                   capsys, argv, message):
+    _, _, valid_path, _, _ = cli_workspace
+    monkeypatch.chdir(tmp_path)
+    Path("empty.txt").write_text("\n\n", encoding="utf-8")
+    assert main([arg.format(empty="empty.txt", valid=valid_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: empty.txt: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.txt"]
 
 
 # --------------------------------------------------------------- ensembles

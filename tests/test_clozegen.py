@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from clozereader.clozegen import (
     SplitError,
     SplitSpec,
     compute_stats,
+    count_forms,
     dedup_editions,
     generate_from_book,
     normalize_title,
@@ -458,6 +460,20 @@ def test_compute_stats_hand_values():
         {"tok", "0", "1", ".", "the", "fell", "a", "b", "c", "d"}
     )
 
+
+def test_count_forms_counts_a_shared_sentence_at_each_place_that_holds_it(generated_splits):
+    examples = generated_splits["train"]
+    places = [id(sentence) for ex in examples for sentence in ex.context]
+    assert len(set(places)) < len(places)  # read sentences are shared
+    naive = Counter()
+    for ex in examples:
+        for sentence in ex.context:
+            naive.update(sentence)
+        naive.update(ex.question)
+    assert count_forms(examples) == naive
+    stats = compute_stats(examples)
+    assert stats.avg_tokens == sum(naive.values()) / len(examples)
+    assert stats.vocab_size == len(naive.keys() - {GAP_TOKEN})
 
 def test_compute_stats_empty():
     stats = compute_stats([])

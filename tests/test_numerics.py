@@ -311,6 +311,13 @@ def test_matmul_shape_mismatch_raises(rng):
         matmul(Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))))
 
 
+@pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 2))],
+                         ids=["matrix-vector", "vector-vector", "3d"])
+def test_matmul_rejects_a_rank_op_cases_does_not_check(rng, shapes):
+    a, b = (Tensor(rng.normal(size=shape)) for shape in shapes)
+    with pytest.raises(ShapeMismatchError, match="matmul takes"):
+        matmul(a, b)
+
 def test_backward_requires_scalar(rng):
     out = add(Parameter(rng.normal(size=(2, 2))), 1.0)
     with pytest.raises(ShapeMismatchError):

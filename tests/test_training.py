@@ -72,6 +72,13 @@ def toy_setup(n_train=48, n_valid=16, rng_seed=3):
     return model, enc_train, enc_valid
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", ["batch_size", "prefetch_batches", "max_epochs", "patience"])
+def test_train_config_rejects_a_count_below_1(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+        TrainConfig(**{key: value})
+
+
 # ----------------------------------------------------------------- batching
 
 
@@ -283,6 +290,15 @@ def test_evaluate_rejects_a_batch_size_below_1(batch_size):
     model, _, enc_valid = toy_setup(n_train=2, n_valid=2)
     with pytest.raises(ValueError, match="batch_size must be positive"):
         evaluate(model, enc_valid, batch_size)
+
+
+@pytest.mark.parametrize("score", [
+    lambda corpus: evaluate(toy_setup(n_train=2)[0], corpus),
+    most_frequent_candidate_accuracy,
+], ids=["evaluate", "baseline"])
+def test_scoring_an_empty_corpus_raises_the_same_error(score):
+    with pytest.raises(ValueError, match="^nothing to evaluate$"):
+        score(EncodedCorpus.from_examples([]))
 
 
 def test_most_frequent_candidate_baseline():
@@ -708,6 +724,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError, match="not a checkpoint"):
+        load_checkpoint(str(path))
+
+
+def _without_last_tensor(raw: bytes) -> bytes:
+    """The checkpoint with its tensor count one lower, so the last tensor
+    goes unread."""
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    table = 14 + blob_len
+    (count,) = struct.unpack("<I", raw[table : table + 4])
+    return raw[:table] + struct.pack("<I", count - 1) + raw[table + 4 :]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:14] + b"#" * (len(raw) - 14), "bad header: Expecting value"),
+    (_without_last_tensor, "missing tensors ["),
+], ids=["header-not-json", "missing-tensor"])
+def test_checkpoint_names_a_bad_header_and_a_missing_tensor(tmp_path, edit, message):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_checkpoint(str(path))
 
 

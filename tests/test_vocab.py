@@ -558,6 +558,21 @@ def test_load_rejects_missing_header(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("count=4", "count=four"),
+    (" cap=", " limit="),
+    ("start=", "start"),
+], ids=["not-an-integer", "missing-key", "no-equals-sign"])
+def test_load_names_a_malformed_header(tmp_path, old, new):
+    path = tmp_path / "vocab.txt"
+    save_vocab(small_vocab(words=("alpha", "beta"), anon_count=4), path)
+    text = path.read_text("utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: malformed header: "):
+        load_vocab(path)
+
+
 def test_load_rejects_word_count_mismatch(tmp_path):
     vocab = small_vocab(words=("alpha", "beta"), anon_count=2)
     path = tmp_path / "vocab.txt"
