@@ -12,6 +12,8 @@ Two halves, usable separately:
 Everything is seeded and deterministic; see the README for the CLI surface.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -21,9 +23,10 @@ class ClozereaderError(Exception):
     """Base class for all errors raised by this package."""
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 file or package resource, split as ``str.splitlines``
-    splits them; a byte that does not decode names the file and its line."""
+def read_text(path) -> str:
+    """The text of a UTF-8 file or package resource, newlines translated as
+    ``open`` translates them; a byte that does not decode names the file and
+    its line."""
     data = (Path(path) if isinstance(path, str) else path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -31,12 +34,39 @@ def read_lines(path) -> list[str]:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ClozereaderError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from exc
     del data  # one copy of the file at a time
-    return text.splitlines()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_lines(path) -> list[str]:
+    """The lines of ``read_text(path)``, split as ``str.splitlines`` splits them."""
+    return read_text(path).splitlines()
+
+
+@contextmanager
+def write_whole(path, mode: str = "w"):
+    """A file to write ``path`` through, as UTF-8 text with LF newlines or,
+    with mode ``"wb"``, as bytes.  The file is a sibling temporary file that
+    is fsynced and renamed over ``path`` (over its target, if ``path`` is a
+    symlink) only when the block ends without an exception, so an interrupted
+    write leaves the previous file, or none, and no temporary file."""
+    path = os.path.realpath(path)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, mode) if "b" in mode else open(tmp_path, mode, encoding="utf-8",
+                                                     newline="\n")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def write_lines(path, lines) -> None:
-    """Write each line and an LF after it, as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write each line and an LF after it, as UTF-8, through ``write_whole``."""
+    with write_whole(path) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")

@@ -62,6 +62,17 @@ class AnswerNotInDocumentError(ClozereaderError):
     """The loss is undefined when no document position holds the answer."""
 
 
+def check_counts(config, *keys: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``config`` is an
+    ``int``, not a ``bool``, of at least 1."""
+    for key in keys:
+        value = getattr(config, key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{key} must be positive")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     embedding_dim: int = 128
@@ -70,12 +81,7 @@ class ModelConfig:
     query_init: bool = False
 
     def __post_init__(self):
-        for key in ("embedding_dim", "hidden_units", "recurrent_layers"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{key} must be positive")
+        check_counts(self, "embedding_dim", "hidden_units", "recurrent_layers")
         if not isinstance(self.query_init, bool):
             raise ValueError(f"query_init must be true or false, got {self.query_init!r}")
 

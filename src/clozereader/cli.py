@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +79,14 @@ Report = list[tuple[str, object]]
 
 
 def print_report(rows: Report, tsv_path: str | None) -> None:
+    """Print the rows as aligned key/value text, each float as ``.6f``, and
+    write them tab-separated to ``tsv_path`` when it is given."""
+    rows = [(key, f"{value:.6f}" if isinstance(value, float) else value) for key, value in rows]
     width = max((len(key) for key, _ in rows), default=0) + 2
     for key, value in rows:
         print(f"{key:<{width}}{value}")
     if tsv_path:
         write_lines(tsv_path, (f"{key}\t{value}" for key, value in rows))
-
-
-def _format_float(value: float) -> str:
-    return f"{value:.6f}"
 
 
 # ---------------------------------------------------------------- generate
@@ -140,16 +139,9 @@ def cmd_generate(args) -> Report:
         path = _split_file(args.out, args.type, split_name)
         write_examples(examples, path)
         stats = compute_stats(examples)
-        rows.extend([
-            (f"{split_name}.books", len(split_books_list)),
-            (f"{split_name}.file", str(path)),
-            (f"{split_name}.examined", report.examined),
-            (f"{split_name}.emitted", report.emitted),
-            (f"{split_name}.skipped_no_qualifying", report.skipped_no_qualifying),
-            (f"{split_name}.skipped_small_pool", report.skipped_small_pool),
-            (f"{split_name}.avg_tokens", _format_float(stats.avg_tokens)),
-            (f"{split_name}.vocab_size", stats.vocab_size),
-        ])
+        split_rows = {"books": len(split_books_list), "file": str(path), **asdict(report),
+                      "avg_tokens": stats.avg_tokens, "vocab_size": stats.vocab_size}
+        rows += [(f"{split_name}.{key}", value) for key, value in split_rows.items()]
     return rows
 
 
@@ -157,16 +149,8 @@ def cmd_generate(args) -> Report:
 
 
 def cmd_stats(args) -> Report:
-    examples = read_examples(args.data)
-    stats = compute_stats(examples)
-    return [
-        ("dataset", Path(args.data).name),
-        ("n_queries", stats.n_queries),
-        ("max_options", stats.max_options),
-        ("avg_options", _format_float(stats.avg_options)),
-        ("avg_tokens", _format_float(stats.avg_tokens)),
-        ("vocab_size", stats.vocab_size),
-    ]
+    stats = compute_stats(read_examples(args.data))
+    return [("dataset", Path(args.data).name), *asdict(stats).items()]
 
 
 # ------------------------------------------------------------------- train
@@ -251,6 +235,8 @@ def cmd_train(args) -> Report:
     valid_examples = encode_dataset(valid_raw, vocabulary, derive_seed(args.seed, "valid"))
     del train_raw, valid_raw  # nothing reads the raw examples once they are encoded
 
+    # The log is a stream, flushed per line, not a whole-file write: it shows
+    # progress and keeps the lines of a run that diverges.
     log_fh = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:
         result = run_training(
@@ -263,7 +249,7 @@ def cmd_train(args) -> Report:
     for line in result.log_lines:
         print(line)
     return [
-        ("best_validation_accuracy", _format_float(result.best_accuracy)),
+        ("best_validation_accuracy", result.best_accuracy),
         ("best_step", result.best_step),
         ("steps", result.steps),
         ("epochs", result.epochs),
@@ -298,7 +284,7 @@ def cmd_evaluate(args) -> Report:
     predictions = average_predictions([predictions for predictions, _ in runs])
     flags = correct_flags(predictions, _answer_positions(raw))
 
-    accuracy = _format_float(hit_rate(flags))
+    accuracy = hit_rate(flags)
     rows: Report = [
         ("dataset", Path(args.data).name),
         ("n_examples", len(raw)),
@@ -306,14 +292,11 @@ def cmd_evaluate(args) -> Report:
     ]
     if args.type:  # ``--type`` labels every example
         rows.append((f"accuracy[{args.type}]", accuracy))
-    rows.append(
-        ("baseline_random",
-         _format_float(sum(1 / len(ex.candidates) for ex in raw) / len(raw)))
-    )
+    rows.append(("baseline_random", sum(1 / len(ex.candidates) for ex in raw) / len(raw)))
     # Counting ids counts surface forms: encoding maps distinct forms to
     # distinct ids within an example.
     baseline = most_frequent_candidate_accuracy(runs[0][1])
-    rows.append(("baseline_frequency", _format_float(baseline)))
+    rows.append(("baseline_frequency", baseline))
 
     if args.predictions_out:
         picks = predictions.predicted_ids.tolist()  # candidate positions
@@ -341,12 +324,11 @@ def cmd_select_ensemble(args) -> Report:
     rows: Report = [
         ("offered", len(members)),
         ("selected", len(selected)),
-        ("ensemble_accuracy", _format_float(ensemble_accuracy)),
+        ("ensemble_accuracy", ensemble_accuracy),
         ("spec", args.out),
     ]
     for i, member in enumerate(selected):
-        rows.append((f"member{i}", f"{member.name}"
-                     f" ({_format_float(member.validation_accuracy)})"))
+        rows.append((f"member{i}", f"{member.name} ({member.validation_accuracy:.6f})"))
     return rows
 
 
@@ -428,7 +410,7 @@ def cmd_union_accuracy(args) -> Report:
     if args.data and len(a) != len(read_examples(args.data)):
         raise CliError("prediction files do not align with the dataset")
     accuracy = union_accuracy([[flag for _, flag in rows] for rows in (a, b)])
-    return [("union_accuracy", _format_float(accuracy))]
+    return [("union_accuracy", accuracy)]
 
 
 # ------------------------------------------------------------------ parser

@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 
 from . import ClozereaderError
@@ -100,10 +100,8 @@ class GenerationReport:
     skipped_small_pool: int = 0
 
     def merge(self, other: "GenerationReport") -> None:
-        self.examined += other.examined
-        self.emitted += other.emitted
-        self.skipped_no_qualifying += other.skipped_no_qualifying
-        self.skipped_small_pool += other.skipped_small_pool
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def select_candidates(

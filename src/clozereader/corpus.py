@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import ClozereaderError, read_lines
+from . import ClozereaderError, read_lines, read_text
 
 
 class EmptyCorpusError(ClozereaderError):
@@ -229,9 +229,10 @@ def tokenize_book(raw: RawBook) -> TokenizedBook:
 def ingest_books(directory: str | Path) -> tuple[list[RawBook], list[IngestError]]:
     """Read every ``*.txt`` file under a directory as one book.
 
-    The book id is the file stem.  Per-file failures (undecodable bytes,
-    nothing left after boilerplate stripping) are collected and reported,
-    not raised; a directory with no ``.txt`` files at all is an error.
+    The book id is the file stem.  Per-file failures (an unreadable file, a
+    byte that does not decode, nothing left after boilerplate stripping)
+    are collected and reported, not raised; a directory with no ``.txt``
+    files at all is an error.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("*.txt"))
@@ -242,12 +243,9 @@ def ingest_books(directory: str | Path) -> tuple[list[RawBook], list[IngestError
     errors: list[IngestError] = []
     for path in paths:
         try:
-            original = path.read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            errors.append(IngestError(path=str(path), reason=f"not valid UTF-8: {exc}"))
-            continue
-        except OSError as exc:
-            errors.append(IngestError(path=str(path), reason=f"unreadable: {exc}"))
+            original = read_text(path)
+        except (ClozereaderError, OSError) as exc:
+            errors.append(IngestError(path=str(path), reason=str(exc)))
             continue
         stripped = strip_boilerplate(original)
         if not stripped.strip():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+from . import write_lines
 from .clozegen import GAP_TOKEN, ClozeExample, N_CANDIDATES
 from .seeding import stream
 
@@ -190,7 +191,7 @@ def write_fixture_library(
     paths = []
     for stem, title, b in books:
         path = directory / f"book_{stem}.txt"
-        path.write_text(render_fixture_book(title, stream(rng_seed, "book", b), n_paragraphs),
-                        encoding="utf-8")
+        write_lines(path, render_fixture_book(title, stream(rng_seed, "book", b),
+                                              n_paragraphs).splitlines())
         paths.append(path)
     return paths

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import struct
 import time
@@ -31,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import ClozereaderError
-from .asreader import Batch, Model, ModelConfig, Predictions, occurrences
+from . import ClozereaderError, write_whole
+from .asreader import Batch, Model, ModelConfig, Predictions, check_counts, occurrences
 from .ensemble import prediction_accuracy
 from .numerics import (
     DEFAULT_LEARNING_RATE, Adam, TensorFormatError, clip_gradients, read_tensor,
@@ -68,18 +67,10 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.prefetch_batches < 1:
-            raise ValueError("prefetch_batches must be positive")
+        check_counts(self, "batch_size", "prefetch_batches", "max_epochs", "patience",
+                     *(() if self.eval_every is None else ("eval_every",)))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError("eval_every must be positive")
 
 
 def make_batches(corpus: EncodedCorpus, config: TrainConfig, epoch_seed: int) -> list[Batch]:
@@ -249,28 +240,16 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     named = model.named_parameters()
-    # Write a sibling temporary file and rename it over ``path`` only once
-    # it is complete and on disk, so an interrupted save leaves the
-    # previous checkpoint intact.
-    tmp_path = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp_path, "wb")
-    try:
-        with fh:
-            fh.write(struct.pack("<4sH", CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(named)))
-            for name in sorted(named):
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                write_tensor(fh, named[name].data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
+    with write_whole(path, "wb") as fh:
+        fh.write(struct.pack("<4sH", CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(named)))
+        for name in sorted(named):
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            write_tensor(fh, named[name].data)
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict]:

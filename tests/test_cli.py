@@ -10,20 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from clozereader import ClozereaderError
-from clozereader.cbtio import read_examples
+import clozereader
+from clozereader import ClozereaderError, write_lines
+from clozereader.cbtio import read_examples, write_examples
 from clozereader.cli import (
     CliError,
     main,
     parse_config_file,
+    print_report,
     read_predictions_file,
 )
 from clozereader.corpus import TokenizedBook
 from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
 from clozereader.synthdata import write_fixture_library
 from clozereader.tagger import read_pretagged
-from clozereader.training import TrainingDivergedError
-from clozereader.vocab import load_vocab
+from clozereader.training import TrainingDivergedError, load_checkpoint
+from clozereader.vocab import load_vocab, save_vocab
 
 LOG_LINE = re.compile(r"^\d+\t[^\t]+\t\d\.\d{6}\t\d+\.\d{3}$")
 PREDICTION_LINE = re.compile(r"^\d+\t\S+\t[01]$")
@@ -936,6 +938,69 @@ def test_a_library_reader_names_an_undecodable_byte_by_file_and_line(tmp_path, r
     message = rf"{re.escape(str(path))}:3: not valid UTF-8 \(invalid start byte\)"
     with pytest.raises(ClozereaderError, match=rf"^{message}$"):
         read(path)
+
+
+# ------------------------------------------------------------ whole writes
+
+
+class InterruptingFile:
+    """A file whose third ``write`` raises ``exc``: after the first item and
+    its LF, as ``write_lines`` writes them."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc, self.writes = fh, exc, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise self.exc
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+INTERRUPTED_WRITERS = {
+    "write_examples": lambda path, ws: write_examples(read_examples(ws[2])[:3], path),
+    "print_report --tsv": lambda path, ws: print_report([("a", 1), ("b", 0.5)], str(path)),
+    "evaluate --predictions-out": lambda path, ws: main([
+        "evaluate", "--model", str(ws[4]["a"]), "--data", str(ws[2]),
+        "--predictions-out", str(path)]),
+    "write_ensemble_spec": lambda path, ws: write_ensemble_spec(str(path), ["a", "b"], 0.5),
+    "save_vocab": lambda path, ws: save_vocab(load_checkpoint(str(ws[4]["a"]))[0].vocabulary,
+                                              path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(INTERRUPTED_WRITERS))
+def test_an_interrupted_write_keeps_the_previous_file(cli_workspace, tmp_path, monkeypatch,
+                                                      writer):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"previous\n")
+    # ``main`` reports an OSError as exit 1, so that case is interrupted instead.
+    exc = KeyboardInterrupt() if writer.startswith("evaluate") else OSError("disk full")
+    monkeypatch.setattr(clozereader, "open", lambda *args, **kwargs: InterruptingFile(
+        open(*args, **kwargs), exc), raising=False)
+    with pytest.raises(type(exc)):
+        INTERRUPTED_WRITERS[writer](path, cli_workspace)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_a_symlinked_output_is_written_at_its_target(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"previous\n")
+    link.symlink_to(target)
+    write_lines(link, ["new"])
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
 # ----------------------------------------------------------- config parsing

@@ -288,6 +288,7 @@ def test_ingest_collects_bad_files(tmp_path):
         encoding="utf-8",
     )
     (tmp_path / "bad.txt").write_bytes(b"\xff\xfe\x00 garbage \xff")
+    (tmp_path / "late.txt").write_bytes(b"Title: Late\n*** START ***\nOne \xe2\x82.\n")
     (tmp_path / "hollow.txt").write_text(
         "*** START ***\n\n*** END ***\n", encoding="utf-8"
     )
@@ -296,7 +297,23 @@ def test_ingest_collects_bad_files(tmp_path):
     assert sorted(e.path.rsplit("/", 1)[-1] for e in errors) == [
         "bad.txt",
         "hollow.txt",
+        "late.txt",
     ]
+    reasons = {e.path: e.reason for e in errors}
+    # An undecodable book is named with the line of its first bad byte.
+    for name, line, why in (("bad.txt", 1, "invalid start byte"),
+                            ("late.txt", 3, "invalid continuation byte")):
+        path = str(tmp_path / name)
+        assert reasons[path] == f"{path}:{line}: not valid UTF-8 ({why})"
+
+
+def test_ingest_reads_a_book_with_newlines_translated_as_text_mode_reads_it(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"Title: Mixed\r\n*** START ***\r\nOne went.\x0cTwo went.\rThree went."
+                     b"\r\n\r\nFour went.\n*** END ***\r\n")
+    books, _ = ingest_books(tmp_path)
+    assert books[0].text == strip_boilerplate(path.read_text("utf-8"))
+    assert books[0].title == "Mixed"
 
 
 def test_ingest_empty_directory_raises(tmp_path):

@@ -23,6 +23,7 @@ def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
             assert f"{item} {model}" in first
     assert "model E32/H32/L1" in first
     assert "fixture library" in first
+    assert "listing" in first
     for eval_every, patience in equiv.SCHEDULES:
         assert f"schedule eval_every={eval_every} patience={patience}" in first
     # Both divergence cases raised and saved a diagnostic checkpoint.

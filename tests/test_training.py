@@ -79,6 +79,15 @@ def test_train_config_rejects_a_count_below_1(key, value):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+@pytest.mark.parametrize("key", ["batch_size", "prefetch_batches", "max_epochs", "patience",
+                                 "eval_every"])
+def test_train_config_rejects_a_count_that_is_not_an_integer(key, value):
+    message = f"^{key} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{key: value})
+
+
 # ----------------------------------------------------------------- batching
 
 

@@ -15,7 +15,9 @@ without ``query_init``.  Each checkpoint is scored by ``evaluate --model``
 with ``--predictions-out``; then come ``select-ensemble`` over the four,
 ``evaluate --ensemble``, ``export-errors`` and ``union-accuracy``.  Every
 command writes ``--tsv``.  An item is the SHA-256 of a file the commands
-wrote, or a command's stdout, stderr or exit code.  A predictions file
+wrote, or a command's stdout, stderr or exit code; one more item is the
+SHA-256 of the sorted names in the run directory after the last command,
+so a temporary file left behind shows.  A predictions file
 holds only each argmax, so for each checkpoint the sweep also digests
 ``training.evaluate``'s probabilities and ``Model.predict``'s attention
 rows, through the package's API.  For each training config it digests
@@ -375,7 +377,10 @@ def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
     package = Path(items.pop("package"))
     if not package.is_relative_to(src):
         raise RuntimeError(f"sweep of {tree} imported {package}")
-    for path in sorted(run_dir.rglob("*")):
+    paths = sorted(run_dir.rglob("*"))
+    names = "\n".join(path.relative_to(run_dir).as_posix() for path in paths)
+    items["listing"] = hashlib.sha256(names.encode("utf-8")).hexdigest()
+    for path in paths:
         if path.is_file() and path not in inputs:
             data = path.read_bytes()
             if path.suffix == ".log":
