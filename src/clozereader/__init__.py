@@ -13,7 +13,8 @@ Everything is seeded and deterministic; see the README for the CLI surface.
 """
 
 import os
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -46,9 +47,11 @@ def read_lines(path) -> list[str]:
 def write_whole(path, mode: str = "w"):
     """A file to write ``path`` through, as UTF-8 text with LF newlines or,
     with mode ``"wb"``, as bytes.  The file is a sibling temporary file that
-    is fsynced and renamed over ``path`` (over its target, if ``path`` is a
-    symlink) only when the block ends without an exception, so an interrupted
-    write leaves the previous file, or none, and no temporary file."""
+    is fsynced, given the permission bits of the file it replaces, and
+    renamed over ``path`` (over its target, if ``path`` is a symlink) only
+    when the block ends without an exception, so an interrupted write leaves
+    the previous file, or none, and no temporary file.  A rename makes a new
+    file: another hard link to the old one keeps the old bytes."""
     path = os.path.realpath(path)
     tmp_path = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp_path, mode) if "b" in mode else open(tmp_path, mode, encoding="utf-8",
@@ -58,6 +61,8 @@ def write_whole(path, mode: str = "w"):
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
+        with suppress(FileNotFoundError):
+            os.chmod(tmp_path, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)

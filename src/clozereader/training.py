@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import random
+import signal
 import struct
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -46,6 +50,7 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_BATCH_SIZE = 128
 DEFAULT_PREFETCH = 10
+WORKERS = 2  # this process and the one child that _score forks
 
 
 class TrainingDivergedError(ClozereaderError):
@@ -121,17 +126,59 @@ def most_frequent_candidate_accuracy(corpus: EncodedCorpus) -> float:
 
 def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -> EvalResult:
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
-    as predictions in input order; batches go in context-length order."""
+    as predictions in input order; batches go in context-length order.
+
+    With two or more batches, ``WORKERS`` usable CPUs and no other Python
+    thread, a forked child scores the odd-numbered batches into the shared
+    rows and this process the even ones; a row depends on its batch alone,
+    so no bit changes.  The batches of a child that fails, or cannot start,
+    are scored here, so an error is raised as in one process; an error here
+    kills the child first."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     (candidate_ids, _), (answers, _) = corpus.ids(slice(None), CANDIDATES, ANSWER)
-    probabilities = np.zeros(candidate_ids.shape)
+    # Anonymous MAP_SHARED memory, zero-filled: a forked child writes its rows here too.
+    shared = mmap.mmap(-1, max(candidate_ids.size, 1) * 8)
+    probabilities = np.frombuffer(shared, count=candidate_ids.size).reshape(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
-    for batch in _batches(corpus, order, batch_size):
-        rows = score(batch)
-        probabilities[batch.indices, : rows.shape[1]] = rows
+
+    def walk(me: int, stride: int) -> None:
+        for k, batch in enumerate(_batches(corpus, order, batch_size)):
+            if k % stride == me:
+                rows = score(batch)
+                probabilities[batch.indices, : rows.shape[1]] = rows
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # A fork copies this thread alone: a lock another thread holds would hang the child.
+    alone = threading.active_count() == 1
+    stride = WORKERS if len(order) > batch_size and cpus >= WORKERS and alone else 1
+    child, failed = None, False
+    if stride > 1:
+        try:
+            child = os.fork()
+        except OSError:  # no process to spare: this one walks every batch
+            failed = True
+    if child == 0:
+        # The child never returns: no caller frame, handler or buffer runs twice.
+        status = 1
+        try:
+            walk(1, stride)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        walk(0, stride)
+        if child:
+            failed = os.waitpid(child, 0)[1] != 0
+            child = None
+    finally:
+        if child:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+    if failed:
+        walk(1, stride)
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 

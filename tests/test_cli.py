@@ -1003,6 +1003,21 @@ def test_a_symlinked_output_is_written_at_its_target(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
+def test_a_rewritten_output_keeps_its_permission_bits(tmp_path):
+    tsv = tmp_path / "report.tsv"
+    print_report([("a", 1)], str(tsv))
+    tsv.chmod(0o600)
+    print_report([("b", 2)], str(tsv))
+    assert stat.S_IMODE(tsv.stat().st_mode) == 0o600
+    assert report_dict(tsv) == {"b": "2"}
+    # A new output takes the umask's default bits.
+    fresh = tmp_path / "fresh.tsv"
+    print_report([("a", 1)], str(fresh))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
 # ----------------------------------------------------------- config parsing
 
 

@@ -4,6 +4,8 @@ against itself."""
 import importlib.util
 from pathlib import Path
 
+from clozereader.cbtio import read_examples
+
 _SPEC = importlib.util.spec_from_file_location(
     "equiv", Path(__file__).resolve().parents[1] / "tools" / "equiv.py")
 equiv = importlib.util.module_from_spec(_SPEC)
@@ -22,6 +24,11 @@ def test_a_sweep_of_the_working_tree_against_itself_is_all_equal(tmp_path):
         for item in ("probabilities", "attention", "batches", "gradients", "clipped"):
             assert f"{item} {model}" in first
     assert "model E32/H32/L1" in first
+    # That model's train split walk is long enough to fork, and uneven.
+    train_split = read_examples(tmp_path / "first" / "ne" / "ne_train.txt")
+    batches = -(-len(train_split) // equiv.SPLIT_BATCH_SIZE)
+    assert batches >= 3 and batches % 2 == 1
+    assert f"model E32/H32/L1 train split at batch {equiv.SPLIT_BATCH_SIZE}" in first
     assert "fixture library" in first
     assert "listing" in first
     for eval_every, patience in equiv.SCHEDULES:

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -21,6 +22,7 @@ from clozereader.asreader import (
     Batch,
     Model,
     ModelConfig,
+    occurrences,
     predictions_from_scores,
 )
 from clozereader.numerics import Tensor, clip_gradients, no_grad, write_tensor
@@ -31,6 +33,7 @@ from clozereader.training import (
     CheckpointError,
     TrainConfig,
     TrainingDivergedError,
+    _score,
     evaluate,
     load_checkpoint,
     make_batches,
@@ -39,6 +42,7 @@ from clozereader.training import (
     train,
 )
 from clozereader.vocab import (
+    CANDIDATES,
     GAP_ID,
     PAD_ID,
     EncodedCorpus,
@@ -328,6 +332,185 @@ def test_most_frequent_candidate_baseline():
     # One's padding candidate column counts none of its padding positions.
     wide = EncodedExample([9] * 6, [GAP_ID], 9, [9, 7, 8], {})
     assert accuracy(one, wide) == 1.0
+
+
+# ------------------------------------------------------------ split walk
+
+
+def split_setup(n):
+    """An E8/H8/L1 model and ``n`` pointing examples, half with ten
+    candidates and half with four."""
+    raw = (associative_recall_examples(n // 2, 0)
+           + associative_recall_examples(n - n // 2, 1, n_pairs=4))
+    vocabulary = build_vocab(raw, cap=200, anon_count=50)
+    model = Model(vocabulary, ModelConfig(embedding_dim=8, hidden_units=8, recurrent_layers=1))
+    return model, encode_dataset(raw, vocabulary, 0)
+
+
+def on_cpus(monkeypatch, n, run):
+    """``run()`` in a process that may run on ``n`` CPUs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return run()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made in this process."""
+    calls, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or real_fork())
+    return calls
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("n_batches", [1, 2, 3, 7])
+def test_the_split_walk_scores_bit_for_bit_as_one_process(monkeypatch, forks, n_batches):
+    model, corpus = split_setup(4 * n_batches - 1)
+    widths = corpus.ids(slice(None), CANDIDATES)[0][1]
+    assert sorted(set(widths.tolist())) == [4, 10]
+
+    def run():
+        return (evaluate(model, corpus, batch_size=4),
+                _score(corpus, lambda batch: occurrences(
+                    batch.context, batch.context_lengths, batch.candidates).sum(axis=2), 4))
+
+    alone = on_cpus(monkeypatch, 1, run)
+    assert forks == []
+    split = on_cpus(monkeypatch, 2, run)
+    assert len(forks) == 2 * (n_batches > 1)
+    for one, two in zip(alone, split):
+        assert one.predictions.probabilities.tobytes() == two.predictions.probabilities.tobytes()
+        assert one.predictions.candidate_ids.tobytes() == two.predictions.candidate_ids.tobytes()
+        assert one.accuracy == two.accuracy
+    assert_no_child()
+
+
+def test_a_one_batch_walk_never_forks(monkeypatch):
+    model, corpus = split_setup(8)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=8))
+    on_cpus(monkeypatch, 2, lambda: most_frequent_candidate_accuracy(corpus))
+
+
+def test_a_process_with_another_thread_never_forks(monkeypatch):
+    model, corpus = split_setup(27)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_a_child_that_fails_leaves_its_batches_to_the_parent(monkeypatch, forks):
+    model, corpus = split_setup(27)
+    alone = on_cpus(monkeypatch, 1, lambda: evaluate(model, corpus, batch_size=4))
+    parent, real_predict = os.getpid(), Model.predict
+
+    def predict(self, batch):
+        if os.getpid() != parent:
+            raise RuntimeError("failed in the child")
+        return real_predict(self, batch)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    split = on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    assert forks == [parent]
+    assert split.predictions.probabilities.tobytes() == alone.predictions.probabilities.tobytes()
+    assert split.accuracy == alone.accuracy
+    assert_no_child()
+
+
+def test_a_fork_that_fails_leaves_every_batch_to_this_process(monkeypatch):
+    model, corpus = split_setup(27)
+    alone = on_cpus(monkeypatch, 1, lambda: evaluate(model, corpus, batch_size=4))
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    split = on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    assert split.predictions.probabilities.tobytes() == alone.predictions.probabilities.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4], ids=["parent-batch", "child-batch", "last-batch"])
+def test_an_error_in_any_batch_is_raised_here_as_one_process_raises_it(monkeypatch, forks, bad):
+    model, corpus = split_setup(19)  # five batches of 4
+    first = np.argsort(corpus.context_lengths(), kind="stable")[4 * bad]
+    real_predict = Model.predict
+
+    def predict(self, batch):
+        if batch.indices[0] == first:
+            raise ValueError(f"batch starting at example {first}")
+        return real_predict(self, batch)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    messages = []
+    for cpus in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            on_cpus(monkeypatch, cpus, lambda: evaluate(model, corpus, batch_size=4))
+        messages.append(str(raised.value))
+        assert_no_child()
+    assert messages == [f"batch starting at example {first}"] * 2
+    assert len(forks) == 1
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch, forks):
+    model, corpus = split_setup(27)
+    parent, real_predict = os.getpid(), Model.predict
+
+    def predict(self, batch):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_predict(self, batch)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    assert forks == [parent]
+    assert_no_child()
+
+
+class Exited(BaseException):
+    """Raised by a stand-in for ``os._exit``, with its status."""
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
+    # The forked child's side of the walk, run in this process: ``os.fork``
+    # answers as in the child and ``os._exit`` raises instead of exiting.
+    model, corpus = split_setup(19)
+    scored, real_predict = [], Model.predict
+
+    def predict(self, batch):
+        scored.append(batch.indices.tolist())
+        if fails:
+            raise RuntimeError("failed in the child")
+        return real_predict(self, batch)
+
+    def exit_(status):
+        raise Exited(status)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(Exited) as exited:
+        on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    assert exited.value.args == (int(fails),)
+    order = np.argsort(corpus.context_lengths(), kind="stable").tolist()
+    batches = [order[start : start + 4] for start in range(0, 19, 4)]
+    assert scored == (batches[1:2] if fails else batches[1::2])
 
 
 # ------------------------------------------------------------------- train

@@ -29,9 +29,11 @@ reaches the clip threshold.  The E4/H4 models multiply only 8- and
 12-column blocks, so at the benchmark's model size, E32/H32/L1, the
 sweep also digests the first batch's loss and gradients and
 ``training.evaluate``'s probabilities, which take the 32-, 64- and
-96-column products.  On a fixed 16-example pointing set it also
-runs a small ``TrainConfig`` grid of evaluation schedules and patiences,
-and two divergences: a NaN loss and a NaN gradient norm.  The sweep's
+96-column products, on the test split and, in seven batches of 32, on
+the train split: a walk that ``evaluate`` splits unevenly between two
+processes.  On a fixed 16-example pointing set it also runs a small
+``TrainConfig`` grid of evaluation schedules and patiences, and two
+divergences: a NaN loss and a NaN gradient norm.  The sweep's
 books are written by the working tree's package, so each tree also
 digests a small fixture library of its own, written with and without a
 duplicate edition.  The wall-time column of the training logs is
@@ -74,6 +76,7 @@ MODELS = {f"cap{cap}-q{query_init}": (cap, query_init)
 TRAIN_SEED = 5
 ATTENTION_ROWS = 32
 GRADIENT_BATCHES = 3
+SPLIT_BATCH_SIZE = 32  # seven batches of the NE train split
 # (eval_every, patience) of each schedule item; each trains with prefetch_batches 1.
 SCHEDULES = [(eval_every, patience) for eval_every in (1, 17) for patience in (1, 2)]
 _WALL = re.compile(r"^(\d+\t[^\t]+\t[^\t]+\t)\d+\.\d{3}$", re.MULTILINE)
@@ -248,7 +251,8 @@ def _benchmark_size_digest(test_raw) -> dict[str, str]:
     epoch-0 batch of the NE train split, and of ``training.evaluate``'s
     probabilities on ``test_raw``, for an E32/H32/L1 model (the benchmark's
     size) at its initial weights, over the ``cap200000-q0`` checkpoint's
-    vocabulary."""
+    vocabulary; and of its probabilities on the train split in batches of
+    ``SPLIT_BATCH_SIZE``."""
     from clozereader.asreader import Model, ModelConfig
     from clozereader.cbtio import read_examples
     from clozereader.seeding import derive_seed
@@ -271,7 +275,11 @@ def _benchmark_size_digest(test_raw) -> dict[str, str]:
             digest.update(param.grad.tobytes())
     test = encode_dataset(test_raw, vocabulary, derive_seed(0, "eval"))
     digest.update(evaluate(model, test).predictions.probabilities.tobytes())
-    return {"model E32/H32/L1": digest.hexdigest()}
+    # The train split walks an odd number of batches, so a forked child takes one fewer.
+    split = evaluate(model, encoded, SPLIT_BATCH_SIZE).predictions.probabilities
+    return {"model E32/H32/L1": digest.hexdigest(),
+            f"model E32/H32/L1 train split at batch {SPLIT_BATCH_SIZE}":
+                hashlib.sha256(split).hexdigest()}
 
 
 def _schedule_digests() -> dict[str, str]:

@@ -14,10 +14,11 @@ Statements are found with ``ast``.  Docstrings, bare annotations and
 out: they run when a module loads or a function is defined, or not at all.
 A simple statement counts as reached when any of its lines runs, a compound
 one (``if``, ``for``, ``with``, ``try`` ...) when a line of its header does.
-Code that runs only in a subprocess is not traced, so a statement that only
-a subprocess reaches is listed.  Only frames of ``src/`` files trace lines,
-so tier-1 runs up to about 1.5 times as long as untraced; a test with a
-tight time budget could still fail under it, and the lists stand either way.
+Code that runs only in a subprocess or a forked child is not traced, so a
+statement that only such a process reaches is listed.  Only frames of
+``src/`` files trace lines, so tier-1 runs up to about 1.5 times as long
+as untraced; a test with a tight time budget could still fail under it,
+and the lists stand either way.
 """
 
 from __future__ import annotations
