@@ -19,6 +19,10 @@ from pathlib import Path
 
 __version__ = "0.1.0"
 
+# The thread counts that BLAS reads once, when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
 
 class ClozereaderError(Exception):
     """Base class for all errors raised by this package."""
@@ -50,8 +54,10 @@ def write_whole(path, mode: str = "w"):
     is fsynced, given the permission bits of the file it replaces, and
     renamed over ``path`` (over its target, if ``path`` is a symlink) only
     when the block ends without an exception, so an interrupted write leaves
-    the previous file, or none, and no temporary file.  A rename makes a new
-    file: another hard link to the old one keeps the old bytes."""
+    the previous file, or none, and no temporary file; a process killed
+    outright runs no cleanup, and leaves its temporary file beside the
+    previous one.  A rename makes a new file: another hard link to the old
+    one keeps the old bytes."""
     path = os.path.realpath(path)
     tmp_path = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp_path, mode) if "b" in mode else open(tmp_path, mode, encoding="utf-8",

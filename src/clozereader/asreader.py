@@ -127,6 +127,20 @@ class Batch:
     def size(self) -> int:
         return self.context.shape[0]
 
+    def token_ids(self) -> np.ndarray:
+        """The distinct ids of the context and question, ascending: the
+        embedding rows that a pass over the batch reads."""
+        return np.unique(np.concatenate((self.context.ravel(), self.question.ravel())))
+
+    def rows(self, start: int, stop: int) -> "Batch":
+        """Rows ``start`` to ``stop - 1``, their padding cut to the longest of them."""
+        t = int(self.context_lengths[start:stop].max())
+        q = int(self.question_lengths[start:stop].max())
+        return Batch(self.context[start:stop, :t], self.context_lengths[start:stop],
+                     self.question[start:stop, :q], self.question_lengths[start:stop],
+                     self.answers[start:stop], self.candidates[start:stop],
+                     self.indices[start:stop])
+
     def answer_positions(self, sources=None) -> np.ndarray:
         """(B, T) mask of where each row's answer occurs in its document.
         A row without one raises, naming its corpus index and, when the

@@ -21,17 +21,24 @@ have no file on its path, and a --tsv may go inside it.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
+from . import BLAS_THREAD_VARS, ClozereaderError, read_lines, write_lines
 
-from . import ClozereaderError, read_lines, write_lines
-from .asreader import Model, ModelConfig, Predictions
-from .cbtio import read_examples, write_examples
-from .clozegen import (
+# One BLAS thread unless the operator set a count: results then do not depend
+# on the thread count, and training and evaluation may fork a second process.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (BLAS reads the pin when numpy loads)
+
+from .asreader import Model, ModelConfig, Predictions  # noqa: E402
+from .cbtio import read_examples, write_examples  # noqa: E402
+from .clozegen import (  # noqa: E402
     SPLITS,
     ClozeExample,
     GenerationReport,
@@ -41,8 +48,8 @@ from .clozegen import (
     generate_from_book,
     split_books,
 )
-from .corpus import ingest_books, read_wordlist, tokenize_book
-from .ensemble import (
+from .corpus import ingest_books, read_wordlist, tokenize_book  # noqa: E402
+from .ensemble import (  # noqa: E402
     EnsembleMember,
     average_predictions,
     correct_flags,
@@ -53,9 +60,9 @@ from .ensemble import (
     union_accuracy,
     write_ensemble_spec,
 )
-from .seeding import derive_seed
-from .tagger import WordType, default_config, tag_book
-from .training import (
+from .seeding import derive_seed  # noqa: E402
+from .tagger import WordType, default_config, tag_book  # noqa: E402
+from .training import (  # noqa: E402
     TrainConfig,
     TrainingDivergedError,
     evaluate as evaluate_model,
@@ -63,7 +70,9 @@ from .training import (
     most_frequent_candidate_accuracy,
     train as run_training,
 )
-from .vocab import DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedCorpus, build_vocab, encode_dataset
+from .vocab import (  # noqa: E402
+    DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedCorpus, build_vocab, encode_dataset,
+)
 
 _WORD_TYPES = {"ne": WordType.NAMED_ENTITY, "cn": WordType.COMMON_NOUN}
 

@@ -13,6 +13,16 @@ multiple of ``eval_every``.  An evaluation that beats every earlier one
 saves the checkpoint, so the first one always does; ``patience``
 evaluations in a row without a new best stop training.
 
+A step is defined as two halves of its batch (``_Halves``): the loss and
+gradient are the row-weighted sums of those of its first and second half,
+each half padded to its own longest row.  A forked worker computes the
+second half on the other core while this process computes the first;
+without one, this process computes both, with the same bits.  So training
+outputs do not depend on the CPU count.  They differ, at about 1e-16
+relative, from those of a step over the whole batch at once, as training
+did before its steps were split: the halves' products have other shapes,
+so BLAS rounds them in another order.
+
 Training logs one tab-separated line per evaluation: step number, the
 step's loss (full repr), validation accuracy, and wall-clock seconds.
 Everything except the wall column is reproducible bit for bit for a
@@ -30,15 +40,17 @@ import signal
 import struct
 import threading
 import time
+from collections.abc import Callable, Iterator
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import ClozereaderError, write_whole
+from . import BLAS_THREAD_VARS, ClozereaderError, write_whole
 from .asreader import Batch, Model, ModelConfig, Predictions, check_counts, occurrences
 from .ensemble import prediction_accuracy
 from .numerics import (
-    DEFAULT_LEARNING_RATE, Adam, TensorFormatError, clip_gradients, read_tensor,
+    DEFAULT_LEARNING_RATE, Adam, TensorFormatError, clip_gradients, mul, read_tensor,
     write_tensor, zero_frozen_rows, zero_grads,
 )
 from .numerics.serialize import read_exactly
@@ -50,7 +62,7 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_BATCH_SIZE = 128
 DEFAULT_PREFETCH = 10
-WORKERS = 2  # this process and the one child that _score forks
+WORKERS = 2  # this process and the one child that it forks
 
 
 class TrainingDivergedError(ClozereaderError):
@@ -128,12 +140,11 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
     as predictions in input order; batches go in context-length order.
 
-    With two or more batches, ``WORKERS`` usable CPUs and no other Python
-    thread, a forked child scores the odd-numbered batches into the shared
-    rows and this process the even ones; a row depends on its batch alone,
-    so no bit changes.  The batches of a child that fails, or cannot start,
-    are scored here, so an error is raised as in one process; an error here
-    kills the child first."""
+    With two or more batches, a forked ``_Child`` scores the odd-numbered
+    batches into the shared rows and this process the even ones; a row
+    depends on its batch alone, so no bit changes.  The batches of a child
+    that fails, or does not start, are scored here, so an error is raised as
+    in one process."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -144,43 +155,203 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     probabilities = np.frombuffer(shared, count=candidate_ids.size).reshape(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
 
-    def walk(me: int, stride: int) -> None:
+    def walk(me: int, stride: int) -> Iterator[None]:
         for k, batch in enumerate(_batches(corpus, order, batch_size)):
             if k % stride == me:
+                yield
                 rows = score(batch)
                 probabilities[batch.indices, : rows.shape[1]] = rows
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # A fork copies this thread alone: a lock another thread holds would hang the child.
-    alone = threading.active_count() == 1
-    stride = WORKERS if len(order) > batch_size and cpus >= WORKERS and alone else 1
-    child, failed = None, False
-    if stride > 1:
-        try:
-            child = os.fork()
-        except OSError:  # no process to spare: this one walks every batch
-            failed = True
-    if child == 0:
-        # The child never returns: no caller frame, handler or buffer runs twice.
-        status = 1
-        try:
-            walk(1, stride)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        walk(0, stride)
-        if child:
-            failed = os.waitpid(child, 0)[1] != 0
-            child = None
-    finally:
-        if child:
-            os.kill(child, signal.SIGKILL)
-            os.waitpid(child, 0)
+    with _Child(walk(1, WORKERS), wanted=len(order) > batch_size) as child:
+        stride = WORKERS if child.pid else 1
+        for _ in walk(0, stride):
+            pass
+        failed = child.pid is not None and not child.reap()
     if failed:
-        walk(1, stride)
+        for _ in walk(1, stride):
+            pass
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
+
+
+def _may_fork() -> bool:
+    """Whether a second process may run: this one may run on ``WORKERS``
+    CPUs, it runs no other Python thread (a fork copies this thread alone,
+    so a lock another thread holds would hang the child), and BLAS runs one
+    thread, as every variable it reads when numpy loads says (a BLAS pool in
+    each process would put more threads than cores on the CPUs)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return (cpus >= WORKERS and threading.active_count() == 1
+            and all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS))
+
+
+class _Child:
+    """A forked child that runs the iterator ``job`` to its end, the one way
+    this module starts a process.
+
+    ``pid`` is None, and the caller does the child's work itself, when the
+    child is not ``wanted``, ``_may_fork`` says no, or the fork raises
+    ``OSError``; ``prepare()`` runs just before the fork.  Before each item
+    of the job the child checks that its parent is still alive.  It ends in
+    ``os._exit``, with status 0 when the job ran out and 1 when it raised or
+    its parent is gone, so no caller frame, handler or buffer runs twice.
+    A child still running when the ``with`` block ends is killed, and every
+    child is reaped."""
+
+    def __init__(self, job: Iterator, prepare: Callable[[], None] = lambda: None,
+                 wanted: bool = True):
+        self.pid = None
+        if not (wanted and _may_fork()):
+            return
+        prepare()
+        parent = os.getpid()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare
+            return
+        if self.pid == 0:
+            status = 1
+            try:
+                for _ in job:
+                    if os.getppid() != parent:  # orphaned: nobody reads the rest
+                        break
+                else:
+                    status = 0
+            finally:
+                os._exit(status)
+
+    def __enter__(self) -> "_Child":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pid:
+            self.reap(kill=True)
+
+    def reap(self, kill: bool = False) -> bool:
+        """Wait for the child, killed first when ``kill``; whether it exited
+        with status 0."""
+        pid, self.pid = self.pid, None
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1] == 0
+
+
+class _Halves:
+    """The two halves of each step over one epoch's ``batches``.
+
+    A batch of n rows is split at h = (n + 1) // 2.  The step's loss and
+    gradient are (h/n)·L₁ + ((n−h)/n)·L₂ and (h/n)·g₁ + ((n−h)/n)·g₂ over
+    rows [0, h) and [h, n), each half padded to its own longest row and
+    summed in that order; a one-row batch is one half.  This process
+    computes the first half, and a forked worker the second when one runs:
+    it holds the epoch's batches, takes one half per byte on its command
+    pipe, and sees the parameters in memory shared with it, where Adam
+    updates them in place.  Of the embedding's gradient it hands back only
+    the rows its half reads; the others are 0.  Without a worker, or once it
+    fails, this process computes both halves, with the same bits."""
+
+    def __init__(self, model: Model, batches: list[Batch]):
+        self.model, self.params = model, model.parameters()
+        self.fds: list[int] = []  # the pipe ends this process holds
+        self.child = _Child(self._serve(batches), self._prepare,
+                            wanted=any(batch.size > 1 for batch in batches))
+        if self.child.pid:
+            # The worker's ends: with them closed here, its exit reads as EOF.
+            os.close(self.go_r)
+            os.close(self.done_w)
+            self.fds = [self.go, self.done]
+
+    def __enter__(self) -> "_Halves":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.child.__exit__(*exc)
+        for fd in self.fds:
+            os.close(fd)
+
+    def _prepare(self) -> None:
+        """Move the parameters into anonymous MAP_SHARED memory, and make
+        the worker's slots for its loss and gradients there, and its pipes."""
+        sizes = [p.data.size for p in self.params]
+        bounds = np.cumsum(sizes)[:-1]
+        data = np.frombuffer(mmap.mmap(-1, sum(sizes) * 8))
+        for p, flat in zip(self.params, np.split(data, bounds)):
+            flat = flat.reshape(p.data.shape)
+            flat[...] = p.data
+            p.data = flat
+        self.slots = np.frombuffer(mmap.mmap(-1, (1 + sum(sizes)) * 8))
+        self.views = [flat.reshape(p.data.shape)
+                      for p, flat in zip(self.params, np.split(self.slots[1:], bounds))]
+        (self.go_r, self.go), (self.done, self.done_w) = os.pipe(), os.pipe()
+        self.fds = [self.go_r, self.go, self.done, self.done_w]
+
+    def _serve(self, batches: list[Batch]) -> Iterator[None]:
+        """The worker: the second half of each batch of two or more rows,
+        each when the parent's byte comes; an EOF, from a parent that is
+        gone, ends it."""
+        os.close(self.go)
+        os.close(self.done)
+        for batch in batches:
+            if batch.size < 2:
+                continue
+            if not os.read(self.go_r, 1):
+                return
+            yield
+            self.slots[0], grads, _ = self._second(batch)
+            for view, grad in zip(self.views, grads):
+                if grad is not None:
+                    view[: len(grad)] = grad
+            os.write(self.done_w, b"\0")
+
+    def _half(self, batch: Batch, start: int, stop: int) -> tuple[float, list]:
+        """(stop − start)/n times the loss of rows [start, stop) of the n-row
+        ``batch``, and each parameter's gradient of that (None for none).
+        The weight is a node of the tape, so no gradient is scaled after."""
+        zero_grads(self.params)
+        loss = mul(self.model.loss(batch.rows(start, stop)), (stop - start) / batch.size)
+        value = loss.item()
+        if math.isfinite(value):
+            loss.backward()
+        # Free this half's graph before the next forward pass builds one.
+        del loss
+        return value, [p.grad for p in self.params]
+
+    def _second(self, batch: Batch) -> tuple[float, list, np.ndarray]:
+        """``_half`` of the second half, with the embedding's gradient cut to
+        the rows that half reads, and those rows."""
+        h = (batch.size + 1) // 2
+        value, grads = self._half(batch, h, batch.size)
+        rows = batch.rows(h, batch.size).token_ids()
+        return value, [grad if grad is None or p is not self.model.embedding else grad[rows]
+                       for p, grad in zip(self.params, grads)], rows
+
+    def step(self, batch: Batch) -> float:
+        """The step's loss; each parameter's ``grad`` becomes the step's gradient."""
+        n = batch.size
+        h = (n + 1) // 2
+        sent = False
+        if h < n and self.child.pid:
+            with suppress(BrokenPipeError):  # a worker that died since its last half
+                sent = os.write(self.go, b"\0") == 1
+        loss, grads = self._half(batch, 0, h)
+        if h < n:
+            if sent and os.read(self.done, 1):
+                more, others = float(self.slots[0]), self.views
+                rows = batch.rows(h, n).token_ids()
+            else:
+                if self.child.pid:  # the worker failed: its halves are computed here
+                    self.child.reap(kill=True)
+                more, others, rows = self._second(batch)
+            loss += more
+            if math.isfinite(loss):  # both halves ran backward, so every gradient exists
+                for param, grad, other in zip(self.params, grads, others):
+                    if param is self.model.embedding:
+                        grad[rows] += other[: len(rows)]
+                    else:
+                        grad += other
+        for param, grad in zip(self.params, grads):
+            param.grad = grad
+        return loss
 
 
 @dataclass
@@ -208,6 +379,8 @@ def train(
     parameters are updated.  Empty corpora are rejected before the first
     step, and so, through ``make_batches``, are training examples whose
     answer never occurs in the document: epoch 0's batches cover them all.
+    Once a worker has run, the parameters' arrays are views of memory
+    shared with it.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -223,47 +396,46 @@ def train(
     for epoch in range(config.max_epochs):
         result.epochs = epoch + 1
         batches = make_batches(train_examples, config, derive_seed(config.rng_seed, "epoch", epoch))
-        for batch in batches:
-            zero_grads(params)
-            loss = model.loss(batch)
-            loss_value = loss.item()
-            extra = {"step": result.steps, "loss": loss_value}
-            if math.isfinite(loss_value):
-                loss.backward()
-                # Gradient that Adam would discard must not count towards the clip.
-                zero_frozen_rows(params)
-                extra["grad_norm"] = clip_gradients([p.grad for p in params if p.grad is not None])
-            # Free this step's graph before the next forward pass builds one.
-            del loss
-            # A non-finite loss skips the backward pass, so the last value is the one to check.
-            name, value = list(extra.items())[-1]
-            if not math.isfinite(value):
-                if checkpoint_path is not None:
-                    save_checkpoint(model, checkpoint_path + ".diverged", extra=extra)
-                what = "gradient norm" if name == "grad_norm" else name
-                raise TrainingDivergedError(f"non-finite {what} {value!r} at step {result.steps}")
-            optimizer.step()
-            result.steps += 1
-            examples_seen += batch.size
-            crossed_mark = examples_seen // eval_every > (examples_seen - batch.size) // eval_every
-            if not crossed_mark and batch is not batches[-1]:
-                continue
-            accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
-            if accuracy > result.best_accuracy:
-                result.best_accuracy, result.best_step, since_best = accuracy, result.steps, 0
-                if checkpoint_path is not None:
-                    save_checkpoint(model, checkpoint_path,
-                                    extra={"validation_accuracy": accuracy, "step": result.steps})
-            else:
-                since_best += 1
-            line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
-                    f"\t{time.monotonic() - started:.3f}")
-            result.log_lines.append(line)
-            if log_fh is not None:
-                log_fh.write(line + "\n")
-                log_fh.flush()
-            if since_best == config.patience:
-                return result
+        with _Halves(model, batches) as halves:
+            for batch in batches:
+                loss_value = halves.step(batch)
+                extra = {"step": result.steps, "loss": loss_value}
+                if math.isfinite(loss_value):
+                    # Gradient that Adam would discard must not count towards the clip.
+                    zero_frozen_rows(params)
+                    extra["grad_norm"] = clip_gradients([p.grad for p in params
+                                                         if p.grad is not None])
+                # A non-finite loss skips the backward pass, so the last value is the one to check.
+                name, value = list(extra.items())[-1]
+                if not math.isfinite(value):
+                    if checkpoint_path is not None:
+                        save_checkpoint(model, checkpoint_path + ".diverged", extra=extra)
+                    what = "gradient norm" if name == "grad_norm" else name
+                    raise TrainingDivergedError(
+                        f"non-finite {what} {value!r} at step {result.steps}")
+                optimizer.step()
+                result.steps += 1
+                examples_seen += batch.size
+                crossed_mark = (examples_seen // eval_every
+                                > (examples_seen - batch.size) // eval_every)
+                if not crossed_mark and batch is not batches[-1]:
+                    continue
+                accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
+                if accuracy > result.best_accuracy:
+                    result.best_accuracy, result.best_step, since_best = accuracy, result.steps, 0
+                    if checkpoint_path is not None:
+                        save_checkpoint(model, checkpoint_path, extra={
+                            "validation_accuracy": accuracy, "step": result.steps})
+                else:
+                    since_best += 1
+                line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
+                        f"\t{time.monotonic() - started:.3f}")
+                result.log_lines.append(line)
+                if log_fh is not None:
+                    log_fh.write(line + "\n")
+                    log_fh.flush()
+                if since_best == config.patience:
+                    return result
     return result
 
 

@@ -3,12 +3,9 @@ every test sees single-threaded, bit-reproducible linear algebra."""
 
 import os
 
-for _var in (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
+from clozereader import BLAS_THREAD_VARS  # the package's __init__ loads no numpy
+
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402

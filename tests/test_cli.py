@@ -6,12 +6,14 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import clozereader
-from clozereader import ClozereaderError, write_lines
+from clozereader import BLAS_THREAD_VARS, ClozereaderError, write_lines
 from clozereader.cbtio import read_examples, write_examples
 from clozereader.cli import (
     CliError,
@@ -102,6 +104,24 @@ def test_train_writes_checkpoint_log_and_report(cli_workspace):
     n_train = len(read_examples(train_path))
     assert int(report["steps"]) == -(-n_train // 24) * 2  # 2 epochs of batch 24
     assert int(report["epochs"]) == 2
+
+
+def test_train_pins_blas_to_one_thread_unless_a_count_is_set(cli_workspace, tmp_path):
+    # A BLAS pool splits its sums by thread: an unpinned run wrote other bytes.
+    root, train_path, valid_path, config_path, _ = cli_workspace
+    src = str(Path(clozereader.__file__).parents[1])
+    checkpoints = []
+    for pinned in (False, True):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1") if pinned else {}, PYTHONPATH=src)
+        out = tmp_path / f"pinned-{pinned}.ckpt"
+        run = subprocess.run([sys.executable, "-m", "clozereader.cli", "train",
+                              "--train", str(train_path), "--valid", str(valid_path),
+                              "--config", str(config_path), "--out", str(out), "--seed", "5"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_train_rejects_unknown_config_key(cli_workspace, tmp_path, capsys):

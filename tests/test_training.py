@@ -1,15 +1,18 @@
 """Bucketed batching, evaluation, the training loop, checkpoints."""
 
+import contextlib
 import gc
 import io
 import json
 import os
 import platform
 import re
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -17,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clozereader import BLAS_THREAD_VARS
 from clozereader.asreader import (
     AnswerNotInDocumentError,
     Batch,
@@ -408,10 +412,24 @@ def test_a_process_with_another_thread_never_forks(monkeypatch):
     other.start()
     try:
         on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+        on_cpus(monkeypatch, 2, lambda: train(model, corpus, corpus, TrainConfig(batch_size=4)))
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+@pytest.mark.parametrize("count", [None, "2"], ids=["unset", "two-threads"])
+def test_a_process_whose_blas_may_run_threads_never_forks(monkeypatch, count):
+    # Each process would run a BLAS pool of its own, more threads than cores.
+    model, corpus = split_setup(27)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if count is not None:
+        monkeypatch.setenv(BLAS_THREAD_VARS[0], count)
+    on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    on_cpus(monkeypatch, 2, lambda: train(model, corpus, corpus, TrainConfig(batch_size=4)))
 
 
 def test_a_child_that_fails_leaves_its_batches_to_the_parent(monkeypatch, forks):
@@ -489,7 +507,8 @@ class Exited(BaseException):
 @pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
 def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
     # The forked child's side of the walk, run in this process: ``os.fork``
-    # answers as in the child and ``os._exit`` raises instead of exiting.
+    # and ``os.getppid`` answer as in the child and ``os._exit`` raises
+    # instead of exiting.
     model, corpus = split_setup(19)
     scored, real_predict = [], Model.predict
 
@@ -504,6 +523,7 @@ def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
 
     monkeypatch.setattr(Model, "predict", predict)
     monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "getppid", os.getpid)
     monkeypatch.setattr(os, "_exit", exit_)
     with pytest.raises(Exited) as exited:
         on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
@@ -511,6 +531,27 @@ def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
     order = np.argsort(corpus.context_lengths(), kind="stable").tolist()
     batches = [order[start : start + 4] for start in range(0, 19, 4)]
     assert scored == (batches[1:2] if fails else batches[1::2])
+
+
+def test_an_orphaned_child_exits_before_its_next_batch(monkeypatch):
+    model, corpus = split_setup(19)
+    scored, real_predict = [], Model.predict
+
+    def predict(self, batch):
+        scored.append(batch.indices.tolist())
+        return real_predict(self, batch)
+
+    def exit_(status):
+        raise Exited(status)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "getppid", lambda: 1)  # the parent is gone: init adopted the child
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(Exited) as exited:
+        on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    assert exited.value.args == (1,)
+    assert scored == []
 
 
 # ------------------------------------------------------------------- train
@@ -692,7 +733,8 @@ def test_train_clips_without_the_gradient_of_frozen_anonymous_rows(monkeypatch):
     assert norms[0] == pytest.approx(0.0805, abs=5e-5)
 
 
-def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1-cpu", "2-cpus"])
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch, cpus):
     model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
     real_loss = Model.loss
     losses = []
@@ -710,8 +752,235 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
         learning_rate=0.001, batch_size=4, prefetch_batches=1,
         max_epochs=1, patience=1, rng_seed=0,
     )
-    train(model, enc_train, enc_valid, config)
-    assert alive_at_entry == [False, False, False]
+    on_cpus(monkeypatch, cpus, lambda: train(model, enc_train, enc_valid, config))
+    # Four steps of two halves: one process computes both halves of a step,
+    # between which no graph is alive either; with a worker, the second half
+    # is the worker's, and this process calls the loss once a step.
+    assert alive_at_entry == [False] * ({1: 8, 2: 4}[cpus] - 1)
+
+
+# ------------------------------------------------------------ two-half steps
+
+
+def half_setup():
+    """Thirteen pointing examples for two epochs, in batches of 3 (the
+    halves of 2 and 1 rows weigh 2/3 and 1/3) and, amid them, one of 1."""
+    model, enc_train, enc_valid = toy_setup(n_train=13, n_valid=6)
+    config = TrainConfig(learning_rate=0.003, batch_size=3, prefetch_batches=5, eval_every=6,
+                         max_epochs=2, patience=10, rng_seed=4)
+    return model, enc_train, enc_valid, config
+
+
+def train_bytes(monkeypatch, cpus, tmp_path):
+    """The checkpoint, the log without its wall column, and the last
+    parameters of ``half_setup``'s run on ``cpus`` CPUs."""
+    model, enc_train, enc_valid, config = half_setup()
+    path, log = tmp_path / f"model-{cpus}.ckpt", io.StringIO()
+    on_cpus(monkeypatch, cpus, lambda: train(model, enc_train, enc_valid, config, str(path), log))
+    return (path.read_bytes(), [line.rsplit("\t", 1)[0] for line in log.getvalue().splitlines()],
+            [p.data.tobytes() for p in model.parameters()])
+
+
+def test_training_writes_the_same_bytes_on_one_and_two_cpus(monkeypatch, forks, tmp_path):
+    _, enc_train, _, config = half_setup()
+    batches = make_batches(enc_train, config, derive_seed(config.rng_seed, "epoch", 0))
+    assert [batch.size for batch in batches] == [3, 3, 3, 1, 3]
+    alone = train_bytes(monkeypatch, 1, tmp_path)
+    assert forks == []
+    split = train_bytes(monkeypatch, 2, tmp_path)
+    # A worker per epoch, and a child for each validation pass: two an epoch,
+    # as a step crosses a multiple of 6 examples, the second at its end.
+    assert len(forks) == 2 + 4
+    assert split == alone
+    assert_no_child()
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The pids of the children forked in this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("failure", ["raises", "dies", "dies-idle"])
+def test_a_worker_that_fails_leaves_its_halves_to_this_process(monkeypatch, children, tmp_path,
+                                                               failure):
+    alone = train_bytes(monkeypatch, 1, tmp_path)
+    parent, real_loss, real_clip, killed = os.getpid(), Model.loss, clip_gradients, []
+
+    def loss(self, batch):
+        if os.getpid() != parent and failure == "raises":
+            raise RuntimeError("failed in the worker")
+        if os.getpid() != parent and failure == "dies":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_loss(self, batch)
+
+    def clip(grads):
+        # After its first half the worker dies, before this process sends the next.
+        if failure == "dies-idle" and not killed:
+            killed.append(children[0])
+            os.kill(children[0], signal.SIGKILL)
+            os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOWAIT)
+        return real_clip(grads)
+
+    monkeypatch.setattr(Model, "loss", loss)
+    monkeypatch.setattr("clozereader.training.clip_gradients", clip)
+    assert train_bytes(monkeypatch, 2, tmp_path) == alone
+    assert children
+    assert_no_child()
+
+
+def test_a_fork_that_fails_leaves_both_halves_to_this_process(monkeypatch, tmp_path):
+    alone = train_bytes(monkeypatch, 1, tmp_path)
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert train_bytes(monkeypatch, 2, tmp_path) == alone
+
+
+def test_an_interrupted_training_kills_and_reaps_its_worker(monkeypatch, forks):
+    model, enc_train, enc_valid, config = half_setup()
+    parent, real_loss, calls = os.getpid(), Model.loss, []
+
+    def loss(self, batch):
+        if os.getpid() == parent:
+            calls.append(batch)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return real_loss(self, batch)
+
+    monkeypatch.setattr(Model, "loss", loss)
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, lambda: train(model, enc_train, enc_valid, config))
+    assert forks == [parent]
+    assert_no_child()
+
+
+def test_the_worker_computes_each_second_half_then_exits(monkeypatch):
+    # The worker's side of an epoch, run in this process as the child's side
+    # of the split walk is above.  Three halves are asked for before it
+    # starts, and the test keeps a reader of its result pipe open.
+    model, enc_train, enc_valid, config = half_setup()
+    fds, computed, real_pipe, real_loss = [], [], os.pipe, Model.loss
+
+    def pipe():
+        ends = real_pipe()
+        fds.extend(ends)
+        if len(fds) == 2:
+            os.write(ends[1], b"\0\0\0")
+        else:
+            fds.append(os.dup(ends[0]))
+        return ends
+
+    def loss(self, batch):
+        computed.append(batch.indices.tolist())
+        return real_loss(self, batch)
+
+    def exit_(status):
+        raise Exited(status)
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(Model, "loss", loss)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "getppid", os.getpid)
+    monkeypatch.setattr(os, "_exit", exit_)
+    try:
+        with pytest.raises(Exited) as exited:
+            on_cpus(monkeypatch, 2, lambda: train(model, enc_train, enc_valid, config))
+        assert exited.value.args == (0,)
+        assert os.read(fds[-1], 8) == b"\0\0\0"
+    finally:
+        for fd in fds:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+    batches = make_batches(enc_train, config, derive_seed(config.rng_seed, "epoch", 0))
+    # The one-row batch, the fourth, is no worker's; the fifth finds the pipe closed.
+    assert computed == [batch.indices[2:].tolist() for batch in batches[:3]]
+
+
+# Trains or walks with a 50 ms sleep in each batch's loss or score, after
+# printing the pid of each child it forks.
+ORPHAN_SCRIPT = """
+import os, sys, time
+from clozereader.asreader import Model, ModelConfig, occurrences
+from clozereader.synthdata import associative_recall_examples
+from clozereader.training import TrainConfig, _score, train
+from clozereader.vocab import build_vocab, encode_dataset
+
+raw = associative_recall_examples(400, 0)
+vocabulary = build_vocab(raw, cap=200, anon_count=50)
+corpus = encode_dataset(raw, vocabulary, 0)
+real_fork, real_loss = os.fork, Model.loss
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+def score(batch):
+    time.sleep(0.05)
+    return occurrences(batch.context, batch.context_lengths, batch.candidates).sum(axis=2)
+
+
+def loss(self, batch):
+    time.sleep(0.05)
+    return real_loss(self, batch)
+
+
+os.fork, Model.loss = fork, loss
+if sys.argv[1] == "walk":
+    _score(corpus, score, 4)
+else:
+    model = Model(vocabulary, ModelConfig(embedding_dim=8, hidden_units=8, recurrent_layers=1))
+    train(model, corpus, corpus, TrainConfig(batch_size=4, max_epochs=1))
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(") ", 1)[1][0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not os.path.isdir("/proc/self"), reason="needs 2 CPUs and /proc")
+@pytest.mark.parametrize("job", ["walk", "epoch"])
+def test_a_child_outlives_a_killed_parent_by_about_one_batch(job):
+    import clozereader
+
+    src = os.path.dirname(os.path.dirname(clozereader.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    parent = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, job], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(parent.stdout.readline())
+        time.sleep(0.2)  # mid-walk, or mid-epoch: dozens of 50 ms batches are left
+        parent.kill()
+        parent.wait(timeout=60)
+        deadline = time.monotonic() + 1.0
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(child)
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+        parent.stdout.close()
 
 
 # One training step on a fixed (B=32, T=180) batch at E32/H32/L1, the
