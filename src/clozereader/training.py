@@ -40,8 +40,8 @@ import signal
 import struct
 import threading
 import time
-from collections.abc import Callable, Iterator
-from contextlib import suppress
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -102,18 +102,13 @@ def make_batches(corpus: EncodedCorpus, config: TrainConfig, epoch_seed: int) ->
     for start in range(0, len(order), window_size):
         window = order[start : start + window_size]
         window.sort(key=lengths.__getitem__)
-        window_batches = list(_batches(corpus, window, config.batch_size))
+        window_batches = [Batch.from_corpus(corpus, window[i : i + config.batch_size])
+                          for i in range(0, len(window), config.batch_size)]
         rng.shuffle(window_batches)
         batches += window_batches
     for batch in batches:
         batch.answer_positions(corpus.sources)
     return batches
-
-
-def _batches(corpus: EncodedCorpus, order, size: int = DEFAULT_BATCH_SIZE):
-    """Batches of ``size`` examples of ``corpus``, taken in ``order``."""
-    for start in range(0, len(order), size):
-        yield Batch.from_corpus(corpus, order[start : start + size])
 
 
 @dataclass
@@ -140,11 +135,13 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
     as predictions in input order; batches go in context-length order.
 
-    With two or more batches, a forked ``_Child`` scores the odd-numbered
-    batches into the shared rows and this process the even ones; a row
-    depends on its batch alone, so no bit changes.  The batches of a child
-    that fails, or does not start, are scored here, so an error is raised as
-    in one process."""
+    With two or more batches, a forked ``_Child`` builds and scores the
+    odd-numbered batches into the shared rows and this process the even
+    ones; a row depends on its batch alone, so no bit changes.  The batches
+    of a child that fails, or does not start, are scored here, so the walk
+    raises exactly when one process would.  With two or more bad batches the
+    error raised can be another one's: this process meets its own bad batch
+    before it takes over the child's."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -154,21 +151,21 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     shared = mmap.mmap(-1, max(candidate_ids.size, 1) * 8)
     probabilities = np.frombuffer(shared, count=candidate_ids.size).reshape(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
+    starts = range(0, len(order), batch_size)
 
-    def walk(me: int, stride: int) -> Iterator[None]:
-        for k, batch in enumerate(_batches(corpus, order, batch_size)):
-            if k % stride == me:
-                yield
-                rows = score(batch)
-                probabilities[batch.indices, : rows.shape[1]] = rows
+    def walk(share: range) -> Iterator[None]:
+        for start in share:
+            yield
+            batch = Batch.from_corpus(corpus, order[start : start + batch_size])
+            rows = score(batch)
+            probabilities[batch.indices, : rows.shape[1]] = rows
 
-    with _Child(walk(1, WORKERS), wanted=len(order) > batch_size) as child:
-        stride = WORKERS if child.pid else 1
-        for _ in walk(0, stride):
+    with _Child(walk(starts[1::WORKERS]), wanted=len(starts) > 1) as child:
+        for _ in walk(starts[::WORKERS] if child.pid else starts):
             pass
         failed = child.pid is not None and not child.reap()
     if failed:
-        for _ in walk(1, stride):
+        for _ in walk(starts[1::WORKERS]):
             pass
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
@@ -191,19 +188,16 @@ class _Child:
 
     ``pid`` is None, and the caller does the child's work itself, when the
     child is not ``wanted``, ``_may_fork`` says no, or the fork raises
-    ``OSError``; ``prepare()`` runs just before the fork.  Before each item
-    of the job the child checks that its parent is still alive.  It ends in
-    ``os._exit``, with status 0 when the job ran out and 1 when it raised or
-    its parent is gone, so no caller frame, handler or buffer runs twice.
-    A child still running when the ``with`` block ends is killed, and every
-    child is reaped."""
+    ``OSError``.  Before each item of the job the child checks that its
+    parent is still alive.  It ends in ``os._exit``, with status 0 when the
+    job ran out and 1 when it raised or its parent is gone, so no caller
+    frame, handler or buffer runs twice.  A child still running when the
+    ``with`` block ends is killed, and every child is reaped."""
 
-    def __init__(self, job: Iterator, prepare: Callable[[], None] = lambda: None,
-                 wanted: bool = True):
+    def __init__(self, job: Iterator, wanted: bool):
         self.pid = None
         if not (wanted and _may_fork()):
             return
-        prepare()
         parent = os.getpid()
         try:
             self.pid = os.fork()
@@ -237,41 +231,22 @@ class _Child:
 
 
 class _Halves:
-    """The two halves of each step over one epoch's ``batches``.
+    """The two halves of each training step of ``model``.
 
     A batch of n rows is split at h = (n + 1) // 2.  The step's loss and
     gradient are (h/n)·L₁ + ((n−h)/n)·L₂ and (h/n)·g₁ + ((n−h)/n)·g₂ over
     rows [0, h) and [h, n), each half padded to its own longest row and
     summed in that order; a one-row batch is one half.  This process
-    computes the first half, and a forked worker the second when one runs:
-    it holds the epoch's batches, takes one half per byte on its command
-    pipe, and sees the parameters in memory shared with it, where Adam
-    updates them in place.  Of the embedding's gradient it hands back only
-    the rows its half reads; the others are 0.  Without a worker, or once it
-    fails, this process computes both halves, with the same bits."""
+    computes the first half, and a forked worker the second while one runs
+    (``worker``).  The parameters move into anonymous MAP_SHARED memory
+    here, once, where the worker sees Adam update them in place; the
+    worker's slots for its loss and gradients are made there too.  Of the
+    embedding's gradient it hands back only the rows its half reads; the
+    others are 0.  Without a worker, or once it fails, this process
+    computes both halves, with the same bits."""
 
-    def __init__(self, model: Model, batches: list[Batch]):
+    def __init__(self, model: Model):
         self.model, self.params = model, model.parameters()
-        self.fds: list[int] = []  # the pipe ends this process holds
-        self.child = _Child(self._serve(batches), self._prepare,
-                            wanted=any(batch.size > 1 for batch in batches))
-        if self.child.pid:
-            # The worker's ends: with them closed here, its exit reads as EOF.
-            os.close(self.go_r)
-            os.close(self.done_w)
-            self.fds = [self.go, self.done]
-
-    def __enter__(self) -> "_Halves":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.child.__exit__(*exc)
-        for fd in self.fds:
-            os.close(fd)
-
-    def _prepare(self) -> None:
-        """Move the parameters into anonymous MAP_SHARED memory, and make
-        the worker's slots for its loss and gradients there, and its pipes."""
         sizes = [p.data.size for p in self.params]
         bounds = np.cumsum(sizes)[:-1]
         data = np.frombuffer(mmap.mmap(-1, sum(sizes) * 8))
@@ -282,8 +257,22 @@ class _Halves:
         self.slots = np.frombuffer(mmap.mmap(-1, (1 + sum(sizes)) * 8))
         self.views = [flat.reshape(p.data.shape)
                       for p, flat in zip(self.params, np.split(self.slots[1:], bounds))]
+
+    @contextmanager
+    def worker(self, batches: list[Batch]) -> Iterator[None]:
+        """A worker for the second halves of one epoch's ``batches``, forked
+        with its two pipes, and killed if it still runs when the block ends."""
         (self.go_r, self.go), (self.done, self.done_w) = os.pipe(), os.pipe()
-        self.fds = [self.go_r, self.go, self.done, self.done_w]
+        self.child = _Child(self._serve(batches), wanted=any(batch.size > 1 for batch in batches))
+        # The worker's ends: with them closed here, its exit reads as EOF.
+        os.close(self.go_r)
+        os.close(self.done_w)
+        try:
+            with self.child:
+                yield
+        finally:
+            os.close(self.go)
+            os.close(self.done)
 
     def _serve(self, batches: list[Batch]) -> Iterator[None]:
         """The worker: the second half of each batch of two or more rows,
@@ -379,8 +368,8 @@ def train(
     parameters are updated.  Empty corpora are rejected before the first
     step, and so, through ``make_batches``, are training examples whose
     answer never occurs in the document: epoch 0's batches cover them all.
-    Once a worker has run, the parameters' arrays are views of memory
-    shared with it.
+    When it starts, on any CPU count, the parameters' arrays become views
+    of memory shared with its training workers.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -388,6 +377,7 @@ def train(
         raise ValueError("no validation examples")
     params = model.parameters()
     optimizer = Adam(params, lr=config.learning_rate)
+    halves = _Halves(model)
     result = TrainResult(best_accuracy=-math.inf, best_step=0, steps=0, epochs=0)
     eval_every = config.eval_every or math.inf
     examples_seen = 0
@@ -396,7 +386,7 @@ def train(
     for epoch in range(config.max_epochs):
         result.epochs = epoch + 1
         batches = make_batches(train_examples, config, derive_seed(config.rng_seed, "epoch", epoch))
-        with _Halves(model, batches) as halves:
+        with halves.worker(batches):
             for batch in batches:
                 loss_value = halves.step(batch)
                 extra = {"step": result.steps, "loss": loss_value}

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import mmap
 import os
 import platform
 import re
@@ -394,6 +395,27 @@ def test_the_split_walk_scores_bit_for_bit_as_one_process(monkeypatch, forks, n_
         assert one.predictions.probabilities.tobytes() == two.predictions.probabilities.tobytes()
         assert one.predictions.candidate_ids.tobytes() == two.predictions.candidate_ids.tobytes()
         assert one.accuracy == two.accuracy
+    assert_no_child()
+
+
+def test_each_batch_of_a_split_walk_is_built_by_one_process(monkeypatch, tmp_path):
+    model, corpus = split_setup(19)  # five batches of 4
+    built, from_corpus = tmp_path / "built", Batch.from_corpus
+
+    def record(corpus, indices):
+        with open(built, "a") as fh:  # one short O_APPEND write per call, from either process
+            fh.write(f"{os.getpid()} {indices[0]}\n")
+        return from_corpus(corpus, indices)
+
+    monkeypatch.setattr(Batch, "from_corpus", staticmethod(record))
+    on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
+    by_process = {}
+    for line in built.read_text().splitlines():
+        pid, first = map(int, line.split())
+        by_process.setdefault(pid, []).append(first)
+    firsts = np.argsort(corpus.context_lengths(), kind="stable")[::4].tolist()
+    assert by_process.pop(os.getpid()) == firsts[::2]
+    assert list(by_process.values()) == [firsts[1::2]]
     assert_no_child()
 
 
@@ -795,6 +817,31 @@ def test_training_writes_the_same_bytes_on_one_and_two_cpus(monkeypatch, forks, 
     assert_no_child()
 
 
+def backing(array):
+    """The object whose memory ``array`` views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_moves_the_parameters_into_shared_memory_once(monkeypatch, forks, cpus):
+    model, enc_train, enc_valid, config = half_setup()
+    seen, real_clip = [], clip_gradients
+
+    def clip(grads):
+        seen.extend(backing(p.data) for p in model.parameters())
+        return real_clip(grads)
+
+    monkeypatch.setattr("clozereader.training.clip_gradients", clip)
+    result = on_cpus(monkeypatch, cpus, lambda: train(model, enc_train, enc_valid, config))
+    assert result.epochs == 2 and len(forks) == (cpus - 1) * (2 + 4)
+    seen.extend(backing(p.data) for p in model.parameters())
+    # One mapping behind every parameter, at every step of both epochs and after.
+    assert len({id(mapping) for mapping in seen}) == 1
+    assert isinstance(seen[0], mmap.mmap)
+
+
 @pytest.fixture
 def children(monkeypatch):
     """The pids of the children forked in this process."""
@@ -1113,7 +1160,8 @@ def test_train_batches_its_training_set_once_per_epoch(monkeypatch):
     from_corpus = Batch.from_corpus
     monkeypatch.setattr(Batch, "from_corpus", staticmethod(
         lambda corpus, indices: built.append(corpus) or from_corpus(corpus, indices)))
-    train(model, enc_train, enc_valid, config)
+    # One process builds every batch; on two CPUs the walk's child builds half.
+    on_cpus(monkeypatch, 1, lambda: train(model, enc_train, enc_valid, config))
     # Five training batches, then one evaluation at the epoch's end: two batches.
     assert built == [enc_train] * 5 + [enc_valid] * 2
 

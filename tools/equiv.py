@@ -367,14 +367,15 @@ def _library_digest() -> dict[str, str]:
 
 def sweep(tree: Path, run_dir: Path) -> dict[str, object]:
     """Every item of the sweep, run in the new directory ``run_dir`` against
-    the package in ``tree``/src."""
+    the package in ``tree``/src, with each of the working tree's
+    ``BLAS_THREAD_VARS`` set to 1."""
+    from clozereader import BLAS_THREAD_VARS
+
     run_dir.mkdir(parents=True)
     inputs = _write_inputs(run_dir)
     src = (tree / "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        env[var] = "1"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run-commands"],
         cwd=run_dir, env=env, capture_output=True, text=True, check=False,
