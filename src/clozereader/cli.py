@@ -71,7 +71,8 @@ from .training import (  # noqa: E402
     train as run_training,
 )
 from .vocab import (  # noqa: E402
-    DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedCorpus, build_vocab, encode_dataset,
+    DEFAULT_ANON_COUNT, DEFAULT_CAP, EncodedCorpus, Vocabulary, VocabularyError, build_vocab,
+    encode_dataset,
 )
 
 _WORD_TYPES = {"ne": WordType.NAMED_ENTITY, "cn": WordType.COMMON_NOUN}
@@ -131,8 +132,6 @@ def cmd_generate(args) -> Report:
     splits = split_books(books, spec)
     target_type = _WORD_TYPES[args.type]
     tagger_config = default_config()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: Report = [("word_type", args.type)]
     for split_name, split_books_list in splits.items():
@@ -146,6 +145,8 @@ def cmd_generate(args) -> Report:
             examples.extend(book_examples)
             report.merge(book_report)
         path = _split_file(args.out, args.type, split_name)
+        # Made only now, so a run that fails before its first file leaves no directory.
+        path.parent.mkdir(parents=True, exist_ok=True)
         write_examples(examples, path)
         stats = compute_stats(examples)
         split_rows = {"books": len(split_books_list), "file": str(path), **asdict(report),
@@ -177,14 +178,15 @@ def _coerce(key: str, raw: str):
             return True
         if lowered in ("0", "false", "no"):
             return False
-        raise CliError(f"config key {key}: expected a boolean, got {raw!r}")
+        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
     if key == "learning_rate":
         return float(raw)
     return int(raw)
 
 
 def parse_config_file(path: str | None) -> dict:
-    """Line-oriented key=value settings; # starts a comment."""
+    """Line-oriented key=value settings; # starts a comment.  A bad line or
+    value raises ``CliError`` naming the file and line."""
     if path is None:
         return {}
     settings: dict = {}
@@ -199,8 +201,15 @@ def parse_config_file(path: str | None) -> dict:
         if key not in _MODEL_KEYS | _TRAIN_KEYS | _VOCAB_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            settings[key] = _coerce(key, raw.strip())
-        except ValueError as exc:
+            settings[key] = value = _coerce(key, raw.strip())
+            # The class that owns the key checks the value, so its rule is written once.
+            if key in _MODEL_KEYS:
+                ModelConfig(**{key: value})
+            elif key in _TRAIN_KEYS:
+                TrainConfig(**{key: value})
+            else:
+                Vocabulary([], **{key.removeprefix("vocab_"): value})
+        except (ValueError, VocabularyError) as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from exc
     return settings
 
@@ -211,6 +220,28 @@ def _read_questions(path: str, what: str = "examples") -> list[ClozeExample]:
     if not examples:
         raise CliError(f"{path}: no {what}")
     return examples
+
+
+class _Log:
+    """``train --log``: a stream, flushed per line, not a whole-file write,
+    so it shows progress and keeps the lines of a run that diverges.  The
+    file opens at the first line, so a run that fails before then leaves an
+    existing log as it was, and makes none."""
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        self.fh.write(text)
+
+    def flush(self) -> None:
+        self.fh.flush()
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
 
 
 def cmd_train(args) -> Report:
@@ -244,9 +275,7 @@ def cmd_train(args) -> Report:
     valid_examples = encode_dataset(valid_raw, vocabulary, derive_seed(args.seed, "valid"))
     del train_raw, valid_raw  # nothing reads the raw examples once they are encoded
 
-    # The log is a stream, flushed per line, not a whole-file write: it shows
-    # progress and keeps the lines of a run that diverges.
-    log_fh = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
+    log_fh = _Log(args.log) if args.log else None
     try:
         result = run_training(
             model, train_examples, valid_examples, train_config,

@@ -40,7 +40,7 @@ import signal
 import struct
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
@@ -135,13 +135,11 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
     as predictions in input order; batches go in context-length order.
 
-    With two or more batches, a forked ``_Child`` builds and scores the
-    odd-numbered batches into the shared rows and this process the even
-    ones; a row depends on its batch alone, so no bit changes.  The batches
-    of a child that fails, or does not start, are scored here, so the walk
-    raises exactly when one process would.  With two or more bad batches the
-    error raised can be another one's: this process meets its own bad batch
-    before it takes over the child's."""
+    This process builds and scores the even-numbered batches, and then the
+    odd-numbered ones unless a forked ``_Child`` scored them all into the
+    shared rows.  A row depends on its batch alone, and the walk meets the
+    batches in the same order on any CPU count, so the rows, and the error
+    raised by a bad batch, do not depend on it."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -160,13 +158,12 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
             rows = score(batch)
             probabilities[batch.indices, : rows.shape[1]] = rows
 
-    with _Child(walk(starts[1::WORKERS]), wanted=len(starts) > 1) as child:
-        for _ in walk(starts[::WORKERS] if child.pid else starts):
+    with _Child(starts[1::WORKERS], walk) as child:
+        for _ in walk(starts[::WORKERS]):
             pass
-        failed = child.pid is not None and not child.reap()
-    if failed:
-        for _ in walk(starts[1::WORKERS]):
-            pass
+        if not child.reap():
+            for _ in walk(starts[1::WORKERS]):
+                pass
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 
@@ -183,20 +180,22 @@ def _may_fork() -> bool:
 
 
 class _Child:
-    """A forked child that runs the iterator ``job`` to its end, the one way
-    this module starts a process.
+    """A forked child that runs the iterator ``job(share)`` to its end, the
+    one way this module starts a process.
 
-    ``pid`` is None, and the caller does the child's work itself, when the
-    child is not ``wanted``, ``_may_fork`` says no, or the fork raises
-    ``OSError``.  Before each item of the job the child checks that its
-    parent is still alive.  It ends in ``os._exit``, with status 0 when the
-    job ran out and 1 when it raised or its parent is gone, so no caller
-    frame, handler or buffer runs twice.  A child still running when the
-    ``with`` block ends is killed, and every child is reaped."""
+    It forks only when ``share`` is not empty and ``_may_fork`` says yes;
+    ``pid`` is None when it did not fork or the fork raised ``OSError``.
+    Before each item of the job the child checks that its parent is still
+    alive.  It ends in ``os._exit``, with status 0 when the job ran out and 1
+    when it raised or its parent is gone, so no caller frame, handler or
+    buffer runs twice.  A child still running when the ``with`` block ends
+    is killed, and every child is reaped.  The caller does the share of a
+    child that did not exit with status 0, so what it computes, and the
+    error it raises, do not depend on the CPU count."""
 
-    def __init__(self, job: Iterator, wanted: bool):
+    def __init__(self, share: Sequence, job: Callable[[Sequence], Iterator]):
         self.pid = None
-        if not (wanted and _may_fork()):
+        if not (share and _may_fork()):
             return
         parent = os.getpid()
         try:
@@ -206,7 +205,7 @@ class _Child:
         if self.pid == 0:
             status = 1
             try:
-                for _ in job:
+                for _ in job(share):
                     if os.getppid() != parent:  # orphaned: nobody reads the rest
                         break
                 else:
@@ -218,13 +217,14 @@ class _Child:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.pid:
-            self.reap(kill=True)
+        self.reap(kill=True)
 
     def reap(self, kill: bool = False) -> bool:
-        """Wait for the child, killed first when ``kill``; whether it exited
-        with status 0."""
+        """Wait for the child, if one runs, killed first when ``kill``;
+        whether one exited with status 0."""
         pid, self.pid = self.pid, None
+        if not pid:
+            return False
         if kill:
             os.kill(pid, signal.SIGKILL)
         return os.waitpid(pid, 0)[1] == 0
@@ -239,11 +239,10 @@ class _Halves:
     summed in that order; a one-row batch is one half.  This process
     computes the first half, and a forked worker the second while one runs
     (``worker``).  The parameters move into anonymous MAP_SHARED memory
-    here, once, where the worker sees Adam update them in place; the
-    worker's slots for its loss and gradients are made there too.  Of the
-    embedding's gradient it hands back only the rows its half reads; the
-    others are 0.  Without a worker, or once it fails, this process
-    computes both halves, with the same bits."""
+    here, once, where the worker sees Adam update them in place; the slots
+    for the second half's loss and gradients are made there too, and the
+    process that computes that half fills them (``_second``).  Without a
+    worker, or once it fails, that is this process, with the same bits."""
 
     def __init__(self, model: Model):
         self.model, self.params = model, model.parameters()
@@ -263,7 +262,7 @@ class _Halves:
         """A worker for the second halves of one epoch's ``batches``, forked
         with its two pipes, and killed if it still runs when the block ends."""
         (self.go_r, self.go), (self.done, self.done_w) = os.pipe(), os.pipe()
-        self.child = _Child(self._serve(batches), wanted=any(batch.size > 1 for batch in batches))
+        self.child = _Child([batch for batch in batches if batch.size > 1], self._serve)
         # The worker's ends: with them closed here, its exit reads as EOF.
         os.close(self.go_r)
         os.close(self.done_w)
@@ -275,21 +274,15 @@ class _Halves:
             os.close(self.done)
 
     def _serve(self, batches: list[Batch]) -> Iterator[None]:
-        """The worker: the second half of each batch of two or more rows,
-        each when the parent's byte comes; an EOF, from a parent that is
-        gone, ends it."""
+        """The worker: the second half of each of ``batches``, each when the
+        parent's byte comes; an EOF, from a parent that is gone, ends it."""
         os.close(self.go)
         os.close(self.done)
         for batch in batches:
-            if batch.size < 2:
-                continue
             if not os.read(self.go_r, 1):
                 return
             yield
-            self.slots[0], grads, _ = self._second(batch)
-            for view, grad in zip(self.views, grads):
-                if grad is not None:
-                    view[: len(grad)] = grad
+            self._second(batch)
             os.write(self.done_w, b"\0")
 
     def _half(self, batch: Batch, start: int, stop: int) -> tuple[float, list]:
@@ -305,35 +298,33 @@ class _Halves:
         del loss
         return value, [p.grad for p in self.params]
 
-    def _second(self, batch: Batch) -> tuple[float, list, np.ndarray]:
-        """``_half`` of the second half, with the embedding's gradient cut to
-        the rows that half reads, and those rows."""
+    def _second(self, batch: Batch) -> None:
+        """``_half`` of the second half, into the slots: its loss, and each
+        gradient; of the embedding's, the rows that half reads, in order."""
         h = (batch.size + 1) // 2
-        value, grads = self._half(batch, h, batch.size)
+        self.slots[0], grads = self._half(batch, h, batch.size)
         rows = batch.rows(h, batch.size).token_ids()
-        return value, [grad if grad is None or p is not self.model.embedding else grad[rows]
-                       for p, grad in zip(self.params, grads)], rows
+        for param, view, grad in zip(self.params, self.views, grads):
+            if grad is not None:
+                grad = grad[rows] if param is self.model.embedding else grad
+                view[: len(grad)] = grad
 
     def step(self, batch: Batch) -> float:
         """The step's loss; each parameter's ``grad`` becomes the step's gradient."""
         n = batch.size
         h = (n + 1) // 2
-        sent = False
         if h < n and self.child.pid:
-            with suppress(BrokenPipeError):  # a worker that died since its last half
-                sent = os.write(self.go, b"\0") == 1
+            with suppress(BrokenPipeError):  # a dead worker: the read below meets EOF
+                os.write(self.go, b"\0")
         loss, grads = self._half(batch, 0, h)
         if h < n:
-            if sent and os.read(self.done, 1):
-                more, others = float(self.slots[0]), self.views
-                rows = batch.rows(h, n).token_ids()
-            else:
-                if self.child.pid:  # the worker failed: its halves are computed here
-                    self.child.reap(kill=True)
-                more, others, rows = self._second(batch)
-            loss += more
+            if not (self.child.pid and os.read(self.done, 1)):
+                self.child.reap(kill=True)  # a worker that failed: its halves are computed here
+                self._second(batch)
+            loss += float(self.slots[0])
             if math.isfinite(loss):  # both halves ran backward, so every gradient exists
-                for param, grad, other in zip(self.params, grads, others):
+                rows = batch.rows(h, n).token_ids()
+                for param, grad, other in zip(self.params, grads, self.views):
                     if param is self.model.embedding:
                         grad[rows] += other[: len(rows)]
                     else:

@@ -22,6 +22,7 @@ from clozereader.cli import (
     print_report,
     read_predictions_file,
 )
+from clozereader.clozegen import ClozeExample
 from clozereader.corpus import TokenizedBook
 from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
 from clozereader.synthdata import write_fixture_library
@@ -160,6 +161,32 @@ def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("hidden_units = 0", "hidden_units must be positive"),
+    ("batch_size = 0", "batch_size must be positive"),
+    ("eval_every = 0", "eval_every must be positive"),
+    ("learning_rate = inf", "learning_rate must be positive and finite"),
+    ("vocab_cap = -1", "vocabulary cap must be at least 0, got -1"),
+    ("anon_count = 1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("query_init = maybe", "config key query_init: expected a boolean, got 'maybe'"),
+], ids=["hidden_units", "batch_size", "eval_every", "learning_rate", "vocab_cap", "anon_count",
+        "query_init"])
+def test_a_bad_config_value_is_named_by_file_and_line(cli_workspace, tmp_path, capsys,
+                                                      setting, message):
+    _, train_path, valid_path, _, _ = cli_workspace
+    config, out = tmp_path / "bad.cfg", tmp_path / "out"
+    config.write_text(f"# reader\n{setting}\nembedding_dim = 4\n", encoding="utf-8")
+    out.mkdir()
+    rc = main([
+        "train", "--train", str(train_path), "--valid", str(valid_path),
+        "--config", str(config), "--out", str(out / "m.ckpt"), "--log", str(out / "log"),
+        "--tsv", str(out / "report.tsv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {config}:2: {message}\n"
+    assert not list(out.iterdir())
+
+
 def test_train_resume_rejects_a_conflicting_model_key(cli_workspace, tmp_path, capsys):
     _, train_path, valid_path, config_path, checkpoints = cli_workspace
     config = tmp_path / "resume.cfg"
@@ -182,6 +209,28 @@ def test_train_resume_rejects_a_conflicting_model_key(cli_workspace, tmp_path, c
     ])
     assert rc == 0
     assert out.exists()
+
+
+def test_a_train_that_fails_before_its_first_line_leaves_the_log_as_it_was(
+        cli_workspace, tmp_path, capsys):
+    # An answer absent from its document fails in ``make_batches``, before step 1.
+    _, _, valid_path, _, _ = cli_workspace
+    examples = read_examples(valid_path)
+    first = examples[0]
+    examples[0] = ClozeExample(first.context, first.question, "Zzyzx",
+                               [c if c != first.answer else "Zzyzx" for c in first.candidates])
+    bad = tmp_path / "bad.txt"
+    write_examples(examples, bad)
+    kept, fresh = tmp_path / "kept.log", tmp_path / "fresh.log"
+    kept.write_bytes(b"1\t2.5\t0.100000\t0.1\n")
+    for log in (kept, fresh):
+        rc = main(["train", "--train", str(bad), "--valid", str(valid_path),
+                   "--out", str(tmp_path / "m.ckpt"), "--log", str(log)])
+        assert rc == 1
+        assert "absent from its document" in capsys.readouterr().err
+    assert kept.read_bytes() == b"1\t2.5\t0.100000\t0.1\n"
+    assert not fresh.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "kept.log"]
 
 
 def test_diverged_training_exits_2(cli_workspace, tmp_path, monkeypatch, capsys):
@@ -885,6 +934,16 @@ def test_generate_rejects_stride_below_1(fixture_library, tmp_path, capsys, stri
     ])
     assert rc == 1
     assert f"stride must be positive, got {stride}" in capsys.readouterr().err
+
+
+def test_generate_with_a_bad_stride_makes_no_out_directory(fixture_library, tmp_path, capsys):
+    rc = main([
+        "generate", "--books", str(fixture_library), "--type", "ne",
+        "--out", str(tmp_path / "new" / "sub"), "--stride", "0",
+    ])
+    assert rc == 1
+    assert "stride must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 # ------------------------------------------------------------------- stats

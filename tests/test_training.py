@@ -506,6 +506,29 @@ def test_an_error_in_any_batch_is_raised_here_as_one_process_raises_it(monkeypat
     assert len(forks) == 1
 
 
+def test_two_bad_batches_raise_the_same_error_on_one_and_two_cpus(monkeypatch, forks):
+    # Batch 1 is the child's and batch 2 this process's: both CPU counts
+    # meet batch 2 first, as this process walks the even batches first.
+    model, corpus = split_setup(19)  # five batches of 4
+    firsts = np.argsort(corpus.context_lengths(), kind="stable")[[4, 8]].tolist()
+    real_predict = Model.predict
+
+    def predict(self, batch):
+        if batch.indices[0] in firsts:
+            raise ValueError(f"batch starting at example {batch.indices[0]}")
+        return real_predict(self, batch)
+
+    monkeypatch.setattr(Model, "predict", predict)
+    messages = []
+    for cpus in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            on_cpus(monkeypatch, cpus, lambda: evaluate(model, corpus, batch_size=4))
+        messages.append(str(raised.value))
+        assert_no_child()
+    assert messages == [f"batch starting at example {firsts[1]}"] * 2
+    assert len(forks) == 1
+
+
 def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch, forks):
     model, corpus = split_setup(27)
     parent, real_predict = os.getpid(), Model.predict

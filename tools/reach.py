@@ -41,18 +41,23 @@ _DECLARATIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import
                  ast.ImportFrom, ast.Global, ast.Nonlocal)
 
 
+def docstrings(tree: ast.AST) -> list[ast.Expr]:
+    """The docstring statements of the module, classes and functions of ``tree``."""
+    return [node.body[0] for node in ast.walk(tree) if isinstance(node, _SCOPES)
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)]
+
+
 def statements(source: str) -> dict[int, range]:
     """Each statement's first line, mapped to the lines whose execution
     reaches it."""
     tree = ast.parse(source)
-    docstrings = {id(node.body[0]) for node in ast.walk(tree) if isinstance(node, _SCOPES)
-                  and node.body and isinstance(node.body[0], ast.Expr)
-                  and isinstance(node.body[0].value, ast.Constant)
-                  and isinstance(node.body[0].value.value, str)}
+    skipped = {id(node) for node in docstrings(tree)}
     spans = {}
     for node in ast.walk(tree):
         if (not isinstance(node, ast.stmt) or isinstance(node, _DECLARATIONS)
-                or id(node) in docstrings
+                or id(node) in skipped
                 or isinstance(node, ast.AnnAssign) and node.value is None):
             continue
         body = getattr(node, "body", None)
