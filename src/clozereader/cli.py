@@ -134,6 +134,7 @@ def cmd_generate(args) -> Report:
     tagger_config = default_config()
 
     rows: Report = [("word_type", args.type)]
+    split_files: list[tuple[Path, list[ClozeExample]]] = []
     for split_name, split_books_list in splits.items():
         examples: list[ClozeExample] = []
         report = GenerationReport()
@@ -145,13 +146,16 @@ def cmd_generate(args) -> Report:
             examples.extend(book_examples)
             report.merge(book_report)
         path = _split_file(args.out, args.type, split_name)
-        # Made only now, so a run that fails before its first file leaves no directory.
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_examples(examples, path)
+        split_files.append((path, examples))
         stats = compute_stats(examples)
         split_rows = {"books": len(split_books_list), "file": str(path), **asdict(report),
                       "avg_tokens": stats.avg_tokens, "vocab_size": stats.vocab_size}
         rows += [(f"{split_name}.{key}", value) for key, value in split_rows.items()]
+    # Made only once every split is generated, so a run that fails while generating
+    # leaves no directory and no split file.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for path, examples in split_files:
+        write_examples(examples, path)
     return rows
 
 
@@ -185,11 +189,12 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str | None) -> dict:
-    """Line-oriented key=value settings; # starts a comment.  A bad line or
-    value raises ``CliError`` naming the file and line."""
+    """Line-oriented key=value settings; # starts a comment.  A bad line, a
+    bad value or a repeated key raises ``CliError`` naming the file and line."""
     if path is None:
         return {}
     settings: dict = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -200,6 +205,10 @@ def parse_config_file(path: str | None) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key not in _MODEL_KEYS | _TRAIN_KEYS | _VOCAB_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_lines:
+            raise CliError(f"{path}:{lineno}: duplicate config key {key!r} "
+                           f"(first set on line {first_lines[key]})")
+        first_lines[key] = lineno
         try:
             settings[key] = value = _coerce(key, raw.strip())
             # The class that owns the key checks the value, so its rule is written once.
@@ -220,28 +229,6 @@ def _read_questions(path: str, what: str = "examples") -> list[ClozeExample]:
     if not examples:
         raise CliError(f"{path}: no {what}")
     return examples
-
-
-class _Log:
-    """``train --log``: a stream, flushed per line, not a whole-file write,
-    so it shows progress and keeps the lines of a run that diverges.  The
-    file opens at the first line, so a run that fails before then leaves an
-    existing log as it was, and makes none."""
-
-    def __init__(self, path: str):
-        self.path, self.fh = path, None
-
-    def write(self, text: str) -> None:
-        if self.fh is None:
-            self.fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        self.fh.write(text)
-
-    def flush(self) -> None:
-        self.fh.flush()
-
-    def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
 
 
 def cmd_train(args) -> Report:
@@ -275,15 +262,8 @@ def cmd_train(args) -> Report:
     valid_examples = encode_dataset(valid_raw, vocabulary, derive_seed(args.seed, "valid"))
     del train_raw, valid_raw  # nothing reads the raw examples once they are encoded
 
-    log_fh = _Log(args.log) if args.log else None
-    try:
-        result = run_training(
-            model, train_examples, valid_examples, train_config,
-            checkpoint_path=args.out, log_fh=log_fh,
-        )
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    result = run_training(model, train_examples, valid_examples, train_config,
+                          checkpoint_path=args.out, log_path=args.log)
     for line in result.log_lines:
         print(line)
     return [

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, ClozereaderError, write_whole
+from . import BLAS_THREAD_VARS, ClozereaderError, write_lines, write_whole
 from .asreader import Batch, Model, ModelConfig, Predictions, check_counts, occurrences
 from .ensemble import prediction_accuracy
 from .numerics import (
@@ -349,10 +349,15 @@ def train(
     valid_examples: EncodedCorpus,
     config: TrainConfig,
     checkpoint_path: str | None = None,
-    log_fh=None,
+    log_path: str | None = None,
 ) -> TrainResult:
     """Optimize the model, keeping the checkpoint with the best validation
     accuracy; the module docstring gives the evaluation schedule.
+
+    Each evaluation, after its possible checkpoint save, writes every log
+    line so far to ``log_path``, when it is given, through ``write_lines``.
+    So a run that diverges keeps the lines of its earlier evaluations, and
+    one that fails before its first evaluation writes no log.
 
     A NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
@@ -412,9 +417,8 @@ def train(
                 line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
                         f"\t{time.monotonic() - started:.3f}")
                 result.log_lines.append(line)
-                if log_fh is not None:
-                    log_fh.write(line + "\n")
-                    log_fh.flush()
+                if log_path is not None:
+                    write_lines(log_path, result.log_lines)
                 if since_best == config.patience:
                     return result
     return result

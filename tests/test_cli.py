@@ -27,8 +27,8 @@ from clozereader.corpus import TokenizedBook
 from clozereader.ensemble import SPEC_HEADER, read_ensemble_spec, write_ensemble_spec
 from clozereader.synthdata import write_fixture_library
 from clozereader.tagger import read_pretagged
-from clozereader.training import TrainingDivergedError, load_checkpoint
-from clozereader.vocab import load_vocab, save_vocab
+from clozereader.training import TrainConfig, TrainingDivergedError, load_checkpoint, train
+from clozereader.vocab import encode_dataset, load_vocab, save_vocab
 
 LOG_LINE = re.compile(r"^\d+\t[^\t]+\t\d\.\d{6}\t\d+\.\d{3}$")
 PREDICTION_LINE = re.compile(r"^\d+\t\S+\t[01]$")
@@ -169,13 +169,14 @@ def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys, setti
     ("vocab_cap = -1", "vocabulary cap must be at least 0, got -1"),
     ("anon_count = 1.5", "invalid literal for int() with base 10: '1.5'"),
     ("query_init = maybe", "config key query_init: expected a boolean, got 'maybe'"),
+    ("embedding_dim = 8", "duplicate config key 'embedding_dim' (first set on line 1)"),
 ], ids=["hidden_units", "batch_size", "eval_every", "learning_rate", "vocab_cap", "anon_count",
-        "query_init"])
+        "query_init", "duplicate_key"])
 def test_a_bad_config_value_is_named_by_file_and_line(cli_workspace, tmp_path, capsys,
                                                       setting, message):
     _, train_path, valid_path, _, _ = cli_workspace
     config, out = tmp_path / "bad.cfg", tmp_path / "out"
-    config.write_text(f"# reader\n{setting}\nembedding_dim = 4\n", encoding="utf-8")
+    config.write_text(f"embedding_dim = 4  # reader\n{setting}\n", encoding="utf-8")
     out.mkdir()
     rc = main([
         "train", "--train", str(train_path), "--valid", str(valid_path),
@@ -946,6 +947,19 @@ def test_generate_with_a_bad_stride_makes_no_out_directory(fixture_library, tmp_
     assert not (tmp_path / "new").exists()
 
 
+def test_a_generate_that_fails_in_a_later_split_writes_no_split_file(tmp_path, capsys):
+    # With no training books the train split generates nothing and passes; the
+    # valid split is the first to meet the bad stride.
+    write_fixture_library(tmp_path / "books", n_books=4, rng_seed=2, n_paragraphs=8)
+    rc = main([
+        "generate", "--books", str(tmp_path / "books"), "--type", "ne",
+        "--splits", "0,0.5,0.5", "--out", str(tmp_path / "new" / "sub"), "--stride", "0",
+    ])
+    assert rc == 1
+    assert "stride must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 # ------------------------------------------------------------------- stats
 
 
@@ -1023,15 +1037,16 @@ def test_a_library_reader_names_an_undecodable_byte_by_file_and_line(tmp_path, r
 
 
 class InterruptingFile:
-    """A file whose third ``write`` raises ``exc``: after the first item and
-    its LF, as ``write_lines`` writes them."""
+    """A file whose second ``write`` raises ``exc``: after the first item
+    and before its LF, as ``write_lines`` writes them, so that a one-line
+    write is interrupted too."""
 
     def __init__(self, fh, exc):
         self.fh, self.exc, self.writes = fh, exc, 0
 
     def write(self, data):
         self.writes += 1
-        if self.writes == 3:
+        if self.writes == 2:
             raise self.exc
         return self.fh.write(data)
 
@@ -1045,6 +1060,15 @@ class InterruptingFile:
         self.fh.close()
 
 
+def train_log(path, ws):
+    """``train`` with ``log_path``, evaluating after every step."""
+    model = load_checkpoint(str(ws[4]["a"]))[0]
+    train_set, valid_set = (encode_dataset(read_examples(p), model.vocabulary, 0)
+                            for p in ws[1:3])
+    train(model, train_set, valid_set, TrainConfig(batch_size=24, eval_every=1),
+          log_path=str(path))
+
+
 INTERRUPTED_WRITERS = {
     "write_examples": lambda path, ws: write_examples(read_examples(ws[2])[:3], path),
     "print_report --tsv": lambda path, ws: print_report([("a", 1), ("b", 0.5)], str(path)),
@@ -1054,6 +1078,7 @@ INTERRUPTED_WRITERS = {
     "write_ensemble_spec": lambda path, ws: write_ensemble_spec(str(path), ["a", "b"], 0.5),
     "save_vocab": lambda path, ws: save_vocab(load_checkpoint(str(ws[4]["a"]))[0].vocabulary,
                                               path),
+    "train log_path": train_log,
 }
 
 

@@ -759,6 +759,22 @@ def test_train_refuses_a_non_finite_gradient_norm(tmp_path, monkeypatch):
     assert (tmp_path / "model.ckpt.diverged").exists()
 
 
+def test_a_diverged_run_keeps_the_log_lines_of_its_earlier_evaluations(tmp_path, monkeypatch):
+    model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=4)
+    clips = iter([clip_gradients, lambda grads: np.nan])  # step 0 evaluates, step 1 diverges
+    monkeypatch.setattr("clozereader.training.clip_gradients", lambda grads: next(clips)(grads))
+    log = tmp_path / "train.log"
+    config = TrainConfig(
+        learning_rate=0.001, batch_size=4, prefetch_batches=1,
+        eval_every=4, max_epochs=1, patience=10, rng_seed=0,
+    )
+    with pytest.raises(TrainingDivergedError, match="gradient norm nan at step 1"):
+        train(model, enc_train, enc_valid, config, log_path=str(log))
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("1\t") and LOG_LINE.match(lines[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.log"]
+
+
 def test_train_clips_without_the_gradient_of_frozen_anonymous_rows(monkeypatch):
     # The first batch holds 507 anonymous tokens.  Their frozen rows' gradient,
     # which Adam discards, would raise the pre-clip norm from 0.0805 to 0.0821.
@@ -820,9 +836,11 @@ def train_bytes(monkeypatch, cpus, tmp_path):
     """The checkpoint, the log without its wall column, and the last
     parameters of ``half_setup``'s run on ``cpus`` CPUs."""
     model, enc_train, enc_valid, config = half_setup()
-    path, log = tmp_path / f"model-{cpus}.ckpt", io.StringIO()
-    on_cpus(monkeypatch, cpus, lambda: train(model, enc_train, enc_valid, config, str(path), log))
-    return (path.read_bytes(), [line.rsplit("\t", 1)[0] for line in log.getvalue().splitlines()],
+    path, log = tmp_path / f"model-{cpus}.ckpt", tmp_path / f"train-{cpus}.log"
+    on_cpus(monkeypatch, cpus,
+            lambda: train(model, enc_train, enc_valid, config, str(path), str(log)))
+    return (path.read_bytes(),
+            [line.rsplit("\t", 1)[0] for line in log.read_text(encoding="utf-8").splitlines()],
             [p.data.tobytes() for p in model.parameters()])
 
 

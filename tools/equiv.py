@@ -310,9 +310,9 @@ def _schedule_digests() -> dict[str, str]:
         config = TrainConfig(learning_rate=0.05, batch_size=4, prefetch_batches=1,
                              eval_every=eval_every, max_epochs=3, patience=patience,
                              rng_seed=TRAIN_SEED)
-        log = io.StringIO()
-        result = train(model(), train_set, valid_set, config, log_fh=log)
-        text = _WALL.sub(r"\1-", log.getvalue()) + repr(
+        result = train(model(), train_set, valid_set, config)
+        log = "".join(line + "\n" for line in result.log_lines)
+        text = _WALL.sub(r"\1-", log) + repr(
             (result.best_accuracy, result.best_step, result.steps, result.epochs))
         digests[f"schedule eval_every={eval_every} patience={patience}"] = (
             hashlib.sha256(text.encode()).hexdigest())
