@@ -169,14 +169,13 @@ def test_train_rejects_negative_vocab_cap(cli_workspace, tmp_path, capsys, setti
     ("vocab_cap = -1", "vocabulary cap must be at least 0, got -1"),
     ("anon_count = 1.5", "invalid literal for int() with base 10: '1.5'"),
     ("query_init = maybe", "config key query_init: expected a boolean, got 'maybe'"),
-    ("embedding_dim = 8", "duplicate config key 'embedding_dim' (first set on line 1)"),
 ], ids=["hidden_units", "batch_size", "eval_every", "learning_rate", "vocab_cap", "anon_count",
-        "query_init", "duplicate_key"])
+        "query_init"])
 def test_a_bad_config_value_is_named_by_file_and_line(cli_workspace, tmp_path, capsys,
                                                       setting, message):
     _, train_path, valid_path, _, _ = cli_workspace
     config, out = tmp_path / "bad.cfg", tmp_path / "out"
-    config.write_text(f"embedding_dim = 4  # reader\n{setting}\n", encoding="utf-8")
+    config.write_text(f"# reader\n{setting}\nembedding_dim = 4\n", encoding="utf-8")
     out.mkdir()
     rc = main([
         "train", "--train", str(train_path), "--valid", str(valid_path),
@@ -185,6 +184,22 @@ def test_a_bad_config_value_is_named_by_file_and_line(cli_workspace, tmp_path, c
     ])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {config}:2: {message}\n"
+    assert not list(out.iterdir())
+
+
+def test_a_repeated_config_key_is_named_by_both_lines(cli_workspace, tmp_path, capsys):
+    _, train_path, valid_path, _, _ = cli_workspace
+    config, out = tmp_path / "twice.cfg", tmp_path / "out"
+    config.write_text("# reader\nhidden_units = 32\nembedding_dim = 4\nhidden_units = 64\n",
+                      encoding="utf-8")
+    out.mkdir()
+    rc = main([
+        "train", "--train", str(train_path), "--valid", str(valid_path),
+        "--config", str(config), "--out", str(out / "m.ckpt"), "--log", str(out / "log"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}:4: duplicate config key 'hidden_units' (first set on line 2)\n")
     assert not list(out.iterdir())
 
 
