@@ -44,7 +44,7 @@ from .numerics import (
     time_major_dot,
     uniform_init,
 )
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from .vocab import (
     ANON_START,
     ANSWER,
@@ -226,7 +226,7 @@ class Model:
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig, rng_seed: int = 0):
         self.vocabulary = vocabulary
         self.config = config
-        self.rng_seed = rng_seed
+        self.rng_seed = check_seed(rng_seed)
         rows = vocabulary.size
         self.embedding = Parameter(
             uniform_init((rows, config.embedding_dim), -0.1, 0.1,

@@ -101,7 +101,7 @@ def _blocks(path: Path):
 
 
 def _error(path: Path, lineno: int, message: str) -> CbtFormatError:
-    return CbtFormatError(f"{path.name}:{lineno}: {message}")
+    return CbtFormatError(f"{path}:{lineno}: {message}")
 
 
 _LINE_NUMBERS = [str(n) for n in range(1, N_CONTEXT_LINES + 2)]

@@ -10,7 +10,9 @@ here, because downstream question generation depends on them being stable:
   abbreviation (``Mr.``, ``Dr.``, ...) or a single capital initial.
   Paragraph breaks (blank lines) always end a sentence.
 * Tokens are whitespace chunks with punctuation peeled off both ends,
-  double-dash and em-dash separated, and English contractions split
+  double-dash, em-dash, en-dash and ``|`` separated (each ``|`` is a token
+  of its own, so no token holds the question files' candidate
+  separator), and English contractions split
   (``don't`` -> ``do`` + ``n't``, ``John's`` -> ``John`` + ``'s``).
   Abbreviations and initials keep their period, also after an opening
   quote or bracket.  A chunk that is all punctuation is a single token.
@@ -79,7 +81,7 @@ _PARAGRAPH_BREAK = re.compile(r"\n\s*\n")
 _TERMINATOR_RUN = re.compile(r"[.!?]+[)\]\"'”’]*")
 _WORD_BEFORE = re.compile(r"[A-Za-z]+$")
 _NON_SPACE = re.compile(r"\S")
-_DASH_SPLIT = re.compile(r"(--+|—|–)")
+_DASH_SPLIT = re.compile(r"(--+|—|–|\|)")
 
 _LEAD_PUNCT = "\"'`([{“‘«"  # one character is tested at a time
 _TRAIL_PUNCT = set(".,!?;:\"')]}”’»")

@@ -54,7 +54,7 @@ from .numerics import (
     write_tensor, zero_frozen_rows, zero_grads,
 )
 from .numerics.serialize import read_exactly
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from .vocab import ANSWER, CANDIDATES, EncodedCorpus, Vocabulary, VocabularyError
 
 CHECKPOINT_MAGIC = b"CLZR"
@@ -457,70 +457,64 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra metadata)."""
-    def read(fh, n: int, what: str) -> bytes:
-        try:
-            return read_exactly(fh, n, what)
-        except TensorFormatError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
+    """Rebuild a model from a checkpoint; returns (model, extra metadata).
 
-    with open(path, "rb") as fh:
-        head = fh.read(6)
-        if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<H", head[4:6])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version}"
-            )
-        (blob_len,) = struct.unpack("<Q", read(fh, 8, "header"))
-        blob = read(fh, blob_len, "header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: bad header: {exc}") from exc
-        try:
-            vocab_info = header["vocab"]
-            vocabulary = Vocabulary(
-                words=vocab_info["words"],
-                cap=vocab_info["cap"],
-                anon_count=vocab_info["anon_count"],
-            )
-            config = ModelConfig(**header["config"])
-            rng_seed, extra = header["rng_seed"], header["extra"]
-            if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
-                raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}")
-            if not isinstance(extra, dict):
-                raise ValueError(f"extra must be an object, got {extra!r}")
-        except (KeyError, TypeError, ValueError, VocabularyError) as exc:
-            raise CheckpointError(f"{path}: bad header: {exc}") from exc
-        model = Model(vocabulary, config, rng_seed)
-        (count,) = struct.unpack("<I", read(fh, 4, "tensor table"))
-        named = model.named_parameters()
-        seen = set()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read(fh, 2, "tensor name"))
-            raw_name = read(fh, name_len, "tensor name")
+    The header and the whole tensor table are read and the file closed
+    before the model is built, so a short or corrupt file fails before any
+    random initialization; the names and shapes are then checked against
+    the model's parameters."""
+    prefix = ""  # names the tensor while its block is read, for that block's errors
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(6)
+            if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint file")
+            (version,) = struct.unpack("<H", head[4:6])
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            (blob_len,) = struct.unpack("<Q", read_exactly(fh, 8, "header"))
+            blob = read_exactly(fh, blob_len, "header")
             try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"{path}: bad tensor name: {exc}") from exc
-            try:
-                data = read_tensor(fh)
-            except TensorFormatError as exc:
-                raise CheckpointError(f"{path}: tensor {name!r}: {exc}") from exc
-            if name not in named:
-                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-            if name in seen:
-                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
-            if named[name].data.shape != data.shape:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has shape {data.shape}, "
-                    f"expected {named[name].data.shape}"
+                header = json.loads(blob.decode("utf-8"))
+                vocab_info = header["vocab"]
+                vocabulary = Vocabulary(
+                    words=vocab_info["words"],
+                    cap=vocab_info["cap"],
+                    anon_count=vocab_info["anon_count"],
                 )
-            named[name].data = data.astype(named[name].data.dtype, copy=False)
-            seen.add(name)
-        missing = sorted(set(named) - seen)
-        if missing:
-            raise CheckpointError(f"{path}: missing tensors {missing}")
+                config = ModelConfig(**header["config"])
+                rng_seed, extra = check_seed(header["rng_seed"]), header["extra"]
+                if not isinstance(extra, dict):
+                    raise ValueError(f"extra must be an object, got {extra!r}")
+            except (KeyError, TypeError, ValueError, VocabularyError) as exc:
+                raise CheckpointError(f"{path}: bad header: {exc}") from exc
+            (count,) = struct.unpack("<I", read_exactly(fh, 4, "tensor table"))
+            tensors: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", read_exactly(fh, 2, "tensor name"))
+                try:
+                    name = read_exactly(fh, name_len, "tensor name").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CheckpointError(f"{path}: bad tensor name: {exc}") from exc
+                if name in tensors:
+                    raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+                prefix = f"tensor {name!r}: "
+                tensors[name] = read_tensor(fh)
+                prefix = ""
+    except TensorFormatError as exc:
+        raise CheckpointError(f"{path}: {prefix}{exc}") from exc
+    model = Model(vocabulary, config, rng_seed)
+    named = model.named_parameters()
+    for name, data in tensors.items():
+        if name not in named:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        if named[name].data.shape != data.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {data.shape}, "
+                f"expected {named[name].data.shape}"
+            )
+        named[name].data = data.astype(named[name].data.dtype, copy=False)
+    missing = sorted(set(named) - set(tensors))
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors {missing}")
     return model, extra

@@ -128,6 +128,18 @@ def test_strict_read_raises_with_location(tmp_path):
         read_examples(path)
 
 
+def test_a_format_error_names_the_file_by_its_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    lines = sample_block()
+    lines[4] = "9 wrong number"
+    write_text(tmp_path / "sub", "\n".join(lines), "x.txt")
+    message = "sub/x.txt:5: expected line number 5, got '9'"
+    assert validate_file("sub/x.txt") == [message]
+    with pytest.raises(CbtFormatError, match=f"^{re.escape(message)}$"):
+        read_examples("sub/x.txt")
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -171,8 +183,8 @@ def test_a_bad_question_line_is_named_by_file_and_line(tmp_path, question_line, 
     bad[20] = question_line
     path = write_text(tmp_path, "\n".join(sample_block() + bad))
     # The second example's question is line 22 + 21 of the file.
-    assert validate_file(path) == [f"data.txt:43: {message}"]
-    with pytest.raises(CbtFormatError, match=f"^{re.escape(f'data.txt:43: {message}')}$"):
+    assert validate_file(path) == [f"{path}:43: {message}"]
+    with pytest.raises(CbtFormatError, match=f"^{re.escape(f'{path}:43: {message}')}$"):
         read_examples(path)
 
 
@@ -207,7 +219,7 @@ _REFERENCE_NUMBERS = [str(n) for n in range(1, 22)]
 
 
 def _reference_error(path, lineno, message):
-    return CbtFormatError(f"{path.name}:{lineno}: {message}")
+    return CbtFormatError(f"{path}:{lineno}: {message}")
 
 
 def reference_blocks(path):
@@ -368,9 +380,9 @@ def test_validate_reports_every_occurrence_of_a_repeated_bad_line(tmp_path):
     path = write_text(tmp_path, "\n".join(line for block in blocks for line in block))
     violations = validate_file(path)
     assert violations == [
-        "data.txt:5: empty context sentence",
-        "data.txt:49: empty context sentence",
-        "data.txt:71: empty context sentence",
+        f"{path}:5: empty context sentence",
+        f"{path}:49: empty context sentence",
+        f"{path}:71: empty context sentence",
     ]
     assert violations == reference_validate(path)
 

@@ -926,7 +926,8 @@ def test_generate_rejects_bad_splits(fixture_library, tmp_path, capsys):
     ("0.5,0.2,0.2", "do not sum to 1"),
     ("1.2,-0.2,0", "negative split fraction"),
     ("nan,0.5,0.5", "non-finite split fraction"),
-], ids=["sum", "negative", "nan"])
+    ("0.8,x,0.1", "error: bad --splits value: could not convert string to float: 'x'\n"),
+], ids=["sum", "negative", "nan", "not-a-number"])
 def test_generate_rejects_bad_split_fractions_before_reading_books(
         tmp_path, monkeypatch, capsys, splits, message):
     def fail(*args, **kwargs):
@@ -973,6 +974,38 @@ def test_a_generate_that_fails_in_a_later_split_writes_no_split_file(tmp_path, c
     assert rc == 1
     assert "stride must be positive, got 0" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+def test_generate_writes_no_candidate_that_holds_the_separator(tmp_path, capsys):
+    # A "|" inside a name is the question files' candidate separator: the tokenizer
+    # splits it off, so every split that generate writes reads back.
+    renamed = 0
+    for path in write_fixture_library(tmp_path / "books", n_books=4, rng_seed=2):
+        text, n = re.subn(r"said(\s+[A-Z]\w*)", r"said\1|Odette",
+                          path.read_text(encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
+        renamed += n
+    assert renamed
+    assert main(["generate", "--books", str(tmp_path / "books"), "--type", "ne",
+                 "--out", str(tmp_path / "data")]) == 0
+    for split in ("train", "valid", "test"):
+        assert read_examples(tmp_path / "data" / f"ne_{split}.txt")
+
+
+def test_generate_skips_an_undecodable_book_and_writes_the_others(tmp_path, capsys):
+    paths = write_fixture_library(tmp_path / "books", n_books=4, rng_seed=2, n_paragraphs=8)
+    raw = paths[1].read_bytes().replace(b"\n\n", b"\n\xff\n", 1)
+    paths[1].write_bytes(raw)
+    line = raw.count(b"\n", 0, raw.index(b"\xff")) + 1
+    assert main(["generate", "--books", str(tmp_path / "books"), "--type", "ne",
+                 "--out", str(tmp_path / "data"), "--tsv", str(tmp_path / "report.tsv")]) == 0
+    bad = re.escape(str(paths[1]))
+    assert re.fullmatch(rf"warning: skipped {bad}: {bad}:{line}: not valid UTF-8 \(.+\)\n",
+                        capsys.readouterr().err)
+    report = report_dict(tmp_path / "report.tsv")
+    assert sum(int(report[f"{split}.books"]) for split in ("train", "valid", "test")) == 3
+    for split in ("train", "valid", "test"):
+        assert (tmp_path / "data" / f"ne_{split}.txt").exists()
 
 
 # ------------------------------------------------------------------- stats
@@ -1153,6 +1186,12 @@ def test_parse_config_file_handles_comments_and_types(tmp_path):
         "learning_rate": 0.001,
         "query_init": True,
     }
+
+
+def test_parse_config_file_reads_no_as_false(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("query_init = no\n", encoding="utf-8")
+    assert parse_config_file(str(path)) == {"query_init": False}
 
 
 def test_parse_config_file_rejects_garbage(tmp_path):

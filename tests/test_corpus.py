@@ -195,6 +195,8 @@ def test_split_paragraph_matches_the_copying_splitter_on_any_text(paragraph):
         ("(J. Hale)", ["(", "J.", "Hale", ")"]),
         ("[Dr. Who]", ["[", "Dr.", "Who", "]"]),
         ('"Mrs. Dale said."', ['"', "Mrs.", "Dale", "said", ".", '"']),
+        # Every "|" is a token of its own: question files separate candidates with it.
+        ("Tessa|Odette's ||", ["Tessa", "|", "Odette", "'s", "|", "|"]),
     ],
 )
 def test_tokenize_cases(sentence, expected):

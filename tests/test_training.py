@@ -858,6 +858,28 @@ def test_training_writes_the_same_bytes_on_one_and_two_cpus(monkeypatch, forks, 
     assert_no_child()
 
 
+def seeded_run(tmp_path, seed, name):
+    """The checkpoint and the log without its wall column of ``half_setup``'s
+    run with ``seed`` as the model's seed and the epoch orders'."""
+    model, enc_train, enc_valid, config = half_setup()
+    model = Model(model.vocabulary, model.config, rng_seed=seed)
+    path, log = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.log"
+    train(model, enc_train, enc_valid, replace(config, rng_seed=seed), str(path), str(log))
+    return (path.read_bytes(),
+            [line.rsplit("\t", 1)[0] for line in log.read_text(encoding="utf-8").splitlines()])
+
+
+def test_a_numpy_integer_seed_trains_as_the_int_it_equals(tmp_path):
+    assert seeded_run(tmp_path, np.int64(3), "numpy") == seeded_run(tmp_path, 3, "int")
+
+
+@pytest.mark.parametrize("seed", [3.0, True], ids=["float", "bool"])
+def test_a_model_seed_must_be_an_integer(seed):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    with pytest.raises(ValueError, match=f"^rng_seed must be an integer, got {seed!r}$"):
+        Model(model.vocabulary, model.config, rng_seed=seed)
+
+
 def backing(array):
     """The object whose memory ``array`` views."""
     while isinstance(array, np.ndarray):
@@ -1328,6 +1350,26 @@ def test_checkpoint_rejects_truncation_everywhere(tmp_path):
             clipped.write_bytes(raw[:at] + struct.pack("<Q", size) + raw[at + 8:])
             with pytest.raises(CheckpointError, match="truncated"):
                 load_checkpoint(str(clipped))
+
+
+def test_a_cut_tensor_table_fails_before_a_model_is_built(tmp_path, monkeypatch):
+    model, _, _ = toy_setup(n_train=2, n_valid=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[6:14])
+    table = 14 + blob_len
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built a model before the tensor table was read")
+
+    monkeypatch.setattr("clozereader.training.Model", unbuilt)
+    clipped = tmp_path / "clipped.ckpt"
+    # In the count, the first name's length, the first name, the middle, the last tensor.
+    for cut in (table + 2, table + 5, table + 8, (table + len(raw)) // 2, len(raw) - 5):
+        clipped.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(clipped))}: .*truncated"):
+            load_checkpoint(str(clipped))
 
 
 def test_checkpoint_names_a_tensor_whose_empty_shape_numpy_cannot_hold(tmp_path):
