@@ -21,7 +21,9 @@ without one, this process computes both, with the same bits.  So training
 outputs do not depend on the CPU count.  They differ, at about 1e-16
 relative, from those of a step over the whole batch at once, as training
 did before its steps were split: the halves' products have other shapes,
-so BLAS rounds them in another order.
+so BLAS rounds them in another order.  That worker, and the child that
+scores every other batch of an evaluation, are both a ``_Worker``: a
+child that takes one item at a time, in lockstep with this process.
 
 Training logs one tab-separated line per evaluation: step number, the
 step's loss (full repr), validation accuracy, and wall-clock seconds.
@@ -34,14 +36,15 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import numbers
 import os
 import random
 import signal
 import struct
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager, suppress
+from collections.abc import Callable, Sequence
+from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,6 +89,9 @@ class TrainConfig:
     def __post_init__(self):
         check_counts(self, "batch_size", "prefetch_batches", "max_epochs", "patience",
                      *(() if self.eval_every is None else ("eval_every",)))
+        check_seed(self.rng_seed)
+        if not isinstance(self.learning_rate, numbers.Real) or isinstance(self.learning_rate, bool):
+            raise ValueError(f"learning_rate must be a real number, got {self.learning_rate!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
 
@@ -135,11 +141,12 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
     as predictions in input order; batches go in context-length order.
 
-    This process builds and scores the even-numbered batches, and then the
-    odd-numbered ones unless a forked ``_Child`` scored them all into the
-    shared rows.  A row depends on its batch alone, and the walk meets the
-    batches in the same order on any CPU count, so the rows, and the error
-    raised by a bad batch, do not depend on it."""
+    The batches go in pairs: this process hands batch 2k+1 to a forked
+    ``_Worker``, which scores it into the shared rows, while it builds and
+    scores batch 2k itself, and then collects batch 2k+1, scoring it here
+    when the worker did not.  A row depends on its batch alone, and the walk
+    meets the batches in plain length order on any CPU count, so the rows,
+    and the error raised by a bad batch, do not depend on it."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
@@ -151,19 +158,19 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     order = np.argsort(corpus.context_lengths(), kind="stable")
     starts = range(0, len(order), batch_size)
 
-    def walk(share: range) -> Iterator[None]:
-        for start in share:
-            yield
-            batch = Batch.from_corpus(corpus, order[start : start + batch_size])
-            rows = score(batch)
-            probabilities[batch.indices, : rows.shape[1]] = rows
+    def run(start: int) -> None:
+        batch = Batch.from_corpus(corpus, order[start : start + batch_size])
+        rows = score(batch)
+        probabilities[batch.indices, : rows.shape[1]] = rows
 
-    with _Child(starts[1::WORKERS], walk) as child:
-        for _ in walk(starts[::WORKERS]):
-            pass
-        if not child.reap():
-            for _ in walk(starts[1::WORKERS]):
-                pass
+    with _Worker(starts[1::WORKERS], run) as worker:
+        for start in starts[::WORKERS]:
+            paired = start + batch_size < len(order)  # the child's batch follows this one
+            if paired:
+                worker.hand()
+            run(start)
+            if paired and not worker.took():
+                run(start + batch_size)
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
 
@@ -179,55 +186,68 @@ def _may_fork() -> bool:
             and all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS))
 
 
-class _Child:
-    """A forked child that runs the iterator ``job(share)`` to its end, the
-    one way this module starts a process.
+class _Worker(AbstractContextManager):
+    """A forked child that runs ``job(item)`` for each of ``items`` in
+    lockstep with this process, the one way this module starts a process.
 
-    It forks only when ``share`` is not empty and ``_may_fork`` says yes;
-    ``pid`` is None when it did not fork or the fork raised ``OSError``.
-    Before each item of the job the child checks that its parent is still
-    alive.  It ends in ``os._exit``, with status 0 when the job ran out and 1
-    when it raised or its parent is gone, so no caller frame, handler or
-    buffer runs twice.  A child still running when the ``with`` block ends
-    is killed, and every child is reaped.  The caller does the share of a
-    child that did not exit with status 0, so what it computes, and the
-    error it raises, do not depend on the CPU count."""
+    It forks only when ``items`` is not empty and ``_may_fork`` says yes;
+    ``pid`` is None when it did not fork, the fork raised ``OSError``, or
+    the child failed.  Before each item the child blocks until ``hand``
+    sends it one byte, then runs the job and answers with one byte, which
+    ``took`` reads.  An EOF on its pipe means that this process is gone,
+    so a dead parent leaves no child running longer than one item.  The
+    child ends in ``os._exit``, with status 0 when it ran every item and 1
+    otherwise, so no caller frame, handler or buffer runs twice.  When
+    ``took`` is false the child is killed and reaped, and the caller does
+    that item and every later one itself; so what it computes, and the
+    error it raises, do not depend on the CPU count.  The ``with`` block
+    kills and reaps a child that still runs and closes both pipes."""
 
-    def __init__(self, share: Sequence, job: Callable[[Sequence], Iterator]):
-        self.pid = None
-        if not (share and _may_fork()):
+    def __init__(self, items: Sequence, job: Callable[[object], None]):
+        self.pid, self.fds = None, ()
+        if not (items and _may_fork()):
             return
-        parent = os.getpid()
-        try:
+        (hand_r, self.hand_w), (self.done_r, done_w) = os.pipe(), os.pipe()
+        self.fds = (self.hand_w, self.done_r)
+        with suppress(OSError):  # no process to spare: pid stays None
             self.pid = os.fork()
-        except OSError:  # no process to spare
-            return
         if self.pid == 0:
-            status = 1
+            ran = 0
             try:
-                for _ in job(share):
-                    if os.getppid() != parent:  # orphaned: nobody reads the rest
-                        break
-                else:
-                    status = 0
+                os.close(self.hand_w)  # the parent's end: its exit alone then reads as EOF here
+                while ran < len(items) and os.read(hand_r, 1):
+                    job(items[ran])
+                    os.write(done_w, b"\0")
+                    ran += 1
             finally:
-                os._exit(status)
-
-    def __enter__(self) -> "_Child":
-        return self
+                os._exit(int(ran < len(items)))
+        os.close(hand_r)
+        os.close(done_w)
 
     def __exit__(self, *exc) -> None:
-        self.reap(kill=True)
+        self._stop()
+        for fd in self.fds:
+            os.close(fd)
 
-    def reap(self, kill: bool = False) -> bool:
-        """Wait for the child, if one runs, killed first when ``kill``;
-        whether one exited with status 0."""
+    def hand(self) -> None:
+        """Send the child its next item, if a child runs."""
+        if self.pid:
+            with suppress(BrokenPipeError):  # a dead child: ``took`` meets EOF
+                os.write(self.hand_w, b"\0")
+
+    def took(self) -> bool:
+        """Whether the child did the item last handed to it; when not, none
+        runs any more."""
+        if self.pid and os.read(self.done_r, 1):
+            return True
+        self._stop()
+        return False
+
+    def _stop(self) -> None:
         pid, self.pid = self.pid, None
-        if not pid:
-            return False
-        if kill:
+        if pid:
             os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1] == 0
+            os.waitpid(pid, 0)
 
 
 class _Halves:
@@ -237,8 +257,8 @@ class _Halves:
     gradient are (h/n)·L₁ + ((n−h)/n)·L₂ and (h/n)·g₁ + ((n−h)/n)·g₂ over
     rows [0, h) and [h, n), each half padded to its own longest row and
     summed in that order; a one-row batch is one half.  This process
-    computes the first half, and a forked worker the second while one runs
-    (``worker``).  The parameters move into anonymous MAP_SHARED memory
+    computes the first half, and a forked ``_Worker`` the second while one
+    runs (``step``).  The parameters move into anonymous MAP_SHARED memory
     here, once, where the worker sees Adam update them in place; the slots
     for the second half's loss and gradients are made there too, and the
     process that computes that half fills them (``_second``).  Without a
@@ -256,34 +276,6 @@ class _Halves:
         self.slots = np.frombuffer(mmap.mmap(-1, (1 + sum(sizes)) * 8))
         self.views = [flat.reshape(p.data.shape)
                       for p, flat in zip(self.params, np.split(self.slots[1:], bounds))]
-
-    @contextmanager
-    def worker(self, batches: list[Batch]) -> Iterator[None]:
-        """A worker for the second halves of one epoch's ``batches``, forked
-        with its two pipes, and killed if it still runs when the block ends."""
-        (self.go_r, self.go), (self.done, self.done_w) = os.pipe(), os.pipe()
-        self.child = _Child([batch for batch in batches if batch.size > 1], self._serve)
-        # The worker's ends: with them closed here, its exit reads as EOF.
-        os.close(self.go_r)
-        os.close(self.done_w)
-        try:
-            with self.child:
-                yield
-        finally:
-            os.close(self.go)
-            os.close(self.done)
-
-    def _serve(self, batches: list[Batch]) -> Iterator[None]:
-        """The worker: the second half of each of ``batches``, each when the
-        parent's byte comes; an EOF, from a parent that is gone, ends it."""
-        os.close(self.go)
-        os.close(self.done)
-        for batch in batches:
-            if not os.read(self.go_r, 1):
-                return
-            yield
-            self._second(batch)
-            os.write(self.done_w, b"\0")
 
     def _half(self, batch: Batch, start: int, stop: int) -> tuple[float, list]:
         """(stop − start)/n times the loss of rows [start, stop) of the n-row
@@ -309,17 +301,17 @@ class _Halves:
                 grad = grad[rows] if param is self.model.embedding else grad
                 view[: len(grad)] = grad
 
-    def step(self, batch: Batch) -> float:
-        """The step's loss; each parameter's ``grad`` becomes the step's gradient."""
+    def step(self, batch: Batch, worker: _Worker) -> float:
+        """The step's loss; each parameter's ``grad`` becomes the step's
+        gradient.  ``worker``, running ``_second`` over the epoch's batches
+        of two or more rows, is handed the second half while one runs."""
         n = batch.size
         h = (n + 1) // 2
-        if h < n and self.child.pid:
-            with suppress(BrokenPipeError):  # a dead worker: the read below meets EOF
-                os.write(self.go, b"\0")
+        if h < n:
+            worker.hand()
         loss, grads = self._half(batch, 0, h)
         if h < n:
-            if not (self.child.pid and os.read(self.done, 1)):
-                self.child.reap(kill=True)  # a worker that failed: its halves are computed here
+            if not worker.took():
                 self._second(batch)
             loss += float(self.slots[0])
             if math.isfinite(loss):  # both halves ran backward, so every gradient exists
@@ -382,9 +374,9 @@ def train(
     for epoch in range(config.max_epochs):
         result.epochs = epoch + 1
         batches = make_batches(train_examples, config, derive_seed(config.rng_seed, "epoch", epoch))
-        with halves.worker(batches):
+        with _Worker([batch for batch in batches if batch.size > 1], halves._second) as worker:
             for batch in batches:
-                loss_value = halves.step(batch)
+                loss_value = halves.step(batch, worker)
                 extra = {"step": result.steps, "loss": loss_value}
                 if math.isfinite(loss_value):
                     # Gradient that Adam would discard must not count towards the clip.

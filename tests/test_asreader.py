@@ -319,6 +319,19 @@ def test_encode_document_rejects_empty():
         encode_document([], model)
 
 
+@pytest.mark.parametrize("context, question, message", [
+    ([], None, "empty document"),
+    (None, [], "question does not contain the gap tag id"),
+], ids=["empty-document", "no-gap"])
+def test_query_initiated_encoding_rejects_a_bad_example(context, question, message):
+    model = small_model()
+    start = model.vocabulary.word_start
+    context = [start, start + 1] if context is None else context
+    question = [start, GAP_ID] if question is None else question
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        query_initiated_encoding(context, question, model)
+
+
 def test_batched_scores_match_single_document_path():
     model = small_model()
     v = model.vocabulary

@@ -365,6 +365,11 @@ def test_orthogonal_init_wide_rows_are_orthonormal():
     np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-6)
 
 
+def test_orthogonal_init_rejects_a_shape_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"needs a 2-D shape, got \(2, 3, 4\)"):
+        orthogonal_init((2, 3, 4), rng_seed=0)
+
+
 def test_initializers_are_seeded():
     assert np.array_equal(orthogonal_init((5, 5), 11), orthogonal_init((5, 5), 11))
     assert not np.array_equal(orthogonal_init((5, 5), 11), orthogonal_init((5, 5), 12))
@@ -755,6 +760,28 @@ def test_bigru_rejects_input_of_the_wrong_width():
     encoder = BiGru(2, 3, 1, rng_seed=0, name="enc")
     with pytest.raises(ShapeMismatchError, match="input width 4, expected 2"):
         encoder.run(Tensor(np.zeros((3, 4))), 3, 1, None, None)
+
+
+def test_bigru_rejects_an_initial_state_of_the_wrong_shape():
+    weights = init_gru_weights(2, 3, 0, "enc")
+    with pytest.raises(ShapeMismatchError, match=r"initial state \(2, 3\), expected \(1, 3\)"):
+        run_direction(Tensor(np.zeros((4, 2))), weights, 4, h0=Tensor(np.zeros((2, 3))))
+
+
+def test_bigru_rejects_zero_layers():
+    with pytest.raises(ValueError, match="need at least one layer"):
+        BiGru(2, 3, 0, rng_seed=0, name="enc")
+
+
+def test_concat_rejects_zero_tensors():
+    with pytest.raises(ShapeMismatchError, match="concat of zero tensors"):
+        concat([])
+
+
+def test_checker_rejects_a_function_that_is_not_scalar(rng):
+    p = Parameter(rng.normal(size=(3,)))
+    with pytest.raises(ValueError, match=r"must return a scalar, got \(3,\)"):
+        finite_difference_check(lambda: mul(p, 2.0), [p])
 
 
 def test_bigru_end_to_end_gradients(rng):

@@ -142,6 +142,19 @@ def test_read_pretagged_token_mismatch(tmp_path):
         read_pretagged(path, book([["a", "c"]]))
 
 
+def test_read_pretagged_ignores_trailing_blank_lines(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text("a/NE ./O\n\n \n", encoding="utf-8")
+    assert read_pretagged(path, book([["a", "."]])) == [[NE, O]]
+
+
+def test_read_pretagged_malformed_pair(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text("a/O b\n", encoding="utf-8")
+    with pytest.raises(TagAlignmentError, match="sentence 0: malformed pair 'b'"):
+        read_pretagged(path, book([["a", "b"]]))
+
+
 def test_read_pretagged_unknown_tag(tmp_path):
     path = tmp_path / "tags.txt"
     path.write_text("a/VB\n", encoding="utf-8")

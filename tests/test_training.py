@@ -97,6 +97,18 @@ def test_train_config_rejects_a_count_that_is_not_an_integer(key, value):
         TrainConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("rng_seed", 3.0, "rng_seed must be an integer"),
+    ("rng_seed", True, "rng_seed must be an integer"),
+    ("learning_rate", True, "learning_rate must be a real number"),
+    ("learning_rate", "0.1", "learning_rate must be a real number"),
+    ("learning_rate", None, "learning_rate must be a real number"),
+], ids=["float-seed", "bool-seed", "bool-rate", "str-rate", "no-rate"])
+def test_train_config_rejects_a_seed_or_rate_of_the_wrong_type(key, value, message):
+    with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(value))}$"):
+        TrainConfig(**{key: value})
+
+
 # ----------------------------------------------------------------- batching
 
 
@@ -508,7 +520,7 @@ def test_an_error_in_any_batch_is_raised_here_as_one_process_raises_it(monkeypat
 
 def test_two_bad_batches_raise_the_same_error_on_one_and_two_cpus(monkeypatch, forks):
     # Batch 1 is the child's and batch 2 this process's: both CPU counts
-    # meet batch 2 first, as this process walks the even batches first.
+    # meet batch 1 first, as the walk collects each pair before the next.
     model, corpus = split_setup(19)  # five batches of 4
     firsts = np.argsort(corpus.context_lengths(), kind="stable")[[4, 8]].tolist()
     real_predict = Model.predict
@@ -525,7 +537,7 @@ def test_two_bad_batches_raise_the_same_error_on_one_and_two_cpus(monkeypatch, f
             on_cpus(monkeypatch, cpus, lambda: evaluate(model, corpus, batch_size=4))
         messages.append(str(raised.value))
         assert_no_child()
-    assert messages == [f"batch starting at example {firsts[1]}"] * 2
+    assert messages == [f"batch starting at example {firsts[0]}"] * 2
     assert len(forks) == 1
 
 
@@ -549,12 +561,36 @@ class Exited(BaseException):
     """Raised by a stand-in for ``os._exit``, with its status."""
 
 
+@pytest.fixture
+def pipes(monkeypatch):
+    """``(go, fds)``: the bytes the test puts in ``go`` are written into the
+    first pipe made, and each later pipe gets a second reader, the last of
+    ``fds`` once it is made.  Every end in ``fds`` is closed after the test."""
+    fds, go, real_pipe = [], [], os.pipe
+
+    def pipe():
+        ends = real_pipe()
+        fds.extend(ends)
+        if len(fds) == 2:
+            os.write(ends[1], b"".join(go))
+        else:
+            fds.append(os.dup(ends[0]))
+        return ends
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    yield go, fds
+    for fd in fds:
+        with contextlib.suppress(OSError):
+            os.close(fd)
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
-def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
+def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, pipes, fails):
     # The forked child's side of the walk, run in this process: ``os.fork``
-    # and ``os.getppid`` answer as in the child and ``os._exit`` raises
-    # instead of exiting.
+    # answers as in the child and ``os._exit`` raises instead of exiting.
+    # Both odd batches are handed to it before it starts.
     model, corpus = split_setup(19)
+    pipes[0].append(b"\0\0")
     scored, real_predict = [], Model.predict
 
     def predict(self, batch):
@@ -568,7 +604,6 @@ def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
 
     monkeypatch.setattr(Model, "predict", predict)
     monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(os, "getppid", os.getpid)
     monkeypatch.setattr(os, "_exit", exit_)
     with pytest.raises(Exited) as exited:
         on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
@@ -578,7 +613,8 @@ def test_the_child_scores_the_odd_batches_then_exits(monkeypatch, fails):
     assert scored == (batches[1:2] if fails else batches[1::2])
 
 
-def test_an_orphaned_child_exits_before_its_next_batch(monkeypatch):
+def test_an_orphaned_child_exits_before_its_next_batch(monkeypatch, pipes):
+    # Nothing was written to its pipe, whose every writer is closed: the parent is gone.
     model, corpus = split_setup(19)
     scored, real_predict = [], Model.predict
 
@@ -591,7 +627,6 @@ def test_an_orphaned_child_exits_before_its_next_batch(monkeypatch):
 
     monkeypatch.setattr(Model, "predict", predict)
     monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(os, "getppid", lambda: 1)  # the parent is gone: init adopted the child
     monkeypatch.setattr(os, "_exit", exit_)
     with pytest.raises(Exited) as exited:
         on_cpus(monkeypatch, 2, lambda: evaluate(model, corpus, batch_size=4))
@@ -976,21 +1011,14 @@ def test_an_interrupted_training_kills_and_reaps_its_worker(monkeypatch, forks):
     assert_no_child()
 
 
-def test_the_worker_computes_each_second_half_then_exits(monkeypatch):
+def test_the_worker_computes_each_second_half_then_exits(monkeypatch, pipes):
     # The worker's side of an epoch, run in this process as the child's side
     # of the split walk is above.  Three halves are asked for before it
     # starts, and the test keeps a reader of its result pipe open.
     model, enc_train, enc_valid, config = half_setup()
-    fds, computed, real_pipe, real_loss = [], [], os.pipe, Model.loss
-
-    def pipe():
-        ends = real_pipe()
-        fds.extend(ends)
-        if len(fds) == 2:
-            os.write(ends[1], b"\0\0\0")
-        else:
-            fds.append(os.dup(ends[0]))
-        return ends
+    go, fds = pipes
+    go.append(b"\0\0\0")
+    computed, real_loss = [], Model.loss
 
     def loss(self, batch):
         computed.append(batch.indices.tolist())
@@ -999,23 +1027,47 @@ def test_the_worker_computes_each_second_half_then_exits(monkeypatch):
     def exit_(status):
         raise Exited(status)
 
-    monkeypatch.setattr(os, "pipe", pipe)
     monkeypatch.setattr(Model, "loss", loss)
     monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(os, "getppid", os.getpid)
     monkeypatch.setattr(os, "_exit", exit_)
-    try:
-        with pytest.raises(Exited) as exited:
-            on_cpus(monkeypatch, 2, lambda: train(model, enc_train, enc_valid, config))
-        assert exited.value.args == (0,)
-        assert os.read(fds[-1], 8) == b"\0\0\0"
-    finally:
-        for fd in fds:
-            with contextlib.suppress(OSError):
-                os.close(fd)
+    with pytest.raises(Exited) as exited:
+        on_cpus(monkeypatch, 2, lambda: train(model, enc_train, enc_valid, config))
+    assert exited.value.args == (1,)
+    assert os.read(fds[-1], 8) == b"\0\0\0"
     batches = make_batches(enc_train, config, derive_seed(config.rng_seed, "epoch", 0))
     # The one-row batch, the fourth, is no worker's; the fifth finds the pipe closed.
     assert computed == [batch.indices[2:].tolist() for batch in batches[:3]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("case", ["one-cpu", "two-cpus", "refused-fork", "dying-child"])
+@pytest.mark.parametrize("job", ["evaluate", "train"])
+def test_a_job_leaves_no_descriptor_open_and_no_child_behind(monkeypatch, forks, job, case):
+    model, corpus = split_setup(27)  # seven batches of 4, to train on and to score
+    parent = os.getpid()
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def dying(method):
+        def in_the_child_dies(self, batch):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return method(self, batch)
+        return in_the_child_dies
+
+    if case == "refused-fork":
+        monkeypatch.setattr(os, "fork", no_process)
+    if case == "dying-child":
+        monkeypatch.setattr(Model, "predict", dying(Model.predict))
+        monkeypatch.setattr(Model, "loss", dying(Model.loss))
+    run = {"evaluate": lambda: evaluate(model, corpus, batch_size=4),
+           "train": lambda: train(model, corpus, corpus, TrainConfig(batch_size=4, max_epochs=1))}
+    before = sorted(os.listdir("/proc/self/fd"))
+    on_cpus(monkeypatch, 1 if case == "one-cpu" else 2, run[job])
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child()
+    assert bool(forks) == (case in ("two-cpus", "dying-child"))
 
 
 # Trains or walks with a 50 ms sleep in each batch's loss or score, after

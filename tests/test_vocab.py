@@ -551,6 +551,14 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.size == vocab.size
 
 
+def test_load_ignores_trailing_blank_lines(tmp_path):
+    vocab = small_vocab(words=("alpha", "beta"), anon_count=2)
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, path)
+    path.write_text(path.read_text("utf-8") + "\n\n", encoding="utf-8")
+    assert load_vocab(path).words == vocab.words
+
+
 def test_load_rejects_missing_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("alpha\nbeta\n", encoding="utf-8")
