@@ -23,7 +23,10 @@ relative, from those of a step over the whole batch at once, as training
 did before its steps were split: the halves' products have other shapes,
 so BLAS rounds them in another order.  That worker, and the child that
 scores every other batch of an evaluation, are both a ``_Worker``: a
-child that takes one item at a time, in lockstep with this process.
+child that takes one item at a time, in lockstep with this process, which
+makes one ``pair`` call per item, and does the item itself when the child
+did not.  What either child writes for this process to read lies in
+memory from ``_shared``.
 
 Training logs one tab-separated line per evaluation: step number, the
 step's loss (full repr), validation accuracy, and wall-clock seconds.
@@ -46,6 +49,8 @@ import time
 from collections.abc import Callable, Sequence
 from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -141,20 +146,18 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
     """Accuracy of the argmax of ``score(batch)``'s (B, C) rows, and the rows
     as predictions in input order; batches go in context-length order.
 
-    The batches go in pairs: this process hands batch 2k+1 to a forked
-    ``_Worker``, which scores it into the shared rows, while it builds and
-    scores batch 2k itself, and then collects batch 2k+1, scoring it here
-    when the worker did not.  A row depends on its batch alone, and the walk
-    meets the batches in plain length order on any CPU count, so the rows,
-    and the error raised by a bad batch, do not depend on it."""
+    The batches go in pairs, one ``pair`` call of a forked ``_Worker`` each:
+    this process scores batch 2k while the worker scores batch 2k+1 into the
+    shared rows, or scores batch 2k+1 itself after when the worker did not.
+    A row depends on its batch alone, and the walk meets the batches in
+    plain length order on any CPU count, so the rows, and the error raised
+    by a bad batch, do not depend on it."""
     if not corpus:
         raise ValueError("nothing to evaluate")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     (candidate_ids, _), (answers, _) = corpus.ids(slice(None), CANDIDATES, ANSWER)
-    # Anonymous MAP_SHARED memory, zero-filled: a forked child writes its rows here too.
-    shared = mmap.mmap(-1, max(candidate_ids.size, 1) * 8)
-    probabilities = np.frombuffer(shared, count=candidate_ids.size).reshape(candidate_ids.shape)
+    probabilities = _shared(candidate_ids.size).reshape(candidate_ids.shape)
     order = np.argsort(corpus.context_lengths(), kind="stable")
     starts = range(0, len(order), batch_size)
 
@@ -164,15 +167,16 @@ def _score(corpus: EncodedCorpus, score, batch_size: int = DEFAULT_BATCH_SIZE) -
         probabilities[batch.indices, : rows.shape[1]] = rows
 
     with _Worker(starts[1::WORKERS], run) as worker:
-        for start in starts[::WORKERS]:
-            paired = start + batch_size < len(order)  # the child's batch follows this one
-            if paired:
-                worker.hand()
-            run(start)
-            if paired and not worker.took():
-                run(start + batch_size)
+        for start, other in zip_longest(starts[::WORKERS], starts[1::WORKERS]):
+            worker.pair(partial(run, start), other)
     predictions = Predictions(candidate_ids, probabilities)
     return EvalResult(prediction_accuracy(predictions, answers.reshape(-1)), predictions)
+
+
+def _shared(count: int) -> np.ndarray:
+    """``count`` float64 zeros in anonymous MAP_SHARED memory, the one kind
+    of memory that a forked child writes and this process then reads."""
+    return np.frombuffer(mmap.mmap(-1, max(count, 1) * 8), count=count)
 
 
 def _may_fork() -> bool:
@@ -191,57 +195,61 @@ class _Worker(AbstractContextManager):
     lockstep with this process, the one way this module starts a process.
 
     It forks only when ``items`` is not empty and ``_may_fork`` says yes;
-    ``pid`` is None when it did not fork, the fork raised ``OSError``, or
-    the child failed.  Before each item the child blocks until ``hand``
-    sends it one byte, then runs the job and answers with one byte, which
-    ``took`` reads.  An EOF on its pipe means that this process is gone,
-    so a dead parent leaves no child running longer than one item.  The
-    child ends in ``os._exit``, with status 0 when it ran every item and 1
-    otherwise, so no caller frame, handler or buffer runs twice.  When
-    ``took`` is false the child is killed and reaped, and the caller does
-    that item and every later one itself; so what it computes, and the
-    error it raises, do not depend on the CPU count.  The ``with`` block
-    kills and reaps a child that still runs and closes both pipes."""
+    ``pid`` is None when it did not fork, a pipe or the fork raised
+    ``OSError`` (every end made is then closed), or the child failed.  The
+    caller makes one ``pair`` call per item, in order.  Before each item
+    the child blocks until ``pair`` sends it one byte, then runs the job
+    and answers with one byte.  An EOF on its pipe means that this process
+    is gone, so a dead parent leaves no child running longer than one item.
+    The child ends in ``os._exit``, with status 0 when it ran every item
+    and 1 otherwise, so no caller frame, handler or buffer runs twice.
+    When the answer does not come the child is killed and reaped, and
+    ``pair`` does that item and every later one in this process; so what
+    it computes, and the error it raises, do not depend on the CPU count.
+    The ``with`` block kills and reaps a child that still runs and closes
+    both pipes."""
 
     def __init__(self, items: Sequence, job: Callable[[object], None]):
-        self.pid, self.fds = None, ()
-        if not (items and _may_fork()):
-            return
-        (hand_r, self.hand_w), (self.done_r, done_w) = os.pipe(), os.pipe()
-        self.fds = (self.hand_w, self.done_r)
-        with suppress(OSError):  # no process to spare: pid stays None
-            self.pid = os.fork()
+        self.job, self.pid, ends = job, None, []
+        if items and _may_fork():
+            with suppress(OSError):  # no descriptor or process to spare: pid stays None
+                ends += os.pipe()
+                ends += os.pipe()
+                self.pid = os.fork()
         if self.pid == 0:
+            hand_r, hand_w, _, done_w = ends
             ran = 0
             try:
-                os.close(self.hand_w)  # the parent's end: its exit alone then reads as EOF here
+                os.close(hand_w)  # the parent's end: its exit alone then reads as EOF here
                 while ran < len(items) and os.read(hand_r, 1):
                     job(items[ran])
                     os.write(done_w, b"\0")
                     ran += 1
             finally:
                 os._exit(int(ran < len(items)))
-        os.close(hand_r)
-        os.close(done_w)
+        # This process keeps the hand pipe's write end and the done pipe's
+        # read end while a child runs, and closes every other end made.
+        self.fds = ends[1:3] if self.pid else []
+        for fd in set(ends) - set(self.fds):
+            os.close(fd)
 
     def __exit__(self, *exc) -> None:
         self._stop()
         for fd in self.fds:
             os.close(fd)
 
-    def hand(self) -> None:
-        """Send the child its next item, if a child runs."""
-        if self.pid:
-            with suppress(BrokenPipeError):  # a dead child: ``took`` meets EOF
-                os.write(self.hand_w, b"\0")
-
-    def took(self) -> bool:
-        """Whether the child did the item last handed to it; when not, none
-        runs any more."""
-        if self.pid and os.read(self.done_r, 1):
-            return True
-        self._stop()
-        return False
+    def pair(self, mine: Callable[[], object], item):
+        """``mine()``, while the child runs ``job(item)``; when no child
+        runs or it does not answer, this process runs ``job(item)`` after,
+        and no child runs any more.  With ``item`` None, ``mine()`` alone."""
+        if item is not None and self.pid:
+            with suppress(BrokenPipeError):  # a dead child: its answer meets EOF below
+                os.write(self.fds[0], b"\0")
+        result = mine()
+        if item is not None and not (self.pid and os.read(self.fds[1], 1)):
+            self._stop()
+            self.job(item)
+        return result
 
     def _stop(self) -> None:
         pid, self.pid = self.pid, None
@@ -256,24 +264,25 @@ class _Halves:
     A batch of n rows is split at h = (n + 1) // 2.  The step's loss and
     gradient are (h/n)·L₁ + ((n−h)/n)·L₂ and (h/n)·g₁ + ((n−h)/n)·g₂ over
     rows [0, h) and [h, n), each half padded to its own longest row and
-    summed in that order; a one-row batch is one half.  This process
-    computes the first half, and a forked ``_Worker`` the second while one
-    runs (``step``).  The parameters move into anonymous MAP_SHARED memory
-    here, once, where the worker sees Adam update them in place; the slots
-    for the second half's loss and gradients are made there too, and the
-    process that computes that half fills them (``_second``).  Without a
-    worker, or once it fails, that is this process, with the same bits."""
+    summed in that order; a one-row batch is one half.  ``step`` makes one
+    ``pair`` call of a forked ``_Worker`` per batch: this process computes
+    the first half, and the worker the second while one runs.  The
+    parameters move into ``_shared`` memory here, once, where the worker
+    sees Adam update them in place; the slots for the second half's loss
+    and gradients are made there too, and the process that computes that
+    half fills them (``_second``).  Without a worker, or once it fails,
+    that is this process, with the same bits."""
 
     def __init__(self, model: Model):
         self.model, self.params = model, model.parameters()
         sizes = [p.data.size for p in self.params]
         bounds = np.cumsum(sizes)[:-1]
-        data = np.frombuffer(mmap.mmap(-1, sum(sizes) * 8))
+        data = _shared(sum(sizes))
         for p, flat in zip(self.params, np.split(data, bounds)):
             flat = flat.reshape(p.data.shape)
             flat[...] = p.data
             p.data = flat
-        self.slots = np.frombuffer(mmap.mmap(-1, (1 + sum(sizes)) * 8))
+        self.slots = _shared(1 + sum(sizes))
         self.views = [flat.reshape(p.data.shape)
                       for p, flat in zip(self.params, np.split(self.slots[1:], bounds))]
 
@@ -304,15 +313,11 @@ class _Halves:
     def step(self, batch: Batch, worker: _Worker) -> float:
         """The step's loss; each parameter's ``grad`` becomes the step's
         gradient.  ``worker``, running ``_second`` over the epoch's batches
-        of two or more rows, is handed the second half while one runs."""
+        of two or more rows, pairs the second half with the first."""
         n = batch.size
         h = (n + 1) // 2
+        loss, grads = worker.pair(partial(self._half, batch, 0, h), batch if h < n else None)
         if h < n:
-            worker.hand()
-        loss, grads = self._half(batch, 0, h)
-        if h < n:
-            if not worker.took():
-                self._second(batch)
             loss += float(self.slots[0])
             if math.isfinite(loss):  # both halves ran backward, so every gradient exists
                 rows = batch.rows(h, n).token_ids()

@@ -1,10 +1,11 @@
 """Fuzz of the text files the CLI reads: a question file, an ensemble spec,
-a predictions file and a blocklist.  Each example mutates one valid file
-(drops, duplicates, swaps or truncates lines, edits tokens, flips bytes,
-breaks the UTF-8) and runs every command that reads it through ``main``,
-which must return 0 or 1 and raise nothing.  An exit 1 prints exactly one
-``error:`` line and leaves no output behind, and a file that is not UTF-8
-exits 1 with an error that names it."""
+a predictions file, a blocklist and a ``train --config`` file.  Each
+example mutates one valid file (drops, duplicates, swaps or truncates
+lines, edits tokens, flips bytes, breaks the UTF-8) and runs every command
+that reads it through ``main``, which must return 0 or 1 and raise
+nothing; ``train`` may also return 2, for a run that diverged.  An exit 1
+prints exactly one ``error:`` line and leaves no output behind, and a file
+that is not UTF-8 exits 1 with an error that names it."""
 
 import io
 import re
@@ -13,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clozereader.asreader import Model, ModelConfig
 from clozereader.cbtio import write_examples
@@ -43,15 +44,23 @@ TOKENS = ["", "0", "1", "2", "-1", "99", "0.5", "nan", "inf", "XXXXX", "|", "#",
 _SEPARATORS = re.compile(rb"([ \t|])")
 
 _INDEX = st.integers(0, 10**6)
-MUTATIONS = st.lists(st.one_of(
-    st.tuples(st.just("drop"), _INDEX),
-    st.tuples(st.just("duplicate"), _INDEX),
-    st.tuples(st.just("swap"), _INDEX, _INDEX),
-    st.tuples(st.just("truncate"), _INDEX),
-    st.tuples(st.just("edit"), _INDEX, _INDEX, st.sampled_from(TOKENS)),
-    st.tuples(st.just("flip"), _INDEX, st.integers(0, 7)),
-    st.tuples(st.just("break_utf8"), _INDEX, st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])),
-), min_size=1, max_size=4)
+
+
+def mutation_lists(tokens: list[str]):
+    """One to four mutations, whose token edits draw from ``tokens``."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("drop"), _INDEX),
+        st.tuples(st.just("duplicate"), _INDEX),
+        st.tuples(st.just("swap"), _INDEX, _INDEX),
+        st.tuples(st.just("truncate"), _INDEX),
+        st.tuples(st.just("edit"), _INDEX, _INDEX, st.sampled_from(tokens)),
+        st.tuples(st.just("flip"), _INDEX, st.integers(0, 7)),
+        st.tuples(st.just("break_utf8"), _INDEX,
+                  st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])),
+    ), min_size=1, max_size=4)
+
+
+MUTATIONS = mutation_lists(TOKENS)
 
 
 def mutate(data: bytes, mutations) -> bytes:
@@ -154,3 +163,65 @@ def test_a_mutated_input_exits_0_or_1_and_a_failure_writes_nothing(
                 assert not list(out.iterdir()), (argv, err)
             else:
                 assert not errors and not named, err
+
+
+# An E4/H4/L1 run over the module's four questions, well under a second.
+# Its edits draw no size above 8, and a mutation that leaves a size unset
+# is skipped: a deep or wide model, the default one included, takes seconds.
+CONFIG = b"""\
+# fuzz config
+embedding_dim = 4
+hidden_units = 4
+recurrent_layers = 1
+query_init = false
+vocab_cap = 200
+anon_count = 20
+batch_size = 2
+prefetch_batches = 2
+max_epochs = 2
+patience = 1
+eval_every = 2
+learning_rate = 0.01
+"""
+CONFIG_MUTATIONS = mutation_lists([token for token in TOKENS if token != "99"] + ["8", "true"])
+SIZE_KEYS = re.compile(rb"^[ \t]*(embedding_dim|hidden_units|recurrent_layers)[ \t]*=", re.M)
+
+
+def train_with(config: Path, questions: Path, out: Path) -> tuple[int, str]:
+    return run(["train", "--train", str(questions), "--valid", str(questions),
+                "--config", str(config), "--out", str(out / "m.ckpt"),
+                "--log", str(out / "log.txt")])
+
+
+def test_train_accepts_the_unmutated_config(valid_inputs, tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(CONFIG)
+    (tmp_path / "out").mkdir()
+    assert train_with(config, valid_inputs["questions"], tmp_path / "out") == (0, "")
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(mutations=CONFIG_MUTATIONS)
+def test_a_mutated_config_trains_exits_1_writing_nothing_or_diverges(valid_inputs, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.cfg", Path(tmp) / "out"
+        data = mutate(CONFIG, mutations)
+        assume(len(set(SIZE_KEYS.findall(data))) == 3)
+        config.write_bytes(data)
+        out.mkdir()
+        code, err = train_with(config, valid_inputs["questions"], out)
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert code in (0, 1, 2), err
+        if code == 0:
+            assert not errors, err
+            return
+        assert errors == [err.splitlines()[-1]], err
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 1 and errors[0].startswith(f"error: {config}:"), err
+        if code == 1:
+            assert not list(out.iterdir()), err
+        else:
+            assert errors[0].startswith("error: non-finite "), err
+            assert {p.name for p in out.iterdir()} <= {"m.ckpt", "m.ckpt.diverged", "log.txt"}

@@ -1,8 +1,13 @@
 """The statement listing of the line-reach tool in ``tools/reach.py``, on a
-code string; the tool's own pytest run is not started here."""
+code string, and its trace of a forked child; the tool's own pytest run is
+not started here."""
 
 import importlib.util
+import inspect
+import os
 from pathlib import Path
+
+from clozereader import seeding
 
 _SPEC = importlib.util.spec_from_file_location(
     "reach", Path(__file__).resolve().parents[1] / "tools" / "reach.py")
@@ -43,3 +48,20 @@ def test_statements_leave_out_docstrings_declarations_and_bare_annotations():
 def test_a_statement_is_reached_by_any_line_it_spans():
     assert reach.unreached(SOURCE, {1, 2, 4, 5, 8, 11, 13, 14, 15, 18, 19}) == [17]
     assert reach.unreached(SOURCE, set()) == [5, 11, 12, 14, 15, 17, 18, 19]
+
+
+def test_the_lines_a_forked_child_runs_are_traced():
+    # ``check_seed`` runs in the child alone, which leaves through ``os._exit``.
+    def run():
+        pid = os.fork()
+        if pid == 0:
+            try:
+                seeding.check_seed(3)
+            finally:
+                os._exit(0)
+        return os.waitpid(pid, 0)[1]
+
+    status, ran = reach.trace_lines(run)
+    lines, first = inspect.getsourcelines(seeding.check_seed)
+    assert status == 0
+    assert ran[Path(seeding.__file__).resolve()] & set(range(first + 1, first + len(lines)))

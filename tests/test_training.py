@@ -1,6 +1,7 @@
 """Bucketed batching, evaluation, the training loop, checkpoints."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -1068,6 +1069,37 @@ def test_a_job_leaves_no_descriptor_open_and_no_child_behind(monkeypatch, forks,
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child()
     assert bool(forks) == (case in ("two-cpus", "dying-child"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("failing", ["first-pipe", "second-pipe"])
+@pytest.mark.parametrize("job", ["evaluate", "train"])
+def test_a_pipe_that_cannot_be_made_leaves_the_job_to_this_process(monkeypatch, forks, tmp_path,
+                                                                   job, failing):
+    # Each worker's first or second pipe meets a process out of descriptors.
+    model, corpus = split_setup(27)
+
+    def run(cpus):
+        if job == "train":
+            return train_bytes(monkeypatch, cpus, tmp_path)
+        result = on_cpus(monkeypatch, cpus, lambda: evaluate(model, corpus, batch_size=4))
+        return result.accuracy, result.predictions.probabilities.tobytes()
+
+    alone = run(1)
+    calls, real_pipe = [], os.pipe
+
+    def pipe():
+        calls.append(None)
+        if failing == "first-pipe" or len(calls) % 2 == 0:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert run(2) == alone
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child()
+    assert calls and not forks
 
 
 # Trains or walks with a 50 ms sleep in each batch's loss or score, after

@@ -14,18 +14,25 @@ Statements are found with ``ast``.  Docstrings, bare annotations and
 out: they run when a module loads or a function is defined, or not at all.
 A simple statement counts as reached when any of its lines runs, a compound
 one (``if``, ``for``, ``with``, ``try`` ...) when a line of its header does.
-Code that runs only in a subprocess or a forked child is not traced, so a
-statement that only such a process reaches is listed.  Only frames of
-``src/`` files trace lines, so tier-1 runs up to about 1.5 times as long
-as untraced; a test with a tight time budget could still fail under it,
-and the lists stand either way.
+A forked child inherits the trace: while pytest runs, ``os._exit`` is
+wrapped so that a child writes the lines it ran to a temporary directory
+before it exits, under a temporary name that it then renames, so a child
+killed mid-write leaves no half-written record.  Those records are merged
+once pytest returns; a child killed before it exits adds nothing.  Code
+that runs only in a subprocess is not traced, so a statement that only a
+subprocess reaches is listed.  Only frames of ``src/`` files trace lines,
+so tier-1 runs up to about 1.5 times as long as untraced; a test with a
+tight time budget could still fail under it, and the lists stand either
+way.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
 import sys
+import tempfile
 import threading
 from collections import defaultdict
 from pathlib import Path
@@ -73,7 +80,10 @@ def unreached(source: str, ran: set[int]) -> list[int]:
 
 def trace_lines(run):
     """``run()``'s result, and the lines that ran in each file under
-    ``src/`` meanwhile, by resolved path."""
+    ``src/`` meanwhile, by resolved path, in this process and in every
+    child forked meanwhile that left through ``os._exit``.  The trace
+    functions that ran before are restored after, so a traced test may
+    call it."""
     ran: dict[str, set[int]] = defaultdict(set)
     inside: dict[str, bool] = {}
 
@@ -88,13 +98,29 @@ def trace_lines(run):
             inside[filename] = Path(filename).resolve().is_relative_to(SRC)
         return on_line if inside[filename] else None
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        result = run()
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    def exit_in_child(status):
+        try:
+            with tempfile.NamedTemporaryFile("w", dir=children, suffix=".tmp",
+                                             delete=False) as out:
+                json.dump({filename: sorted(lines) for filename, lines in ran.items()}, out)
+            os.rename(out.name, out.name.removesuffix(".tmp") + ".json")
+        finally:  # a failed write must not return into the caller's frames
+            real_exit(status)
+
+    outer, real_exit = (sys.gettrace(), threading.gettrace()), os._exit
+    with tempfile.TemporaryDirectory() as children:
+        os._exit = exit_in_child
+        threading.settrace(on_call)
+        sys.settrace(on_call)
+        try:
+            result = run()
+        finally:
+            sys.settrace(outer[0])
+            threading.settrace(outer[1])
+            os._exit = real_exit
+        for record in Path(children).glob("*.json"):
+            for filename, lines in json.loads(record.read_text(encoding="utf-8")).items():
+                ran[filename].update(lines)
     by_path: dict[Path, set[int]] = defaultdict(set)
     for filename, lines in ran.items():
         by_path[Path(filename).resolve()] |= lines
