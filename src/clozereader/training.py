@@ -42,7 +42,6 @@ import mmap
 import numbers
 import os
 import random
-import signal
 import struct
 import threading
 import time
@@ -74,7 +73,8 @@ WORKERS = 2  # this process and the one child that it forks
 
 
 class TrainingDivergedError(ClozereaderError):
-    """Raised when the loss or the gradient norm becomes NaN or infinite."""
+    """Raised when the loss or the gradient norm becomes NaN or infinite,
+    or a training or validation pass overflows."""
 
 
 class CheckpointError(ClozereaderError):
@@ -199,15 +199,17 @@ class _Worker(AbstractContextManager):
     ``OSError`` (every end made is then closed), or the child failed.  The
     caller makes one ``pair`` call per item, in order.  Before each item
     the child blocks until ``pair`` sends it one byte, then runs the job
-    and answers with one byte.  An EOF on its pipe means that this process
-    is gone, so a dead parent leaves no child running longer than one item.
-    The child ends in ``os._exit``, with status 0 when it ran every item
-    and 1 otherwise, so no caller frame, handler or buffer runs twice.
-    When the answer does not come the child is killed and reaped, and
-    ``pair`` does that item and every later one in this process; so what
-    it computes, and the error it raises, do not depend on the CPU count.
-    The ``with`` block kills and reaps a child that still runs and closes
-    both pipes."""
+    and answers with one byte.  It is never sent a signal: it ends in
+    ``os._exit``, with status 0 when it ran every item and 1 otherwise, so
+    no caller frame, handler or buffer runs twice, and it ends early when
+    its job raises or its pipe reads EOF.  The ``with`` block closes both
+    pipes, then reaps the child: an idle child reads EOF and exits, and a
+    busy one first finishes its item (reaping first would wait forever on
+    an idle child).  A parent that dies closes them too, so it leaves no
+    child running longer than one item.  When the answer does not come the
+    child is exiting, and ``pair`` reaps it and does that item and every
+    later one in this process; so what it computes, and the error it
+    raises, do not depend on the CPU count."""
 
     def __init__(self, items: Sequence, job: Callable[[object], None]):
         self.job, self.pid, ends = job, None, []
@@ -220,7 +222,7 @@ class _Worker(AbstractContextManager):
             hand_r, hand_w, _, done_w = ends
             ran = 0
             try:
-                os.close(hand_w)  # the parent's end: its exit alone then reads as EOF here
+                os.close(hand_w)  # the parent's end: its close or exit then reads as EOF here
                 while ran < len(items) and os.read(hand_r, 1):
                     job(items[ran])
                     os.write(done_w, b"\0")
@@ -234,27 +236,28 @@ class _Worker(AbstractContextManager):
             os.close(fd)
 
     def __exit__(self, *exc) -> None:
-        self._stop()
         for fd in self.fds:
             os.close(fd)
+        self._reap()
 
     def pair(self, mine: Callable[[], object], item):
         """``mine()``, while the child runs ``job(item)``; when no child
         runs or it does not answer, this process runs ``job(item)`` after,
-        and no child runs any more.  With ``item`` None, ``mine()`` alone."""
+        and no child runs any more.  With ``item`` None, ``mine()`` alone.
+        An EOF instead of the answer means that the child is exiting: it
+        alone holds the done pipe's write end, so it is reaped unsignalled."""
         if item is not None and self.pid:
             with suppress(BrokenPipeError):  # a dead child: its answer meets EOF below
                 os.write(self.fds[0], b"\0")
         result = mine()
         if item is not None and not (self.pid and os.read(self.fds[1], 1)):
-            self._stop()
+            self._reap()
             self.job(item)
         return result
 
-    def _stop(self) -> None:
+    def _reap(self) -> None:
         pid, self.pid = self.pid, None
         if pid:
-            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -358,9 +361,13 @@ def train(
 
     A NaN or infinite loss or gradient norm saves a diagnostic checkpoint
     (when a path is given) and raises TrainingDivergedError before the
-    parameters are updated.  Empty corpora are rejected before the first
-    step, and so, through ``make_batches``, are training examples whose
-    answer never occurs in the document: epoch 0's batches cover them all.
+    parameters are updated.  So does an overflow in any pass, a step's or
+    a validation pass's, in this process or a child: saturated ``tanh``
+    units would otherwise keep the loss and the norm finite while the
+    weights run off to about 1e300.  Empty corpora are rejected before the
+    first step, and so, through ``make_batches``, are training examples
+    whose answer never occurs in the document: epoch 0's batches cover
+    them all.
     When it starts, on any CPU count, the parameters' arrays become views
     of memory shared with its training workers.
     """
@@ -376,48 +383,55 @@ def train(
     examples_seen = 0
     since_best = 0
     started = time.monotonic()
-    for epoch in range(config.max_epochs):
-        result.epochs = epoch + 1
-        batches = make_batches(train_examples, config, derive_seed(config.rng_seed, "epoch", epoch))
-        with _Worker([batch for batch in batches if batch.size > 1], halves._second) as worker:
-            for batch in batches:
-                loss_value = halves.step(batch, worker)
-                extra = {"step": result.steps, "loss": loss_value}
-                if math.isfinite(loss_value):
-                    # Gradient that Adam would discard must not count towards the clip.
-                    zero_frozen_rows(params)
-                    extra["grad_norm"] = clip_gradients([p.grad for p in params
-                                                         if p.grad is not None])
-                # A non-finite loss skips the backward pass, so the last value is the one to check.
-                name, value = list(extra.items())[-1]
-                if not math.isfinite(value):
-                    if checkpoint_path is not None:
-                        save_checkpoint(model, checkpoint_path + ".diverged", extra=extra)
-                    what = "gradient norm" if name == "grad_norm" else name
-                    raise TrainingDivergedError(
-                        f"non-finite {what} {value!r} at step {result.steps}")
-                optimizer.step()
-                result.steps += 1
-                examples_seen += batch.size
-                crossed_mark = (examples_seen // eval_every
-                                > (examples_seen - batch.size) // eval_every)
-                if not crossed_mark and batch is not batches[-1]:
-                    continue
-                accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
-                if accuracy > result.best_accuracy:
-                    result.best_accuracy, result.best_step, since_best = accuracy, result.steps, 0
-                    if checkpoint_path is not None:
-                        save_checkpoint(model, checkpoint_path, extra={
-                            "validation_accuracy": accuracy, "step": result.steps})
-                else:
-                    since_best += 1
-                line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
-                        f"\t{time.monotonic() - started:.3f}")
-                result.log_lines.append(line)
-                if log_path is not None:
-                    write_lines(log_path, result.log_lines)
-                if since_best == config.patience:
-                    return result
+    extra = {"step": 0}  # what a diverged run's checkpoint keeps of the step so far
+    try:
+        for epoch in range(config.max_epochs):
+            result.epochs = epoch + 1
+            batches = make_batches(train_examples, config,
+                                   derive_seed(config.rng_seed, "epoch", epoch))
+            halved = [batch for batch in batches if batch.size > 1]
+            # An overflow raises, in this process and in each child, forked after it is set.
+            with np.errstate(over="raise"), _Worker(halved, halves._second) as worker:
+                for batch in batches:
+                    extra["loss"] = loss_value = halves.step(batch, worker)
+                    if math.isfinite(loss_value):
+                        # Gradient that Adam would discard must not count towards the clip.
+                        zero_frozen_rows(params)
+                        extra["grad_norm"] = clip_gradients([p.grad for p in params
+                                                             if p.grad is not None])
+                    # A non-finite loss skips the backward pass: the last value is the one to check.
+                    name, value = list(extra.items())[-1]
+                    if not math.isfinite(value):
+                        what = "gradient norm" if name == "grad_norm" else name
+                        raise FloatingPointError(f"{what} {value!r}")
+                    optimizer.step()
+                    result.steps += 1
+                    extra = {"step": result.steps}
+                    examples_seen += batch.size
+                    crossed_mark = (examples_seen // eval_every
+                                    > (examples_seen - batch.size) // eval_every)
+                    if not crossed_mark and batch is not batches[-1]:
+                        continue
+                    accuracy = evaluate(model, valid_examples, config.batch_size).accuracy
+                    if accuracy > result.best_accuracy:
+                        result.best_accuracy, result.best_step = accuracy, result.steps
+                        since_best = 0
+                        if checkpoint_path is not None:
+                            save_checkpoint(model, checkpoint_path, extra={
+                                "validation_accuracy": accuracy, "step": result.steps})
+                    else:
+                        since_best += 1
+                    line = (f"{result.steps}\t{loss_value!r}\t{accuracy:.6f}"
+                            f"\t{time.monotonic() - started:.3f}")
+                    result.log_lines.append(line)
+                    if log_path is not None:
+                        write_lines(log_path, result.log_lines)
+                    if since_best == config.patience:
+                        return result
+    except FloatingPointError as exc:  # a non-finite loss or norm, or an overflow in any pass
+        if checkpoint_path is not None:
+            save_checkpoint(model, checkpoint_path + ".diverged", extra=extra)
+        raise TrainingDivergedError(f"non-finite {exc} at step {result.steps}") from exc
     return result
 
 

@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line surface."""
 
+import contextlib
 import hashlib
 import json
 import os
 import re
+import signal
 import stat
 import struct
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,6 +266,86 @@ def test_diverged_training_exits_2(cli_workspace, tmp_path, monkeypatch, capsys)
     ])
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_learning_rate_that_overflows_a_pass_diverges(cli_workspace, tmp_path, monkeypatch,
+                                                         capsys, cpus):
+    # Adam's first step moves each weight by about 1e300, so the next pass
+    # overflows; its saturated tanh units would keep every loss finite.
+    _, _, valid_path, _, _ = cli_workspace
+    questions, config, out = tmp_path / "q.txt", tmp_path / "c.cfg", tmp_path / "out"
+    write_examples(read_examples(valid_path)[:4], questions)
+    config.write_text("embedding_dim = 4\nhidden_units = 4\nrecurrent_layers = 1\n"
+                      "batch_size = 2\neval_every = 2\nlearning_rate = 1e300\n", encoding="utf-8")
+    out.mkdir()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--train", str(questions), "--valid", str(questions),
+                   "--config", str(config), "--out", str(out / "m.ckpt"),
+                   "--log", str(out / "log.txt")])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        r"error: non-finite overflow encountered in \w+ at step \d+", err[0]), err
+    # The evaluation after step 0 met the overflow: nothing was saved but the diagnosis.
+    assert sorted(p.name for p in out.iterdir()) == ["m.ckpt.diverged"]
+    assert load_checkpoint(str(out / "m.ckpt.diverged"))[1] == {"step": 1}
+
+
+def group_members(pgid):
+    """The pids of the processes of group ``pgid`` that have not exited."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, group = fh.read().rsplit(") ", 1)[1].split()[:3]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(group) == pgid and state not in "ZX":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not os.path.isdir("/proc/self"), reason="needs 2 CPUs and /proc")
+def test_ctrl_c_leaves_whole_outputs_and_no_child(cli_workspace, tmp_path):
+    # Ctrl-C reaches the whole process group: the parent, its training
+    # worker and any child of a validation pass.  The run evaluates every
+    # eight examples, on and on, until the interrupt.
+    _, train_path, valid_path, _, _ = cli_workspace
+    config = tmp_path / "c.cfg"
+    config.write_text("embedding_dim = 16\nhidden_units = 16\nrecurrent_layers = 1\n"
+                      "batch_size = 8\neval_every = 8\nmax_epochs = 1000\npatience = 100000\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(clozereader.__file__).parents[1]),
+               **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    run = subprocess.Popen([sys.executable, "-m", "clozereader.cli", "train",
+                            "--train", str(train_path), "--valid", str(valid_path),
+                            "--config", str(config), "--out", str(out / "m.ckpt"),
+                            "--log", str(out / "log.txt")],
+                           env=env, start_new_session=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "log.txt").exists() and run.poll() is None:
+            assert time.monotonic() < deadline, "no log line within 60 s"
+            time.sleep(0.01)
+        os.killpg(run.pid, signal.SIGINT)
+        assert run.wait(timeout=30) == -signal.SIGINT
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.wait(timeout=60)
+    assert group_members(run.pid) == []
+    load_checkpoint(str(out / "m.ckpt"))
+    lines = (out / "log.txt").read_text(encoding="utf-8").splitlines()
+    assert lines and all(LOG_LINE.match(line) for line in lines), lines
+    assert sorted(p.name for p in out.iterdir()) == ["log.txt", "m.ckpt"]
 
 
 # Each subcommand's required arguments, and the flags of its outputs.  The

@@ -183,7 +183,8 @@ patience = 1
 eval_every = 2
 learning_rate = 0.01
 """
-CONFIG_MUTATIONS = mutation_lists([token for token in TOKENS if token != "99"] + ["8", "true"])
+CONFIG_MUTATIONS = mutation_lists(
+    [token for token in TOKENS if token != "99"] + ["8", "true", "1e300"])
 SIZE_KEYS = re.compile(rb"^[ \t]*(embedding_dim|hidden_units|recurrent_layers)[ \t]*=", re.M)
 
 

@@ -542,7 +542,7 @@ def test_two_bad_batches_raise_the_same_error_on_one_and_two_cpus(monkeypatch, f
     assert len(forks) == 1
 
 
-def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch, forks):
+def test_an_interrupted_parent_reaps_its_child(monkeypatch, forks):
     model, corpus = split_setup(27)
     parent, real_predict = os.getpid(), Model.predict
 
@@ -994,7 +994,7 @@ def test_a_fork_that_fails_leaves_both_halves_to_this_process(monkeypatch, tmp_p
     assert train_bytes(monkeypatch, 2, tmp_path) == alone
 
 
-def test_an_interrupted_training_kills_and_reaps_its_worker(monkeypatch, forks):
+def test_an_interrupted_training_reaps_its_worker(monkeypatch, forks):
     model, enc_train, enc_valid, config = half_setup()
     parent, real_loss, calls = os.getpid(), Model.loss, []
 
@@ -1009,6 +1009,84 @@ def test_an_interrupted_training_kills_and_reaps_its_worker(monkeypatch, forks):
     with pytest.raises(KeyboardInterrupt):
         on_cpus(monkeypatch, 2, lambda: train(model, enc_train, enc_valid, config))
     assert forks == [parent]
+    assert_no_child()
+
+
+@pytest.fixture
+def reaped(monkeypatch):
+    """The statuses that ``os.waitpid`` reaps in this process, under a 10 s
+    deadline: a reap that waits on a child that waits on this process
+    fails the test instead of hanging the suite."""
+    statuses, real_waitpid = [], os.waitpid
+
+    def waitpid(pid, options):
+        child, status = real_waitpid(pid, options)
+        if child:
+            statuses.append(status)
+        return child, status
+
+    def late(signum, frame):
+        raise TimeoutError("a forked child was not reaped within 10 s")
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(10)
+    yield statuses
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def stop_at_patience(monkeypatch):
+    """Sixteen examples in four steps an epoch, with an evaluation after
+    each that scores four batches; the second evaluation, mid-epoch, stops."""
+    model, enc_train, enc_valid = toy_setup(n_train=16, n_valid=16)
+    script, real_evaluate = iter([0.5, 0.4]), evaluate
+
+    def scripted_evaluate(eval_model, examples, batch_size=128):
+        result = real_evaluate(eval_model, examples, batch_size)
+        result.accuracy = next(script)
+        return result
+
+    monkeypatch.setattr("clozereader.training.evaluate", scripted_evaluate)
+    config = TrainConfig(learning_rate=0.001, batch_size=4, prefetch_batches=1,
+                         eval_every=4, max_epochs=10, patience=1, rng_seed=0)
+    assert len(train(model, enc_train, enc_valid, config).log_lines) == 2
+
+
+def parent_half_raises(monkeypatch):
+    """``half_setup``'s run, whose second step's first half raises here."""
+    model, enc_train, enc_valid, config = half_setup()
+    parent, real_loss, calls = os.getpid(), Model.loss, []
+
+    def loss(self, batch):
+        if os.getpid() == parent:
+            calls.append(batch)
+            if len(calls) == 2:
+                raise RuntimeError("failed in this process")
+        return real_loss(self, batch)
+
+    monkeypatch.setattr(Model, "loss", loss)
+    with pytest.raises(RuntimeError, match="failed in this process"):
+        train(model, enc_train, enc_valid, config)
+
+
+# Each job, and the exit code of each child it forks, in the order reaped:
+# 0 for a child that ran every item it was forked for, 1 for one that read
+# EOF first.  Stopping on patience leaves the training worker idle after two
+# of its four halves; the raising step had handed the worker its second.
+EXITS = {
+    "evaluate": (lambda monkeypatch: evaluate(*split_setup(27), batch_size=4), [0]),
+    "patience": (stop_at_patience, [0, 0, 1]),
+    "parent-raises": (parent_half_raises, [1]),
+}
+
+
+@pytest.mark.parametrize("job", sorted(EXITS))
+def test_every_child_exits_by_itself_unsignalled(monkeypatch, reaped, job):
+    run, codes = EXITS[job]
+    on_cpus(monkeypatch, 2, lambda: run(monkeypatch))
+    assert [os.waitstatus_to_exitcode(status) for status in reaped] == codes
+    assert all(os.WIFEXITED(status) for status in reaped)
     assert_no_child()
 
 

@@ -17,13 +17,13 @@ one (``if``, ``for``, ``with``, ``try`` ...) when a line of its header does.
 A forked child inherits the trace: while pytest runs, ``os._exit`` is
 wrapped so that a child writes the lines it ran to a temporary directory
 before it exits, under a temporary name that it then renames, so a child
-killed mid-write leaves no half-written record.  Those records are merged
-once pytest returns; a child killed before it exits adds nothing.  Code
-that runs only in a subprocess is not traced, so a statement that only a
-subprocess reaches is listed.  Only frames of ``src/`` files trace lines,
-so tier-1 runs up to about 1.5 times as long as untraced; a test with a
-tight time budget could still fail under it, and the lists stand either
-way.
+that a test kills mid-write leaves no half-written record.  The package's
+own children always leave through ``os._exit``.  Those records are merged
+once pytest returns.  Code that runs only in a subprocess is not traced,
+so a statement that only a subprocess reaches is listed.  Only frames of
+``src/`` files trace lines, so tier-1 runs up to about 1.5 times as long
+as untraced; a test with a tight time budget could still fail under it,
+and the lists stand either way.
 """
 
 from __future__ import annotations
